@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from djem.characters import SmoothCharacter
@@ -123,10 +125,25 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of this process.  parse_args leaves a parser unchanged, so
+    every call, corpus worker threads included, may share it."""
+    return build_parser()
+
+
+def _rational_arg(text, flag) -> Fraction:
+    try:
+        return as_rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"--{flag} must be an exact rational NUM or NUM/DEN with a "
+                              f"nonzero DEN, got {text!r}") from None
+
+
 def _character_from_args(args, name) -> SmoothCharacter:
     label = getattr(args, name.replace("-", "_"))
     val = getattr(args, f"{name}_val".replace("-", "_"))
-    unit = as_rational(getattr(args, f"{name}_unit".replace("-", "_")))
+    unit = _rational_arg(getattr(args, f"{name}_unit".replace("-", "_")), f"{name}-unit")
     selfdual = getattr(args, f"{name}_w_selfdual".replace("-", "_"))
     torus = getattr(args, f"{name}_torus_unit".replace("-", "_")) or ""
     if label == "trivial":
@@ -170,10 +187,41 @@ def _resolve_trunc(args, k) -> int:
     return trunc
 
 
+# Miller-Rabin with the prime bases 2..37 is exact below this bound.
+P_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n) -> bool:
+    """Deterministic Miller-Rabin; exact for 0 <= n < P_LIMIT."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _validate_p(p):
     if p is None:
         return None
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if p >= P_LIMIT:
+        raise ValidationError(f"--p must be below {P_LIMIT}, got a {len(str(p))}-digit value")
+    if not _is_prime(p):
         raise ValidationError(f"--p must be prime, got {p}")
     return p
 
@@ -296,7 +344,7 @@ def corpus_manifest():
 
 def fixture_document(argv) -> str:
     """Serialized report document for one fixture argv."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     config, result, _ = _HANDLERS[args.command](args)
     return serialize(make_document(args.command, config, result))
 
@@ -411,7 +459,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config_file(argv)
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "corpus":
             if args.action == "run":
                 return corpus_run(args.fixtures, args.parallel, args.json)

@@ -65,11 +65,22 @@ def build_module(spec: OrlikStrauchSpec, trunc=None) -> WeightModule:
     return simple(-spec.k)
 
 
-def _lines_to_characters(lines, make):
-    out = []
-    for line in lines:  # already ordered by descending weight
-        out.extend(make(line.weight) for _ in range(line.dim))
-    return tuple(out)
+def _characters(res, make):
+    """Per-degree characters of a cohomology result, one per line, in the
+    result's order (descending weight)."""
+    return {degree: tuple(make(line.weight) for line in lines for _ in range(line.dim))
+            for degree, lines in ((0, res.h0), (1, res.h1))}
+
+
+def _section_characters(dual):
+    res = cohomology(dual, "n")
+    return _characters(res, lambda w: TorusCharacter(w, psi_exp=1, delta_exp=1))
+
+
+def _stalk_characters(dual):
+    res = cohomology(dual, "nbar")
+    chars = _characters(res, lambda w: TorusCharacter(w, psi_exp=1))
+    return {degree: w_twist_characters(c) for degree, c in chars.items()}
 
 
 def section_cohomology_characters(spec: OrlikStrauchSpec, trunc=None):
@@ -78,11 +89,7 @@ def section_cohomology_characters(spec: OrlikStrauchSpec, trunc=None):
     X-cohomology of the n-finite dual ladder; every line lands in
     chi_weight psi delta_P.
     """
-    dual = n_finite_dual(build_module(spec, trunc))
-    res = cohomology(dual, "n")
-    make = lambda w: TorusCharacter(w, psi_exp=1, delta_exp=1)
-    return {0: _lines_to_characters(res.h0, make),
-            1: _lines_to_characters(res.h1, make)}
+    return _section_characters(n_finite_dual(build_module(spec, trunc)))
 
 
 def stalk_cohomology_characters(spec: OrlikStrauchSpec, trunc=None):
@@ -91,11 +98,7 @@ def stalk_cohomology_characters(spec: OrlikStrauchSpec, trunc=None):
     Y-cohomology of the dual ladder tensored by psi, then interpolated
     through w: weights negate and psi becomes psi^w.
     """
-    dual = n_finite_dual(build_module(spec, trunc))
-    res = cohomology(dual, "nbar")
-    make = lambda w: TorusCharacter(w, psi_exp=1)
-    return {0: w_twist_characters(_lines_to_characters(res.h0, make)),
-            1: w_twist_characters(_lines_to_characters(res.h1, make))}
+    return _stalk_characters(n_finite_dual(build_module(spec, trunc)))
 
 
 @dataclass(frozen=True)
@@ -164,8 +167,9 @@ def assemble_les(spec: OrlikStrauchSpec, trunc=None) -> JacquetReport:
     """
     if trunc is None:
         trunc = default_truncation(spec.k)
-    section = section_cohomology_characters(spec, trunc)
-    stalk = stalk_cohomology_characters(spec, trunc)
+    dual = n_finite_dual(build_module(spec, trunc))
+    section = _section_characters(dual)
+    stalk = _stalk_characters(dual)
     t0, s1 = stalk[0], section[1]
     forced_zero = (not t0) or (not s1) or not any(
         a.z_eigenvalue(spec.psi) == b.z_eigenvalue(spec.psi) for a in t0 for b in s1)

@@ -3,7 +3,9 @@
 Kernels, column-space complements and ranks for small matrices with Fraction
 entries.  Subspaces are stored in reduced row echelon form, which is unique
 per subspace, so equality of computed spaces is literal data comparison.
-There is no floating-point mode.
+Blocks of at most one row and one column, the blocks of a ladder, are
+answered directly; larger blocks go through RREF.  There is no
+floating-point mode.
 """
 
 from __future__ import annotations
@@ -50,6 +52,13 @@ class SparseMatrix:
         self._entries = stored
 
     @classmethod
+    def _of(cls, rows, cols, entries):
+        """A matrix from nonzero Fraction entries already inside its shape."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._entries = rows, cols, entries
+        return m
+
+    @classmethod
     def from_rows(cls, dense):
         rows = len(dense)
         cols = len(dense[0]) if rows else 0
@@ -61,7 +70,7 @@ class SparseMatrix:
                 v = as_rational(v)
                 if v != 0:
                     entries[(r, c)] = v
-        return cls(rows, cols, entries)
+        return cls._of(rows, cols, entries)
 
     @classmethod
     def zero(cls, rows, cols):
@@ -92,8 +101,8 @@ class SparseMatrix:
         return dense
 
     def transpose(self):
-        return SparseMatrix(self.cols, self.rows,
-                            {(c, r): v for (r, c), v in self._entries.items()})
+        return SparseMatrix._of(self.cols, self.rows,
+                                {(c, r): v for (r, c), v in self._entries.items()})
 
     def is_zero(self):
         return not self._entries
@@ -109,19 +118,21 @@ class SparseMatrix:
 
     def scaled(self, a):
         a = as_rational(a)
-        return SparseMatrix(self.rows, self.cols,
-                            {rc: a * v for rc, v in self._entries.items()})
+        return SparseMatrix._of(self.rows, self.cols,
+                                {rc: a * v for rc, v in self._entries.items()} if a else {})
 
     def __neg__(self):
-        return self.scaled(-1)
+        return SparseMatrix._of(self.rows, self.cols,
+                                {rc: -v for rc, v in self._entries.items()})
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         entries = dict(self._entries)
         for rc, v in other._entries.items():
-            entries[rc] = entries.get(rc, _ZERO) + v
-        return SparseMatrix(self.rows, self.cols, entries)
+            entries[rc] = entries[rc] + v if rc in entries else v
+        return SparseMatrix._of(self.rows, self.cols,
+                                {rc: v for rc, v in entries.items() if v})
 
     def __sub__(self, other):
         return self + (-other)
@@ -137,8 +148,10 @@ class SparseMatrix:
         entries = {}
         for (r, k), a in self._entries.items():
             for c, b in by_row.get(k, ()):
-                entries[(r, c)] = entries.get((r, c), _ZERO) + a * b
-        return SparseMatrix(self.rows, other.cols, entries)
+                rc, v = (r, c), a * b
+                entries[rc] = entries[rc] + v if rc in entries else v
+        return SparseMatrix._of(self.rows, other.cols,
+                                {rc: v for rc, v in entries.items() if v})
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -236,13 +249,47 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
+def _line_block(m: SparseMatrix) -> bool:
+    """True for blocks of at most one row and one column (0x1, 1x0, 1x1 and
+    0x0), which need no RREF: such a block is either zero or of full rank."""
+    return m.rows <= 1 and m.cols <= 1
+
+
+def _line_space(dim, full) -> Subspace:
+    """The zero space or the full line of Q^dim (dim <= 1), in canonical form."""
+    return Subspace(dim, ((_ONE,),) if full and dim else ())
+
+
 def rank(m: SparseMatrix) -> int:
-    _, pivots = _rref(m.to_rows(), m.cols)
-    return len(pivots)
+    if _line_block(m):
+        return 0 if m.is_zero() else 1
+    return _rank_rref(m)
 
 
 def kernel(m: SparseMatrix) -> Subspace:
     """Solution space of m.v = 0, as a canonical Subspace of Q^cols."""
+    if _line_block(m):
+        return _line_space(m.cols, m.is_zero())
+    return _kernel_rref(m)
+
+
+def cokernel_basis(m: SparseMatrix) -> Subspace:
+    """Canonical complement of the column space inside Q^rows.
+
+    The complement is spanned by the coordinate vectors at the non-pivot
+    coordinates of the column space, so it depends only on the column space.
+    """
+    if _line_block(m):
+        return _line_space(m.rows, m.is_zero())
+    return _cokernel_rref(m)
+
+
+def _rank_rref(m: SparseMatrix) -> int:
+    _, pivots = _rref(m.to_rows(), m.cols)
+    return len(pivots)
+
+
+def _kernel_rref(m: SparseMatrix) -> Subspace:
     red, pivots = _rref(m.to_rows(), m.cols)
     pivot_set = set(pivots)
     basis = []
@@ -257,12 +304,7 @@ def kernel(m: SparseMatrix) -> Subspace:
     return Subspace.from_vectors(m.cols, basis)
 
 
-def cokernel_basis(m: SparseMatrix) -> Subspace:
-    """Canonical complement of the column space inside Q^rows.
-
-    The complement is spanned by the coordinate vectors at the non-pivot
-    coordinates of the column space, so it depends only on the column space.
-    """
+def _cokernel_rref(m: SparseMatrix) -> Subspace:
     _, pivots = _rref(m.transpose().to_rows(), m.rows)
     pivot_set = set(pivots)
     basis = []

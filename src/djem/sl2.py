@@ -231,7 +231,8 @@ class WeightModule:
             raise KeyError(f"weight {mu} not present")
         target = mu + 2
         if target in self.dims:
-            return self._x_blocks.get(mu, SparseMatrix.zero(self.dims[target], d))
+            blk = self._x_blocks.get(mu)
+            return SparseMatrix.zero(self.dims[target], d) if blk is None else blk
         if target > self.max_weight and not self.top_exact:
             return None
         return SparseMatrix.zero(0, d)
@@ -243,7 +244,8 @@ class WeightModule:
             raise KeyError(f"weight {mu} not present")
         target = mu - 2
         if target in self.dims:
-            return self._y_blocks.get(mu, SparseMatrix.zero(self.dims[target], d))
+            blk = self._y_blocks.get(mu)
+            return SparseMatrix.zero(self.dims[target], d) if blk is None else blk
         if target < self.min_weight and not self.bottom_exact:
             return None
         return SparseMatrix.zero(0, d)
@@ -379,30 +381,78 @@ def n_finite_dual(m: WeightModule) -> WeightModule:
 
 def check_bracket_relations(m: WeightModule) -> bool:
     """True iff X.Y - Y.X acts by the scalar mu on every weight space where
-    all four blocks are knowable from the window."""
-    for mu in m.weights:
-        d = m.dims[mu]
-        x_mu = m.x_block(mu)
-        y_mu = m.y_block(mu)
-        if x_mu is None or y_mu is None:
-            continue
-        if y_mu.rows == 0:
-            xy = SparseMatrix.zero(d, d)
-        else:
-            x_dn = m.x_block(mu - 2)
-            if x_dn is None:
-                continue
-            xy = x_dn * y_mu
-        if x_mu.rows == 0:
-            yx = SparseMatrix.zero(d, d)
-        else:
-            y_up = m.y_block(mu + 2)
-            if y_up is None:
-                continue
-            yx = y_up * x_mu
-        if xy - yx != SparseMatrix.scalar(d, mu):
+    all four blocks are knowable from the window.
+
+    A ladder whose stored blocks are its coefficient polynomials is decided by
+    the polynomial identity behind the bracket; every other module, and a
+    ladder that fails the identity, is decided block by block.
+    """
+    if _ladder_identity_holds(m):
+        return all(_bracket_holds_at(m, mu) for mu in {m.min_weight, m.max_weight})
+    return _bracket_by_matrices(m)
+
+
+def _bracket_by_matrices(m: WeightModule) -> bool:
+    return all(_bracket_holds_at(m, mu) for mu in m.weights)
+
+
+def _bracket_holds_at(m: WeightModule, mu) -> bool:
+    """The bracket on the mu weight space, or True when a block it needs lies
+    past a truncation cut."""
+    d = m.dims[mu]
+    x_mu = m.x_block(mu)
+    y_mu = m.y_block(mu)
+    if x_mu is None or y_mu is None:
+        return True
+    if y_mu.rows == 0:
+        xy = SparseMatrix.zero(d, d)
+    else:
+        x_dn = m.x_block(mu - 2)
+        if x_dn is None:
+            return True
+        xy = x_dn * y_mu
+    if x_mu.rows == 0:
+        yx = SparseMatrix.zero(d, d)
+    else:
+        y_up = m.y_block(mu + 2)
+        if y_up is None:
+            return True
+        yx = y_up * x_mu
+    return xy - yx == SparseMatrix.scalar(d, mu)
+
+
+def _ladder_identity_holds(m: WeightModule) -> bool:
+    """True iff m is a ladder e_0..e_{n-1} whose stored blocks are its
+    coefficient polynomials and cx(i - s) cy(i) - cy(i + s) cx(i) = weight(i)
+    holds for every integer i, where s = 2 // step.
+
+    Then the bracket holds on every weight space with both neighbours in the
+    window, so only the two window ends, where a term reaching past an exact
+    edge is dropped, remain to be checked.  The identity has degree at most
+    deg cx + deg cy, so checking it at one more point than that proves it.
+    """
+    ladder = m.ladder
+    n = len(m.weights)
+    if ladder is None or n == 0 or ladder.step not in (2, -2):
+        return False
+    if any(d != 1 for d in m.dims.values()):
+        return False
+    w0, step = m.lowest_label_weight, ladder.step
+    # Distinct even weights whose ends are w0 and w0 + step*(n-1) are exactly
+    # the ladder weights of indices 0..n-1.
+    if sorted((w0, w0 + step * (n - 1))) != [m.min_weight, m.max_weight]:
+        return False
+    s = 2 // step
+    cx, cy = ladder.coeff_x, ladder.coeff_y
+    for i in range(n):
+        mu = w0 + step * i
+        if 0 <= i + s < n and m.x_block(mu).entry(0, 0) != cx(i):
             return False
-    return True
+        if 0 <= i - s < n and m.y_block(mu).entry(0, 0) != cy(i):
+            return False
+    points = max(cx.degree + cy.degree, 1) + 1
+    return all(cx(i - s) * cy(i) - cy(i + s) * cx(i) == w0 + step * i
+               for i in range(points))
 
 
 class ModuleMap:

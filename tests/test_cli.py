@@ -1,12 +1,16 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from djem.cli import (EXIT_CORPUS_DIFF, EXIT_CORPUS_SETUP, EXIT_TRUNCATION,
-                      EXIT_UNDECIDABLE, EXIT_VALIDATION, _default_fixtures_dir,
-                      corpus_manifest, fixture_document, main)
+                      EXIT_UNDECIDABLE, EXIT_VALIDATION, P_LIMIT, _default_fixtures_dir,
+                      _is_prime, corpus_manifest, fixture_document, main)
 
 
 def run(capsys, *argv):
@@ -117,6 +121,56 @@ def test_nonprime_p_rejected(capsys):
     code, _, err = run(capsys, "jacquet", "--family", "verma", "--k", "-4", "--p", "6")
     assert code == EXIT_VALIDATION
     assert "prime" in err
+
+
+@pytest.mark.parametrize("p, fragment", [
+    ("6", "prime"),
+    (str((10**9 + 7) * (10**9 + 9)), "prime"),  # no small factor
+    ("3215031751", "prime"),                    # strong pseudoprime to bases 2, 3, 5, 7
+    (str(P_LIMIT), "below"),                    # strong pseudoprime to bases 2..37
+    ("9" * 400, "below"),
+])
+def test_p_refusals_exit_2_without_traceback(capsys, p, fragment):
+    code, _, err = run(capsys, "jacquet", "--family", "verma", "--k", "-4", "--p", p)
+    assert code == EXIT_VALIDATION
+    assert fragment in err and "Traceback" not in err
+
+
+def test_large_prime_p_is_accepted_promptly():
+    # A fresh process with a timeout, so that a slow primality test fails here
+    # instead of stalling the suite.
+    p = 1000000000000000003
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-m", "djem.cli", "jacquet", "--family", "verma",
+                          "--k", "-4", "--p", str(p), "--json"],
+                         capture_output=True, text=True, timeout=20,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    eig = json.loads(out.stdout)["result"]["degrees"]["0"]["jh_factors"][0]["eigenvalue"]
+    assert eig["value"] == f"1/{p ** 6}"
+
+
+def test_primality_matches_trial_division():
+    trial = lambda n: n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(5000) if _is_prime(n)] == [n for n in range(5000) if trial(n)]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--psi-unit", "abc"), ("--psi-unit", "1/0"), ("--phi-unit", "abc"), ("--phi-unit", "1/0"),
+])
+def test_bad_rational_exits_2_without_traceback(capsys, flag, value):
+    code, _, err = run(capsys, "ext-bound", "--k", "-4", "--ell", "2", "--psi", "a",
+                       "--phi", "b", flag, value)
+    assert code == EXIT_VALIDATION
+    assert flag in err and "Traceback" not in err
+
+
+def test_bad_rational_in_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("family = verma\nk = -4\npsi = chi\npsi-unit = 2/0\n", encoding="utf-8")
+    code, _, err = run(capsys, "jacquet", "--config", str(cfg))
+    assert code == EXIT_VALIDATION
+    assert "--psi-unit" in err and "Traceback" not in err
 
 
 def test_check_commands(capsys):

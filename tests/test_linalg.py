@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from djem.linalg import SparseMatrix, Subspace, as_rational, cokernel_basis, kernel, rank
+from djem.linalg import (SparseMatrix, Subspace, _cokernel_rref, _kernel_rref, _rank_rref,
+                         as_rational, cokernel_basis, kernel, rank)
 
 
 def M(rows):
@@ -58,6 +59,15 @@ def _random_matrix(rng, rows, cols):
             if rng.random() < 0.6:
                 entries[(r, c)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     return SparseMatrix(rows, cols, entries)
+
+
+@pytest.mark.parametrize("m", [SparseMatrix.zero(0, 0), SparseMatrix.zero(0, 1),
+                               SparseMatrix.zero(1, 0), M([[0]]), M([[1]]), M([[-3]]),
+                               M([[Fraction(-2, 7)]])])
+def test_line_block_shortcuts_equal_rref(m):
+    assert kernel(m) == _kernel_rref(m)
+    assert cokernel_basis(m) == _cokernel_rref(m)
+    assert rank(m) == _rank_rref(m)
 
 
 def test_rank_nullity_and_exact_kernel_on_random_matrices():

@@ -1,12 +1,13 @@
+import functools
 import random
 
 import pytest
 
 from djem.errors import ParityError, TruncationError, ValidationError
 from djem.linalg import SparseMatrix
-from djem.sl2 import (IndexPoly, ModuleMap, WeightModule, bgg_morphism,
-                      check_bracket_relations, default_truncation, dual_verma,
-                      n_finite_dual, simple, verma)
+from djem.sl2 import (IndexPoly, LadderInfo, ModuleMap, WeightModule, _bracket_by_matrices,
+                      _ladder_identity_holds, bgg_morphism, check_bracket_relations,
+                      default_truncation, dual_verma, n_finite_dual, simple, verma)
 
 
 def entry(m, mu, op):
@@ -157,6 +158,99 @@ def test_bracket_detects_corruption():
                              m.stored_x_blocks(), blocks, m.bottom_exact, m.top_exact,
                              m.truncation, m.basis_labels)
     assert not check_bracket_relations(corrupted)
+
+
+def _variant(m, ladder, x_blocks, y_blocks, bottom_exact, top_exact):
+    return WeightModule(m.family, m.lowest_label_weight, m.weights, m.dims, x_blocks, y_blocks,
+                        bottom_exact, top_exact, m.truncation, m.basis_labels, ladder)
+
+
+def _blocks_from(m, ladder):
+    """Stored X and Y blocks of m's window read off the ladder polynomials."""
+    n, s = len(m.weights), 2 // ladder.step
+    xs, ys = {}, {}
+    for i in range(n):
+        mu = m.lowest_label_weight + ladder.step * i
+        if 0 <= i + s < n:
+            xs[mu] = SparseMatrix.from_rows([[ladder.coeff_x(i)]])
+        if 0 <= i - s < n:
+            ys[mu] = SparseMatrix.from_rows([[ladder.coeff_y(i)]])
+    return xs, ys
+
+
+@functools.cache
+def _full_window(ctor, lam, dual):
+    m = simple(-abs(lam)) if ctor is simple else ctor(lam, 40)
+    return n_finite_dual(m) if dual else m
+
+
+def _window(m, trunc):
+    """The truncated module m cut to ladder indices 0..trunc: what its
+    constructor builds with that truncation, sharing m's blocks."""
+    keep = {m.lowest_label_weight + m.ladder.step * i for i in range(trunc + 1)}
+    xs = {mu: b for mu, b in m.stored_x_blocks().items() if {mu, mu + 2} <= keep}
+    ys = {mu: b for mu, b in m.stored_y_blocks().items() if {mu, mu - 2} <= keep}
+    return WeightModule(m.family, m.lowest_label_weight, keep, {mu: 1 for mu in keep}, xs, ys,
+                        m.bottom_exact, m.top_exact, trunc,
+                        {mu: m.basis_labels[mu] for mu in keep}, m.ladder)
+
+
+def test_window_is_the_truncated_constructor():
+    for ctor, lam, trunc, dual in ((verma, -6, 0, False), (verma, 4, 13, True),
+                                   (dual_verma, -40, 40, False), (dual_verma, 8, 7, True)):
+        built = ctor(lam, trunc)
+        built = n_finite_dual(built) if dual else built
+        cut = _window(_full_window(ctor, lam, dual), trunc)
+        for attr in ("family", "weights", "basis_labels", "bottom_exact", "top_exact",
+                     "truncation", "ladder"):
+            assert getattr(cut, attr) == getattr(built, attr), attr
+        assert cut.stored_x_blocks() == built.stored_x_blocks()
+        assert cut.stored_y_blocks() == built.stored_y_blocks()
+
+
+def _random_module(rng):
+    """A family module or its dual, as built or altered in one of four ways."""
+    lam, trunc = 2 * rng.randint(-20, 20), rng.randint(0, 40)
+    ctor = rng.choice((verma, dual_verma, simple))
+    m = _full_window(ctor, lam, rng.random() < 0.5)
+    if ctor is not simple:
+        m = _window(m, trunc)
+    xs, ys = m.stored_x_blocks(), m.stored_y_blocks()
+    edges = (m.bottom_exact, m.top_exact)
+    how = rng.choice(("as-built",) * 3 + ("edges",) * 3 + ("corrupt-block", "generic",
+                                                           "wrong-ladder"))
+    if how == "edges":
+        edges = (rng.random() < 0.5, rng.random() < 0.5)
+    elif how == "corrupt-block" and len(m.weights) > 1:
+        blocks = rng.choice([b for b in (xs, ys) if b])
+        mu = rng.choice(sorted(blocks))
+        blocks[mu] = blocks[mu] + SparseMatrix.from_rows([[rng.choice((-2, -1, 1, 3))]])
+    elif how == "corrupt-block":
+        how = "as-built"  # a one-weight window stores no block
+    elif how == "wrong-ladder":
+        coeffs = list(m.ladder.coeff_y.coeffs) + [0, 0]
+        coeffs[0] += rng.randint(-3, 3)
+        coeffs[1] += rng.randint(-1, 1)
+        ladder = LadderInfo(m.ladder.step, m.ladder.coeff_x, IndexPoly(coeffs))
+        return how, _variant(m, ladder, *_blocks_from(m, ladder), *edges)
+    return how, _variant(m, None if how == "generic" else m.ladder, xs, ys, *edges)
+
+
+def test_ladder_bracket_agrees_with_matrix_check():
+    rng = random.Random(20260411)
+    seen = {}
+    for _ in range(2000):
+        how, m = _random_module(rng)
+        verdict = check_bracket_relations(m)
+        assert verdict == _bracket_by_matrices(m), (how, m)
+        fast = _ladder_identity_holds(m)
+        seen[how, fast, verdict] = seen.get((how, fast, verdict), 0) + 1
+    # Both verdicts, and both paths, are exercised where they can occur.
+    for key in (("as-built", True, True), ("edges", True, True), ("edges", True, False),
+                ("corrupt-block", False, False), ("generic", False, True),
+                ("wrong-ladder", False, False)):
+        assert seen.get(key, 0) >= 20, (key, seen)
+    assert not any(fast for (how, fast, _) in seen if how in ("corrupt-block", "generic"))
 
 
 def test_bracket_on_empty_module():

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import functools
+import json
 import os
 import sys
 from fractions import Fraction
@@ -361,6 +362,40 @@ def _compute_all(manifest, parallel):
     return {name: fixture_document(argv) for name, argv in manifest}
 
 
+_ABSENT = object()
+
+
+def _json_diff(golden, computed, pointer=""):
+    """(JSON pointer, golden value, computed value) at the first place, in
+    key order, where two parsed documents differ; None when they are equal."""
+    if type(golden) is not type(computed) or not isinstance(golden, (dict, list)):
+        same = type(golden) is type(computed) and golden == computed
+        return None if same else (pointer, golden, computed)
+    as_dict = lambda v: v if isinstance(v, dict) else dict(enumerate(v))
+    golden, computed = as_dict(golden), as_dict(computed)
+    for key in sorted(golden.keys() | computed.keys()):
+        step = str(key).replace("~", "~0").replace("/", "~1")
+        found = _json_diff(golden.get(key, _ABSENT), computed.get(key, _ABSENT),
+                           f"{pointer}/{step}")
+        if found:
+            return found
+    return None
+
+
+def _diff_detail(golden_bytes, computed) -> str:
+    """Where a golden file and the computed document part, for stderr."""
+    try:
+        golden = json.loads(golden_bytes)
+    except ValueError as err:
+        return f"the golden file is not valid JSON ({err})"
+    found = _json_diff(golden, json.loads(computed))
+    if found is None:
+        return "the bytes differ but the parsed JSON is equal (formatting only)"
+    show = lambda v: "(absent)" if v is _ABSENT else json.dumps(v, ensure_ascii=True)
+    pointer, want, got = found
+    return f"first diverging JSON pointer {pointer or '(root)'}: golden {show(want)}, computed {show(got)}"
+
+
 def corpus_run(fixtures_dir=None, parallel=0, json_mode=False, out=None):
     out = out or sys.stdout
     fixtures = Path(fixtures_dir) if fixtures_dir else _default_fixtures_dir()
@@ -396,8 +431,10 @@ def corpus_run(fixtures_dir=None, parallel=0, json_mode=False, out=None):
         out.write(f"corpus: {len(statuses)} fixtures, {sum(ok for _, ok in statuses)} passed, "
                   f"{sum(not ok for _, ok in statuses)} failed\n")
     if first_failure is not None:
-        print(f"corpus diff: first divergent fixture: "
-              f"{fixtures / (first_failure + '.json')}", file=sys.stderr)
+        golden_path = fixtures / (first_failure + ".json")
+        print(f"corpus diff: first divergent fixture: {golden_path}", file=sys.stderr)
+        print(f"corpus diff: {_diff_detail(golden_path.read_bytes(), docs[first_failure])}",
+              file=sys.stderr)
         return EXIT_CORPUS_DIFF
     return EXIT_OK
 
@@ -419,7 +456,10 @@ def corpus_write(fixtures_dir=None, parallel=0, out=None):
 
 def _config_file_tokens(path) -> list:
     tokens = []
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ValidationError(f"config file {path} cannot be read as UTF-8 text: {err}") from None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:

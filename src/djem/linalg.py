@@ -1,11 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
-Kernels, column-space complements and ranks for small matrices with Fraction
-entries.  Subspaces are stored in reduced row echelon form, which is unique
-per subspace, so equality of computed spaces is literal data comparison.
-Blocks of at most one row and one column, the blocks of a ladder, are
-answered directly; larger blocks go through RREF.  There is no
-floating-point mode.
+Sparse matrices with Fraction entries, and kernels, column-space complements
+and ranks of the blocks a ladder has: at most one row and one column.  Such a
+block is either zero or of full rank, so every answer is the zero space or
+the full line, in canonical form; a larger block raises ValueError.  There is
+no floating-point mode.
 """
 
 from __future__ import annotations
@@ -94,12 +93,6 @@ class SparseMatrix:
         """Nonzero entries as ((row, col), value) in row-major order."""
         return sorted(self._entries.items())
 
-    def to_rows(self):
-        dense = [[_ZERO] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self._entries.items():
-            dense[r][c] = v
-        return dense
-
     def transpose(self):
         return SparseMatrix._of(self.cols, self.rows,
                                 {(c, r): v for (r, c), v in self._entries.items()})
@@ -164,33 +157,6 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, {len(self._entries)} nonzero)"
 
 
-def _rref(dense, cols):
-    """Reduced row echelon form.  Returns (nonzero rows, pivot column list)."""
-    rows = [list(r) for r in dense]
-    pivots = []
-    pr = 0
-    for pc in range(cols):
-        pivot_row = None
-        for r in range(pr, len(rows)):
-            if rows[r][pc] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        inv = _ONE / rows[pr][pc]
-        rows[pr] = [v * inv for v in rows[pr]]
-        for r in range(len(rows)):
-            if r != pr and rows[r][pc] != 0:
-                f = rows[r][pc]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(rows):
-            break
-    return rows[:pr], pivots
-
-
 class Subspace:
     """A subspace of Q^ambient_dim, stored by its canonical RREF basis."""
 
@@ -204,39 +170,12 @@ class Subspace:
                 raise ValueError("basis vector length mismatch")
 
     @classmethod
-    def from_vectors(cls, ambient_dim, vectors):
-        vecs = [[as_rational(v) for v in vec] for vec in vectors]
-        for vec in vecs:
-            if len(vec) != ambient_dim:
-                raise ValueError("vector length mismatch")
-        red, _ = _rref(vecs, ambient_dim)
-        return cls(ambient_dim, red)
-
-    @classmethod
     def zero(cls, ambient_dim):
         return cls(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim):
-        return cls(ambient_dim, SparseMatrix.identity(ambient_dim).to_rows())
 
     @property
     def dim(self):
         return len(self.basis)
-
-    def canonicalized(self):
-        return Subspace.from_vectors(self.ambient_dim, self.basis)
-
-    def contains(self, vector):
-        v = [as_rational(x) for x in vector]
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length mismatch")
-        for row in self.basis:
-            pivot = next(j for j, x in enumerate(row) if x != 0)
-            if v[pivot] != 0:
-                f = v[pivot]
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(x == 0 for x in v)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -249,10 +188,10 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def _line_block(m: SparseMatrix) -> bool:
-    """True for blocks of at most one row and one column (0x1, 1x0, 1x1 and
-    0x0), which need no RREF: such a block is either zero or of full rank."""
-    return m.rows <= 1 and m.cols <= 1
+def _require_line(m: SparseMatrix):
+    if m.rows > 1 or m.cols > 1:
+        raise ValueError(f"only blocks of at most one row and one column are supported, "
+                         f"got {m.rows}x{m.cols}")
 
 
 def _line_space(dim, full) -> Subspace:
@@ -261,57 +200,17 @@ def _line_space(dim, full) -> Subspace:
 
 
 def rank(m: SparseMatrix) -> int:
-    if _line_block(m):
-        return 0 if m.is_zero() else 1
-    return _rank_rref(m)
+    _require_line(m)
+    return 0 if m.is_zero() else 1
 
 
 def kernel(m: SparseMatrix) -> Subspace:
     """Solution space of m.v = 0, as a canonical Subspace of Q^cols."""
-    if _line_block(m):
-        return _line_space(m.cols, m.is_zero())
-    return _kernel_rref(m)
+    _require_line(m)
+    return _line_space(m.cols, m.is_zero())
 
 
 def cokernel_basis(m: SparseMatrix) -> Subspace:
-    """Canonical complement of the column space inside Q^rows.
-
-    The complement is spanned by the coordinate vectors at the non-pivot
-    coordinates of the column space, so it depends only on the column space.
-    """
-    if _line_block(m):
-        return _line_space(m.rows, m.is_zero())
-    return _cokernel_rref(m)
-
-
-def _rank_rref(m: SparseMatrix) -> int:
-    _, pivots = _rref(m.to_rows(), m.cols)
-    return len(pivots)
-
-
-def _kernel_rref(m: SparseMatrix) -> Subspace:
-    red, pivots = _rref(m.to_rows(), m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        basis.append(v)
-    return Subspace.from_vectors(m.cols, basis)
-
-
-def _cokernel_rref(m: SparseMatrix) -> Subspace:
-    _, pivots = _rref(m.transpose().to_rows(), m.rows)
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(m.rows):
-        if j in pivot_set:
-            continue
-        v = [_ZERO] * m.rows
-        v[j] = _ONE
-        basis.append(v)
-    return Subspace.from_vectors(m.rows, basis)
+    """Canonical complement of the column space inside Q^rows."""
+    _require_line(m)
+    return _line_space(m.rows, m.is_zero())

@@ -8,13 +8,21 @@ escaped, and list orderings are fixed by the producing code.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from djem import __version__
 from djem.characters import SmoothCharacter, TorusCharacter
 from djem.cohomology import CohomologyResult, StabilizationCertificate
+from djem.errors import ValidationError
 from djem.extbound import ExtCase
 from djem.jacquet import JacquetReport
+
+# A concrete eigenvalue p^e * unit is rendered only while |e| * log10(p),
+# plus the digits of the unit, stays within this many digits: past it the
+# power is slow to compute, and Python refuses to print an int of more than
+# 4300 digits.
+VALUE_DIGIT_CAP = 4000
 
 
 def frac_str(x) -> str:
@@ -22,18 +30,29 @@ def frac_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def concrete_value(exponent, unit, p) -> str:
+    """p^exponent * unit as "num/den"; refused past VALUE_DIGIT_CAP digits,
+    which is decided from |exponent| * log10(p) before the power is taken."""
+    unit = Fraction(unit)
+    unit_digits = math.log10(max(abs(unit.numerator), unit.denominator))
+    if abs(exponent) * math.log10(p) + unit_digits > VALUE_DIGIT_CAP:
+        raise ValidationError(f"the eigenvalue p^{exponent} * unit at p = {p} has more than "
+                              f"{VALUE_DIGIT_CAP} digits; omit --p for the symbolic form")
+    return frac_str(Fraction(p) ** exponent * unit)
+
+
 def eigenvalue_json(pair, p=None):
     exponent, unit = pair
     out = {"p_exp": exponent, "unit": frac_str(unit)}
     if p is not None:
-        out["value"] = frac_str(Fraction(p) ** exponent * unit)
+        out["value"] = concrete_value(exponent, unit, p)
     return out
 
 
 def eigenvalue_text(pair, p=None):
     exponent, unit = pair
     if p is not None:
-        return frac_str(Fraction(p) ** exponent * unit)
+        return concrete_value(exponent, unit, p)
     return f"p^{exponent} * {frac_str(unit)}"
 
 

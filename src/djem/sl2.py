@@ -8,9 +8,10 @@ weight mu in a finite window, the block of X (mu -> mu+2) and of Y
 there) or a truncation cut (the module continues outside the window); blocks
 pointing past a truncation cut are unknown and reported as None.
 
-All in-scope families are ladders: one-dimensional weight spaces indexed by
-i = 0, 1, ..., with closed-form integer coefficient polynomials in i for the
-two operators.  The polynomials travel with the module so that downstream
+Every module is a ladder: one-dimensional weight spaces, so every block is
+1x1 (or empty at an edge).  The in-scope families also carry closed-form
+integer coefficient polynomials in the ladder index i = 0, 1, ... for the two
+operators.  The polynomials travel with the module so that downstream
 cohomology can certify that nothing lives past the window.
 """
 
@@ -146,11 +147,12 @@ def _toggle_hat(label: str) -> str:
 
 
 class WeightModule:
-    """Immutable weight-graded module over sl2 on a finite even-weight window."""
+    """Immutable weight-graded module over sl2 on a finite even-weight window,
+    with a one-dimensional space at each weight."""
 
     __slots__ = ("family", "lowest_label_weight", "weights", "dims", "basis_labels",
                  "bottom_exact", "top_exact", "truncation", "ladder",
-                 "_x_blocks", "_y_blocks")
+                 "_x_blocks", "_y_blocks", "_ladder_exact")
 
     def __init__(self, family, lowest_label_weight, weights, dims, x_blocks, y_blocks,
                  bottom_exact, top_exact, truncation, basis_labels, ladder=None):
@@ -162,8 +164,9 @@ class WeightModule:
         self.weights = ws
         self.dims = {w: int(dims[w]) for w in ws}
         for w, d in self.dims.items():
-            if d <= 0:
-                raise ValidationError(f"weight {w} stored with non-positive dimension")
+            if d != 1:
+                raise ValidationError(f"weight {w} stored with dimension {d}; "
+                                      f"weight spaces must be one-dimensional")
         self.bottom_exact = bool(bottom_exact)
         self.top_exact = bool(top_exact)
         self.truncation = None if truncation is None else int(truncation)
@@ -173,17 +176,46 @@ class WeightModule:
                 raise ValidationError(f"label count at weight {w} does not match dimension")
         self._x_blocks = dict(x_blocks)
         self._y_blocks = dict(y_blocks)
-        for mu, blk in self._x_blocks.items():
-            if mu not in self.dims or (mu + 2) not in self.dims:
-                raise ValidationError(f"X block at weight {mu} outside window")
-            if (blk.rows, blk.cols) != (self.dims[mu + 2], self.dims[mu]):
-                raise ValidationError(f"X block shape mismatch at weight {mu}")
-        for mu, blk in self._y_blocks.items():
-            if mu not in self.dims or (mu - 2) not in self.dims:
-                raise ValidationError(f"Y block at weight {mu} outside window")
-            if (blk.rows, blk.cols) != (self.dims[mu - 2], self.dims[mu]):
-                raise ValidationError(f"Y block shape mismatch at weight {mu}")
+        for name, blocks, shift in (("X", self._x_blocks, 2), ("Y", self._y_blocks, -2)):
+            for mu, blk in blocks.items():
+                if mu not in self.dims or (mu + shift) not in self.dims:
+                    raise ValidationError(f"{name} block at weight {mu} outside window")
+                if (blk.rows, blk.cols) != (1, 1):
+                    raise ValidationError(f"{name} block shape mismatch at weight {mu}")
         self.ladder = ladder
+        self._ladder_exact = None
+
+    def _blocks_are_ladder(self) -> bool:
+        """True iff the window is the ladder e_0..e_{n-1} and every block
+        between two window weights, stored or implicitly zero, is the ladder
+        polynomial at its index.  The one place blocks meet polynomials."""
+        ladder, n = self.ladder, len(self.weights)
+        if ladder is None or n == 0 or ladder.step not in (2, -2):
+            return False
+        w0, step = self.lowest_label_weight, ladder.step
+        # Distinct even weights whose ends are w0 and w0 + step*(n-1) are
+        # exactly the ladder weights of indices 0..n-1.
+        if sorted((w0, w0 + step * (n - 1))) != [self.min_weight, self.max_weight]:
+            return False
+        s = 2 // step
+        value = lambda blk: 0 if blk is None else blk.entry(0, 0)
+        for i in range(n):
+            mu = w0 + step * i
+            if 0 <= i + s < n and value(self._x_blocks.get(mu)) != ladder.coeff_x(i):
+                return False
+            if 0 <= i - s < n and value(self._y_blocks.get(mu)) != ladder.coeff_y(i):
+                return False
+        return True
+
+    @property
+    def ladder_exact(self) -> bool:
+        """Whether the stored blocks are the ladder polynomials on consecutive
+        ladder indices.  Decided on first use and kept: the module is
+        immutable, and a module that is only mapped or dualized never pays
+        for the scan."""
+        if self._ladder_exact is None:
+            self._ladder_exact = self._blocks_are_ladder()
+        return self._ladder_exact
 
     # -- window geometry ---------------------------------------------------
 
@@ -205,11 +237,6 @@ class WeightModule:
     def total_dim(self):
         return sum(self.dims.values())
 
-    def weight_of_index(self, i):
-        if self.ladder is None:
-            raise ValidationError("not a ladder module")
-        return self.lowest_label_weight + self.ladder.step * i
-
     def index_of_weight(self, mu):
         if self.ladder is None:
             raise ValidationError("not a ladder module")
@@ -226,29 +253,21 @@ class WeightModule:
         Returns None when the target weight lies past a truncation cut, i.e.
         the block is not knowable from the window.
         """
-        d = self.dims.get(mu)
-        if d is None:
-            raise KeyError(f"weight {mu} not present")
-        target = mu + 2
-        if target in self.dims:
-            blk = self._x_blocks.get(mu)
-            return SparseMatrix.zero(self.dims[target], d) if blk is None else blk
-        if target > self.max_weight and not self.top_exact:
-            return None
-        return SparseMatrix.zero(0, d)
+        return self._block(self._x_blocks, mu, mu + 2, self.top_exact)
 
     def y_block(self, mu):
         """Block of Y on the mu weight space (a map into weight mu-2), or None."""
-        d = self.dims.get(mu)
-        if d is None:
+        return self._block(self._y_blocks, mu, mu - 2, self.bottom_exact)
+
+    def _block(self, blocks, mu, target, edge_exact):
+        if mu not in self.dims:
             raise KeyError(f"weight {mu} not present")
-        target = mu - 2
         if target in self.dims:
-            blk = self._y_blocks.get(mu)
-            return SparseMatrix.zero(self.dims[target], d) if blk is None else blk
-        if target < self.min_weight and not self.bottom_exact:
+            blk = blocks.get(mu)
+            return SparseMatrix.zero(1, 1) if blk is None else blk
+        if not edge_exact and not self.min_weight <= target <= self.max_weight:
             return None
-        return SparseMatrix.zero(0, d)
+        return SparseMatrix.zero(0, 1)
 
     def op_block(self, mu, op):
         if op == "x":
@@ -271,6 +290,27 @@ class WeightModule:
 # -- constructors -----------------------------------------------------------
 
 
+def _ladder_window(family, lam, ladder, n, truncation) -> WeightModule:
+    """The span of e_0..e_{n-1}, weight(e_i) = lam + 2i, with its 1x1 blocks
+    read off the ladder polynomials; exact below, and above too when the
+    window is not a truncation."""
+    weights = [lam + 2 * i for i in range(n)]
+    x_blocks = {weights[i]: SparseMatrix.from_rows([[ladder.coeff_x(i)]]) for i in range(n - 1)}
+    y_blocks = {weights[i]: SparseMatrix.from_rows([[ladder.coeff_y(i)]]) for i in range(1, n)}
+    return WeightModule(family, lam, weights, dict.fromkeys(weights, 1), x_blocks, y_blocks,
+                        bottom_exact=True, top_exact=truncation is None, truncation=truncation,
+                        basis_labels={w: (f"e_{i}",) for i, w in enumerate(weights)},
+                        ladder=ladder)
+
+
+def _lowest_weight_and_truncation(lam, trunc):
+    lam = _require_even(lam, "lowest weight")
+    trunc = int(default_truncation(lam) if trunc is None else trunc)
+    if trunc < 0:
+        raise ValidationError("truncation must be non-negative")
+    return lam, trunc
+
+
 def verma(lam, trunc=None) -> WeightModule:
     """Ladder generated by a Y-killed vector of weight lam.
 
@@ -279,22 +319,9 @@ def verma(lam, trunc=None) -> WeightModule:
     [X, Y] = H together with Y e_0 = 0; at lam = -k it reads i(k - (i-1)).
     The window is exact below and cut above.
     """
-    lam = _require_even(lam, "lowest weight")
-    if trunc is None:
-        trunc = default_truncation(lam)
-    trunc = int(trunc)
-    if trunc < 0:
-        raise ValidationError("truncation must be non-negative")
-    weights = [lam + 2 * i for i in range(trunc + 1)]
-    dims = {w: 1 for w in weights}
-    labels = {lam + 2 * i: (f"e_{i}",) for i in range(trunc + 1)}
-    x_blocks = {lam + 2 * i: SparseMatrix.from_rows([[1]]) for i in range(trunc)}
-    y_blocks = {lam + 2 * i: SparseMatrix.from_rows([[-i * (lam + i - 1)]])
-                for i in range(1, trunc + 1)}
+    lam, trunc = _lowest_weight_and_truncation(lam, trunc)
     ladder = LadderInfo(step=2, coeff_x=IndexPoly((1,)), coeff_y=IndexPoly((0, 1 - lam, -1)))
-    return WeightModule("verma", lam, weights, dims, x_blocks, y_blocks,
-                        bottom_exact=True, top_exact=False, truncation=trunc,
-                        basis_labels=labels, ladder=ladder)
+    return _ladder_window("verma", lam, ladder, trunc + 1, trunc)
 
 
 def dual_verma(lam, trunc=None) -> WeightModule:
@@ -304,24 +331,10 @@ def dual_verma(lam, trunc=None) -> WeightModule:
     at lam = -k it reads (i+1)(k-i), vanishing at i = k, so the span of
     e_0..e_k is the finite-dimensional submodule.
     """
-    lam = _require_even(lam, "lowest weight")
-    if trunc is None:
-        trunc = default_truncation(lam)
-    trunc = int(trunc)
-    if trunc < 0:
-        raise ValidationError("truncation must be non-negative")
-    weights = [lam + 2 * i for i in range(trunc + 1)]
-    dims = {w: 1 for w in weights}
-    labels = {lam + 2 * i: (f"e_{i}",) for i in range(trunc + 1)}
-    x_blocks = {lam + 2 * i: SparseMatrix.from_rows([[-(i + 1) * (lam + i)]])
-                for i in range(trunc)}
-    y_blocks = {lam + 2 * i: SparseMatrix.from_rows([[1]]) for i in range(1, trunc + 1)}
-    ladder = LadderInfo(step=2,
-                        coeff_x=IndexPoly((-lam, -(lam + 1), -1)),
+    lam, trunc = _lowest_weight_and_truncation(lam, trunc)
+    ladder = LadderInfo(step=2, coeff_x=IndexPoly((-lam, -(lam + 1), -1)),
                         coeff_y=IndexPoly((1,)))
-    return WeightModule("dual-verma", lam, weights, dims, x_blocks, y_blocks,
-                        bottom_exact=True, top_exact=False, truncation=trunc,
-                        basis_labels=labels, ladder=ladder)
+    return _ladder_window("dual-verma", lam, ladder, trunc + 1, trunc)
 
 
 def simple(minus_k) -> WeightModule:
@@ -335,16 +348,8 @@ def simple(minus_k) -> WeightModule:
         raise ValidationError(
             f"simple() expects a non-positive lowest weight, got {minus_k}")
     k = -minus_k
-    weights = [-k + 2 * i for i in range(k + 1)]
-    dims = {w: 1 for w in weights}
-    labels = {-k + 2 * i: (f"e_{i}",) for i in range(k + 1)}
-    x_blocks = {-k + 2 * i: SparseMatrix.from_rows([[1]]) for i in range(k)}
-    y_blocks = {-k + 2 * i: SparseMatrix.from_rows([[i * (k - i + 1)]])
-                for i in range(1, k + 1)}
     ladder = LadderInfo(step=2, coeff_x=IndexPoly((1,)), coeff_y=IndexPoly((0, k + 1, -1)))
-    return WeightModule("simple", -k, weights, dims, x_blocks, y_blocks,
-                        bottom_exact=True, top_exact=True, truncation=None,
-                        basis_labels=labels, ladder=ladder)
+    return _ladder_window("simple", -k, ladder, k + 1, None)
 
 
 def n_finite_dual(m: WeightModule) -> WeightModule:
@@ -399,57 +404,38 @@ def _bracket_by_matrices(m: WeightModule) -> bool:
 def _bracket_holds_at(m: WeightModule, mu) -> bool:
     """The bracket on the mu weight space, or True when a block it needs lies
     past a truncation cut."""
-    d = m.dims[mu]
     x_mu = m.x_block(mu)
     y_mu = m.y_block(mu)
     if x_mu is None or y_mu is None:
         return True
-    if y_mu.rows == 0:
-        xy = SparseMatrix.zero(d, d)
-    else:
+    xy = yx = SparseMatrix.zero(1, 1)
+    if y_mu.rows:
         x_dn = m.x_block(mu - 2)
         if x_dn is None:
             return True
         xy = x_dn * y_mu
-    if x_mu.rows == 0:
-        yx = SparseMatrix.zero(d, d)
-    else:
+    if x_mu.rows:
         y_up = m.y_block(mu + 2)
         if y_up is None:
             return True
         yx = y_up * x_mu
-    return xy - yx == SparseMatrix.scalar(d, mu)
+    return xy - yx == SparseMatrix.scalar(1, mu)
 
 
 def _ladder_identity_holds(m: WeightModule) -> bool:
-    """True iff m is a ladder e_0..e_{n-1} whose stored blocks are its
-    coefficient polynomials and cx(i - s) cy(i) - cy(i + s) cx(i) = weight(i)
-    holds for every integer i, where s = 2 // step.
+    """True iff m is ladder-exact and cx(i - s) cy(i) - cy(i + s) cx(i) =
+    weight(i) holds for every integer i, where s = 2 // step.
 
     Then the bracket holds on every weight space with both neighbours in the
     window, so only the two window ends, where a term reaching past an exact
     edge is dropped, remain to be checked.  The identity has degree at most
     deg cx + deg cy, so checking it at one more point than that proves it.
     """
-    ladder = m.ladder
-    n = len(m.weights)
-    if ladder is None or n == 0 or ladder.step not in (2, -2):
+    if not m.ladder_exact:
         return False
-    if any(d != 1 for d in m.dims.values()):
-        return False
-    w0, step = m.lowest_label_weight, ladder.step
-    # Distinct even weights whose ends are w0 and w0 + step*(n-1) are exactly
-    # the ladder weights of indices 0..n-1.
-    if sorted((w0, w0 + step * (n - 1))) != [m.min_weight, m.max_weight]:
-        return False
+    w0, step = m.lowest_label_weight, m.ladder.step
     s = 2 // step
-    cx, cy = ladder.coeff_x, ladder.coeff_y
-    for i in range(n):
-        mu = w0 + step * i
-        if 0 <= i + s < n and m.x_block(mu).entry(0, 0) != cx(i):
-            return False
-        if 0 <= i - s < n and m.y_block(mu).entry(0, 0) != cy(i):
-            return False
+    cx, cy = m.ladder.coeff_x, m.ladder.coeff_y
     points = max(cx.degree + cy.degree, 1) + 1
     return all(cx(i - s) * cy(i) - cy(i + s) * cx(i) == w0 + step * i
                for i in range(points))

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from djem.cli import (EXIT_CORPUS_DIFF, EXIT_CORPUS_SETUP, EXIT_TRUNCATION,
                       EXIT_UNDECIDABLE, EXIT_VALIDATION, P_LIMIT, _default_fixtures_dir,
                       _is_prime, corpus_manifest, fixture_document, main)
+from djem.reporting import VALUE_DIGIT_CAP, frac_str
 
 
 def run(capsys, *argv):
@@ -150,6 +152,53 @@ def test_large_prime_p_is_accepted_promptly():
     assert eig["value"] == f"1/{p ** 6}"
 
 
+@pytest.mark.parametrize("argv", [
+    ("jacquet", "--family", "verma", "--k", "20000", "--json"),
+    ("jacquet", "--family", "verma", "--k", "-4", "--psi", "a", "--psi-val", "10000"),
+    ("jacquet", "--family", "verma", "--k", "-4", "--psi", "a", "--psi-val", "10000", "--json"),
+    ("ext-bound", "--k", "-4", "--ell", "2", "--psi", "a", "--psi-val", "10000"),
+    ("ext-bound", "--k", "-4", "--ell", "2", "--phi", "a", "--phi-val", "10000", "--json"),
+])
+def test_concrete_value_past_digit_cap_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--p", "3")
+    assert code == EXIT_VALIDATION
+    assert f"more than {VALUE_DIGIT_CAP} digits" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_huge_concrete_value_refused_promptly():
+    # A fresh process with a timeout: computing 3**(10**8) would stall the suite.
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-m", "djem.cli", "jacquet", "--family", "verma",
+                          "--k", "-4", "--psi", "a", "--psi-val", "100000000", "--p", "3",
+                          "--json"],
+                         capture_output=True, text=True, timeout=20,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == EXIT_VALIDATION, out.stderr
+    assert "digits" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_concrete_value_just_under_digit_cap_renders_exactly(capsys):
+    # psi-val 8385 gives |p_exp| up to 8383, and 8383 * log10(3) = 3999.7.
+    code, out, _ = run(capsys, "jacquet", "--family", "verma", "--k", "-4", "--psi", "a",
+                       "--psi-val", "8385", "--p", "3", "--json")
+    assert code == 0
+    values = []
+    stack = [json.loads(out)["result"]]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict) and "value" in node:
+            values.append(node)
+        stack.extend(node.values() if isinstance(node, dict) else
+                     node if isinstance(node, list) else ())
+    assert max(abs(v["p_exp"]) for v in values) == 8383
+    for v in values:
+        assert v["value"] == frac_str(Fraction(3) ** v["p_exp"] * Fraction(v["unit"]))
+    code, _, _ = run(capsys, "jacquet", "--family", "verma", "--k", "-4", "--psi", "a",
+                     "--psi-val", "8386", "--p", "3", "--json")
+    assert code == EXIT_VALIDATION
+
+
 def test_primality_matches_trial_division():
     trial = lambda n: n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
     assert [n for n in range(5000) if _is_prime(n)] == [n for n in range(5000) if trial(n)]
@@ -171,6 +220,14 @@ def test_bad_rational_in_config_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "jacquet", "--config", str(cfg))
     assert code == EXIT_VALIDATION
     assert "--psi-unit" in err and "Traceback" not in err
+
+
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_bytes(b"family = verma\nk = \xff\n")
+    code, _, err = run(capsys, "jacquet", "--config", str(cfg))
+    assert code == EXIT_VALIDATION
+    assert "UTF-8" in err and "Traceback" not in err
 
 
 def test_check_commands(capsys):
@@ -241,6 +298,21 @@ def test_corpus_detects_edited_golden(tmp_path, capsys):
     code, out, err = run(capsys, "corpus", "run", "--fixtures", str(dst))
     assert code == EXIT_CORPUS_DIFF
     assert victim.stem in err
+    assert "parsed JSON is equal" in err
+
+
+def test_corpus_diff_names_json_pointer_and_values(tmp_path, capsys):
+    dst = tmp_path / "corpus"
+    shutil.copytree(_default_fixtures_dir(), dst)
+    victim = dst / "jacquet-verma-k+02.json"
+    doc = json.loads(victim.read_bytes())
+    doc["result"]["degrees"]["1"]["jh_factors"][0]["weight"] = 99
+    victim.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="ascii")
+    code, out, err = run(capsys, "corpus", "run", "--fixtures", str(dst))
+    assert code == EXIT_CORPUS_DIFF
+    assert f"FAIL {victim.stem}\n" in out and "35 passed, 1 failed" in out
+    assert victim.stem in err
+    assert "/result/degrees/1/jh_factors/0/weight: golden 99, computed -4" in err
 
 
 def test_corpus_missing_dir_is_setup_error(tmp_path, capsys):

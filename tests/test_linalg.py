@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from djem.linalg import (SparseMatrix, Subspace, _cokernel_rref, _kernel_rref, _rank_rref,
-                         as_rational, cokernel_basis, kernel, rank)
+import rref_oracle as oracle
+from djem.linalg import SparseMatrix, Subspace, as_rational, cokernel_basis, kernel, rank
 
 
 def M(rows):
@@ -18,38 +18,50 @@ def test_kernel_of_empty_matrix_is_zero_space():
 
 
 def test_kernel_of_zero_map_is_full_line():
-    assert kernel(M([[0]])) == Subspace.full(1)
+    assert kernel(M([[0]])) == oracle.full(1)
+
+
+# Blocks larger than 1x1 never occur in a ladder; djem refuses them and the
+# RREF oracle answers them.
+
+
+@pytest.mark.parametrize("m", [SparseMatrix.zero(2, 2), SparseMatrix.identity(2),
+                               SparseMatrix.zero(1, 2), SparseMatrix.zero(2, 0)])
+def test_larger_blocks_raise_value_error(m):
+    for op in (kernel, cokernel_basis, rank):
+        with pytest.raises(ValueError, match="at most one row and one column"):
+            op(m)
 
 
 def test_kernel_two_by_three():
-    k = kernel(M([[1, 0, 1], [0, 1, 1]]))
-    assert k == Subspace.from_vectors(3, [(-1, -1, 1)])
+    k = oracle.kernel(M([[1, 0, 1], [0, 1, 1]]))
+    assert k == oracle.from_vectors(3, [(-1, -1, 1)])
     assert k.dim == 1
 
 
 def test_cokernel_of_identity_is_zero():
-    assert cokernel_basis(SparseMatrix.identity(2)) == Subspace.zero(2)
+    assert oracle.cokernel_basis(SparseMatrix.identity(2)) == Subspace.zero(2)
 
 
 def test_cokernel_of_column_embedding():
-    assert cokernel_basis(M([[1], [0]])) == Subspace.from_vectors(2, [(0, 1)])
+    assert oracle.cokernel_basis(M([[1], [0]])) == oracle.from_vectors(2, [(0, 1)])
 
 
 def test_cokernel_of_zero_matrix_is_everything():
-    assert cokernel_basis(SparseMatrix.zero(3, 3)) == Subspace.full(3)
+    assert oracle.cokernel_basis(SparseMatrix.zero(3, 3)) == oracle.full(3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_rank_identity(n):
-    assert rank(SparseMatrix.identity(n)) == n
+    assert oracle.rank(SparseMatrix.identity(n)) == n
 
 
 def test_rank_zero_matrix():
-    assert rank(SparseMatrix.zero(3, 4)) == 0
+    assert oracle.rank(SparseMatrix.zero(3, 4)) == 0
 
 
 def test_rank_proportional_rows():
-    assert rank(M([[1, 2], [2, 4]])) == 1
+    assert oracle.rank(M([[1, 2], [2, 4]])) == 1
 
 
 def _random_matrix(rng, rows, cols):
@@ -65,9 +77,9 @@ def _random_matrix(rng, rows, cols):
                                SparseMatrix.zero(1, 0), M([[0]]), M([[1]]), M([[-3]]),
                                M([[Fraction(-2, 7)]])])
 def test_line_block_shortcuts_equal_rref(m):
-    assert kernel(m) == _kernel_rref(m)
-    assert cokernel_basis(m) == _cokernel_rref(m)
-    assert rank(m) == _rank_rref(m)
+    assert kernel(m) == oracle.kernel(m)
+    assert cokernel_basis(m) == oracle.cokernel_basis(m)
+    assert rank(m) == oracle.rank(m)
 
 
 def test_rank_nullity_and_exact_kernel_on_random_matrices():
@@ -75,9 +87,9 @@ def test_rank_nullity_and_exact_kernel_on_random_matrices():
     for _ in range(120):
         rows, cols = rng.randint(0, 6), rng.randint(0, 6)
         m = _random_matrix(rng, rows, cols)
-        r = rank(m)
-        ker = kernel(m)
-        cok = cokernel_basis(m)
+        r = oracle.rank(m)
+        ker = oracle.kernel(m)
+        cok = oracle.cokernel_basis(m)
         assert r + ker.dim == cols
         assert cok.dim == rows - r
         for v in ker.basis:
@@ -88,14 +100,14 @@ def test_canonical_form_is_idempotent():
     rng = random.Random(7)
     for _ in range(40):
         m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        for space in (kernel(m), cokernel_basis(m)):
-            assert space.canonicalized() == space
+        for space in (oracle.kernel(m), oracle.cokernel_basis(m)):
+            assert oracle.canonicalized(space) == space
 
 
 def test_subspace_contains():
-    s = Subspace.from_vectors(3, [(1, 0, 1), (0, 1, 1)])
-    assert s.contains((1, 1, 2))
-    assert not s.contains((0, 0, 1))
+    s = oracle.from_vectors(3, [(1, 0, 1), (0, 1, 1)])
+    assert oracle.contains(s, (1, 1, 2))
+    assert not oracle.contains(s, (0, 0, 1))
 
 
 def test_no_zero_entries_stored_and_bounds_checked():

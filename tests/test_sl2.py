@@ -253,6 +253,13 @@ def test_ladder_bracket_agrees_with_matrix_check():
     assert not any(fast for (how, fast, _) in seen if how in ("corrupt-block", "generic"))
 
 
+def test_weight_module_rejects_other_than_one_dimensional_weight_spaces():
+    for d in (2, 0):
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            WeightModule("generic", 0, (0, 2), {0: 1, 2: d}, {}, {}, True, True, None,
+                         {0: ("e_0",), 2: ("e_1",) * d})
+
+
 def test_bracket_on_empty_module():
     empty = WeightModule("generic", 0, (), {}, {}, {}, True, True, None, {})
     assert check_bracket_relations(empty)

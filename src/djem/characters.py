@@ -13,18 +13,17 @@ z = diag(p, p^{-1}) is ever evaluated, symbolically as a pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from djem.errors import ParityError, ValidationError
 from djem.linalg import as_rational
+from djem.value import Value
 
 # z N_0 z^{-1} has index p^2 in N_0.
 DELTA_P_Z_EXPONENT = -2
 
 
-@dataclass(frozen=True)
-class SmoothCharacter:
+class SmoothCharacter(Value):
     """A smooth character of the diagonal torus, declared by its value at z.
 
     The value at z = diag(p, p^{-1}) is recorded as p^z_valuation * z_unit.
@@ -33,18 +32,18 @@ class SmoothCharacter:
     there, so equality of smooth characters is never inferred from z-values
     alone).
     """
-    label: str
-    z_valuation: int = 0
-    z_unit: Fraction = Fraction(1)
-    w_selfdual: bool = False
-    torus_unit_label: str = ""
 
-    def __post_init__(self):
-        object.__setattr__(self, "z_unit", as_rational(self.z_unit))
+    __slots__ = ("label", "z_valuation", "z_unit", "w_selfdual", "torus_unit_label")
+
+    def __init__(self, label: str, z_valuation: int = 0, z_unit=Fraction(1),
+                 w_selfdual: bool = False, torus_unit_label: str = ""):
+        self.label = label
+        self.z_valuation = z_valuation
+        self.z_unit = as_rational(z_unit)
         if self.z_unit == 0:
-            raise ValidationError(f"smooth character {self.label!r} must be nonzero at z")
-        if not self.torus_unit_label:
-            object.__setattr__(self, "torus_unit_label", self.label)
+            raise ValidationError(f"smooth character {label!r} must be nonzero at z")
+        self.w_selfdual = w_selfdual
+        self.torus_unit_label = torus_unit_label or label
 
     def z_value(self) -> tuple[int, Fraction]:
         return (self.z_valuation, self.z_unit)
@@ -57,17 +56,18 @@ class SmoothCharacter:
 TRIVIAL_PSI = SmoothCharacter("trivial", 0, Fraction(1), w_selfdual=True)
 
 
-@dataclass(frozen=True)
-class TorusCharacter:
+class TorusCharacter(Value):
     """Formal product chi_weight * psi^psi_exp * (psi^w)^psiw_exp * delta_P^delta_exp."""
-    weight: int
-    psi_exp: int = 0
-    psiw_exp: int = 0
-    delta_exp: int = 0
 
-    def __post_init__(self):
-        if self.weight % 2:
-            raise ParityError(f"algebraic weight must be even, got {self.weight}")
+    __slots__ = ("weight", "psi_exp", "psiw_exp", "delta_exp")
+
+    def __init__(self, weight: int, psi_exp: int = 0, psiw_exp: int = 0, delta_exp: int = 0):
+        if weight % 2:
+            raise ParityError(f"algebraic weight must be even, got {weight}")
+        self.weight = weight
+        self.psi_exp = psi_exp
+        self.psiw_exp = psiw_exp
+        self.delta_exp = delta_exp
 
     def w_twist(self) -> "TorusCharacter":
         """Conjugation by w: negates the algebraic weight, swaps psi with psi^w
@@ -77,7 +77,7 @@ class TorusCharacter:
     def normalized(self, psi: SmoothCharacter) -> "TorusCharacter":
         """Fold psi^w into psi when the base character declares psi^w = psi."""
         if psi.w_selfdual and self.psiw_exp:
-            return replace(self, psi_exp=self.psi_exp + self.psiw_exp, psiw_exp=0)
+            return TorusCharacter(self.weight, self.psi_exp + self.psiw_exp, 0, self.delta_exp)
         return self
 
     def z_eigenvalue(self, psi: SmoothCharacter) -> tuple[int, Fraction]:

@@ -6,14 +6,17 @@ corpus.  JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 5 corpus diff, 6 corpus setup error.
 
 The truncation default is abs(k) + 16 and can be overridden per run with
---trunc or globally with the JACQUET_TRUNC_DEFAULT environment variable.  A
-flat "key = value" config file may supply any option; explicit flags win.
+--trunc or globally with the JACQUET_TRUNC_DEFAULT environment variable.
+|k|, |ell| and an explicit truncation are capped at SIZE_LIMIT.  A flat
+"key = value" config file may supply any option; explicit flags win.
+
+Only the modules a subcommand needs are imported when it runs: ext-bound
+loads djem.extbound, and corpus --parallel loads concurrent.futures.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import os
@@ -25,7 +28,6 @@ from djem.characters import SmoothCharacter
 from djem.cohomology import cohomology, kostant_check
 from djem.errors import (DjemError, TruncationError, UndecidableRelationError,
                          ValidationError)
-from djem.extbound import RelationDeclarations, classify_ext
 from djem.jacquet import OrlikStrauchSpec, assemble_les, build_module, les_consistency_check
 from djem.linalg import as_rational
 from djem.reporting import (check_result_json, cohomology_result_json, cohomology_text,
@@ -41,6 +43,11 @@ EXIT_CORPUS_DIFF = 5
 EXIT_CORPUS_SETUP = 6
 
 TRUNC_ENV_VAR = "JACQUET_TRUNC_DEFAULT"
+
+# Largest |k|, |ell| and explicit truncation accepted.  A report's window,
+# and with it its memory and time, grows linearly in each: a window of this
+# many weights takes about 150 MB and 3 s per module.
+SIZE_LIMIT = 50_000
 
 _RELATION_NAMES = ("psi-eq-phi", "psi-delta-eq-phi-w", "phi-delta-eq-phi-w")
 _BOOL_KEYS = {"json", "window-only", "psi-w-selfdual", "phi-w-selfdual"}
@@ -155,7 +162,9 @@ def _character_from_args(args, name) -> SmoothCharacter:
     return SmoothCharacter(label, val, unit, w_selfdual=selfdual, torus_unit_label=torus)
 
 
-def _relations_from_args(tokens) -> RelationDeclarations:
+def _relations_from_args(tokens):
+    from djem.extbound import RelationDeclarations
+
     declared = {name: None for name in _RELATION_NAMES}
     for token in tokens or ():
         value = True
@@ -174,17 +183,20 @@ def _relations_from_args(tokens) -> RelationDeclarations:
 
 def _resolve_trunc(args, k) -> int:
     trunc = getattr(args, "trunc", None)
+    source = "--trunc"
     if trunc is None:
         env = os.environ.get(TRUNC_ENV_VAR)
-        if env is not None:
-            try:
-                trunc = int(env)
-            except ValueError:
-                raise ValidationError(f"{TRUNC_ENV_VAR} must be an integer, got {env!r}")
-    if trunc is None:
-        trunc = default_truncation(k)
+        if env is None:
+            return default_truncation(k)
+        source = TRUNC_ENV_VAR
+        try:
+            trunc = int(env)
+        except ValueError:
+            raise ValidationError(f"{TRUNC_ENV_VAR} must be an integer, got {env!r}")
     if trunc < 0:
         raise ValidationError("truncation must be non-negative")
+    if trunc > SIZE_LIMIT:
+        raise ValidationError(f"{source} must be at most {SIZE_LIMIT}, got {trunc}")
     return trunc
 
 
@@ -227,18 +239,24 @@ def _validate_p(p):
     return p
 
 
-# -- subcommand implementations; each returns (config echo, result, text lines)
+# -- subcommand implementations ----------------------------------------------
+# Each computes its answer and returns (as_json, as_text): as_json() gives the
+# (config echo, result) pair of the JSON document and as_text() the text
+# lines.  Only the requested one is called, so a run renders one mode only.
 
 
 def _cmd_jacquet(args):
     psi = _character_from_args(args, "psi")
     trunc = _resolve_trunc(args, args.k)
     p = _validate_p(args.p)
-    spec = OrlikStrauchSpec(args.family, args.k, psi)
-    report = assemble_les(spec, trunc)
-    config = {"family": args.family, "k": args.k, "psi": smooth_character_json(psi),
-              "truncation": trunc, "p": p}
-    return config, jacquet_result_json(report, p), jacquet_text(report, p)
+    report = assemble_les(OrlikStrauchSpec(args.family, args.k, psi), trunc)
+
+    def as_json():
+        config = {"family": args.family, "k": args.k, "psi": smooth_character_json(psi),
+                  "truncation": trunc, "p": p}
+        return config, jacquet_result_json(report, p)
+
+    return as_json, lambda: jacquet_text(report, p)
 
 
 def _cmd_cohomology(args):
@@ -246,9 +264,13 @@ def _cmd_cohomology(args):
     spec = OrlikStrauchSpec(args.family, args.k)
     dual = n_finite_dual(build_module(spec, trunc))
     res = cohomology(dual, args.direction, allow_uncertified=args.window_only)
-    config = {"family": args.family, "k": args.k, "direction": args.direction,
-              "truncation": trunc, "window_only": bool(args.window_only)}
-    return config, cohomology_result_json(res), cohomology_text(res)
+
+    def as_json():
+        config = {"family": args.family, "k": args.k, "direction": args.direction,
+                  "truncation": trunc, "window_only": bool(args.window_only)}
+        return config, cohomology_result_json(res)
+
+    return as_json, lambda: cohomology_text(res)
 
 
 def _cmd_bgg_check(args):
@@ -262,45 +284,57 @@ def _cmd_bgg_check(args):
     cokernel_matches = all(cok.get(mu, 0) == expected.dim_at(mu)
                            for mu in morphism.target.weights)
     passed = equivariant and cokernel_matches
-    config = {"k": args.k, "truncation": trunc}
-    result = check_result_json(args.k, passed, equivariant=equivariant,
-                               cokernel_matches_simple=cokernel_matches)
-    text = [f"bgg-check k={args.k}: {'PASS' if passed else 'FAIL'} "
-            f"(equivariant={equivariant}, cokernel-matches-simple={cokernel_matches})"]
-    return config, result, text
+
+    def as_json():
+        return {"k": args.k, "truncation": trunc}, check_result_json(
+            args.k, passed, equivariant=equivariant, cokernel_matches_simple=cokernel_matches)
+
+    return as_json, lambda: [
+        f"bgg-check k={args.k}: {'PASS' if passed else 'FAIL'} "
+        f"(equivariant={equivariant}, cokernel-matches-simple={cokernel_matches})"]
 
 
 def _cmd_kostant(args):
     passed = kostant_check(args.k)
-    config = {"k": args.k}
-    result = check_result_json(args.k, passed, h0_weight=args.k, h1_weight=-(args.k + 2))
-    text = [f"kostant k={args.k}: {'PASS' if passed else 'FAIL'} "
-            f"(one line at weight {args.k}, one at {-(args.k + 2)})"]
-    return config, result, text
+
+    def as_json():
+        return {"k": args.k}, check_result_json(args.k, passed, h0_weight=args.k,
+                                                h1_weight=-(args.k + 2))
+
+    return as_json, lambda: [f"kostant k={args.k}: {'PASS' if passed else 'FAIL'} "
+                             f"(one line at weight {args.k}, one at {-(args.k + 2)})"]
 
 
 def _cmd_ext_bound(args):
+    from djem.extbound import classify_ext
+
     psi = _character_from_args(args, "psi")
     phi = _character_from_args(args, "phi")
     relations = _relations_from_args(args.relation)
     trunc = _resolve_trunc(args, max(abs(args.k), abs(args.ell)))
     p = _validate_p(args.p)
     case = classify_ext(args.k, args.ell, psi, phi, relations, trunc)
-    config = {"k": args.k, "ell": args.ell,
-              "psi": smooth_character_json(psi), "phi": smooth_character_json(phi),
-              "declared_relations": sorted(args.relation or []),
-              "truncation": trunc, "p": p}
-    return config, ext_case_json(case, p), ext_case_text(case)
+
+    def as_json():
+        config = {"k": args.k, "ell": args.ell,
+                  "psi": smooth_character_json(psi), "phi": smooth_character_json(phi),
+                  "declared_relations": sorted(args.relation or []),
+                  "truncation": trunc, "p": p}
+        return config, ext_case_json(case, p)
+
+    return as_json, lambda: ext_case_text(case)
 
 
 def _cmd_les_check(args):
     psi = _character_from_args(args, "psi")
     trunc = _resolve_trunc(args, args.k + 2)
     passed = les_consistency_check(args.k, psi, trunc)
-    config = {"k": args.k, "psi": smooth_character_json(psi), "truncation": trunc}
-    result = check_result_json(args.k, passed)
-    text = [f"les-check k={args.k}: {'PASS' if passed else 'FAIL'}"]
-    return config, result, text
+
+    def as_json():
+        config = {"k": args.k, "psi": smooth_character_json(psi), "truncation": trunc}
+        return config, check_result_json(args.k, passed)
+
+    return as_json, lambda: [f"les-check k={args.k}: {'PASS' if passed else 'FAIL'}"]
 
 
 _HANDLERS = {
@@ -311,6 +345,17 @@ _HANDLERS = {
     "ext-bound": _cmd_ext_bound,
     "les-check": _cmd_les_check,
 }
+
+
+def _run_handler(args):
+    """(as_json, as_text) of one subcommand run; a --k or --ell past
+    SIZE_LIMIT is refused before anything is built."""
+    for flag in ("k", "ell"):
+        value = getattr(args, flag, None)
+        if value is not None and abs(value) > SIZE_LIMIT:
+            raise ValidationError(f"--{flag} must be at most {SIZE_LIMIT} in absolute value, "
+                                  f"got {value}")
+    return _HANDLERS[args.command](args)
 
 
 # -- regression corpus -------------------------------------------------------
@@ -346,7 +391,8 @@ def corpus_manifest():
 def fixture_document(argv) -> str:
     """Serialized report document for one fixture argv."""
     args = _parser().parse_args(argv)
-    config, result, _ = _HANDLERS[args.command](args)
+    as_json, _ = _run_handler(args)
+    config, result = as_json()
     return serialize(make_document(args.command, config, result))
 
 
@@ -356,6 +402,8 @@ def _default_fixtures_dir() -> Path:
 
 def _compute_all(manifest, parallel):
     if parallel and parallel > 1:
+        import concurrent.futures
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as pool:
             docs = list(pool.map(lambda job: fixture_document(job[1]), manifest))
         return {name: doc for (name, _), doc in zip(manifest, docs)}
@@ -504,11 +552,12 @@ def main(argv=None) -> int:
             if args.action == "run":
                 return corpus_run(args.fixtures, args.parallel, args.json)
             return corpus_write(args.fixtures, args.parallel)
-        config, result, text = _HANDLERS[args.command](args)
+        as_json, as_text = _run_handler(args)
         if args.json:
+            config, result = as_json()
             sys.stdout.write(serialize(make_document(args.command, config, result)))
         else:
-            for line in text:
+            for line in as_text():
                 print(line)
         return EXIT_OK
     except UndecidableRelationError as err:

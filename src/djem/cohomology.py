@@ -16,18 +16,16 @@ as non-certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from djem.errors import CertificateError, UnsupportedFamilyError, ValidationError
 from djem.linalg import SparseMatrix, Subspace, cokernel_basis, kernel
 from djem.sl2 import IndexPoly, WeightModule, check_bracket_relations, n_finite_dual, simple
+from djem.value import Value
 
 # direction -> (operator, weight shift of the operator, degree-1 report shift)
 _DIRECTIONS = {"n": ("x", 2, -2), "nbar": ("y", -2, 2)}
 
 
-@dataclass(frozen=True)
-class StabilizationCertificate:
+class StabilizationCertificate(Value):
     """Proof object: the ladder coefficient is nonzero at every index > bound.
 
     For finite modules there is nothing to certify and the certificate is
@@ -35,33 +33,45 @@ class StabilizationCertificate:
     coefficient polynomial is < bound, so kernel and cokernel contributions
     can only occur at ladder indices < bound <= truncation.
     """
-    operator: str
-    coefficient: IndexPoly | None
-    roots: tuple[int, ...]
-    bound: int
-    finite: bool
+
+    __slots__ = ("operator", "coefficient", "roots", "bound", "finite")
+
+    def __init__(self, operator: str, coefficient: IndexPoly | None, roots: tuple[int, ...],
+                 bound: int, finite: bool):
+        self.operator = operator
+        self.coefficient = coefficient
+        self.roots = roots
+        self.bound = bound
+        self.finite = finite
 
 
-@dataclass(frozen=True)
-class WeightLines:
+class WeightLines(Value):
     """The computed line of one weight: a canonical subspace plus its basis label."""
-    weight: int
-    space: Subspace
-    labels: tuple[str, ...]
+
+    __slots__ = ("weight", "space", "labels")
+
+    def __init__(self, weight: int, space: Subspace, labels: tuple[str, ...]):
+        self.weight = weight
+        self.space = space
+        self.labels = labels
 
     @property
     def dim(self):
         return self.space.dim
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
-    direction: str
-    h0: tuple[WeightLines, ...]
-    h1: tuple[WeightLines, ...]
-    weight_shift_applied: int
-    certificate: StabilizationCertificate | None
-    certified: bool = True
+class CohomologyResult(Value):
+    __slots__ = ("direction", "h0", "h1", "weight_shift_applied", "certificate", "certified")
+
+    def __init__(self, direction: str, h0: tuple[WeightLines, ...], h1: tuple[WeightLines, ...],
+                 weight_shift_applied: int, certificate: StabilizationCertificate | None,
+                 certified: bool = True):
+        self.direction = direction
+        self.h0 = h0
+        self.h1 = h1
+        self.weight_shift_applied = weight_shift_applied
+        self.certificate = certificate
+        self.certified = certified
 
     def h0_dims(self):
         return {line.weight: line.dim for line in self.h0}

@@ -16,11 +16,10 @@ else raises rather than silently guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from djem.characters import SmoothCharacter, TorusCharacter, DELTA_P_Z_EXPONENT
 from djem.errors import ParityError, UndecidableRelationError, ValidationError
 from djem.jacquet import JacquetReport, OrlikStrauchSpec, assemble_les
+from djem.value import Value
 
 VERDICT_TRIVIAL = "trivial"
 VERDICT_ONE = "one-dimensional"
@@ -31,27 +30,38 @@ _BULLET_VERDICTS = {1: VERDICT_ONE, 2: VERDICT_AT_MOST_ONE,
                     3: VERDICT_ONE_OR_TWO, 4: VERDICT_AT_MOST_ONE}
 
 
-@dataclass(frozen=True)
-class RelationDeclarations:
+class RelationDeclarations(Value):
     """Explicit truth declarations; None means undeclared."""
-    psi_eq_phi: bool | None = None
-    psi_delta_eq_phi_w: bool | None = None
-    phi_delta_eq_phi_w: bool | None = None
+
+    __slots__ = ("psi_eq_phi", "psi_delta_eq_phi_w", "phi_delta_eq_phi_w")
+
+    def __init__(self, psi_eq_phi: bool | None = None, psi_delta_eq_phi_w: bool | None = None,
+                 phi_delta_eq_phi_w: bool | None = None):
+        self.psi_eq_phi = psi_eq_phi
+        self.psi_delta_eq_phi_w = psi_delta_eq_phi_w
+        self.phi_delta_eq_phi_w = phi_delta_eq_phi_w
 
 
-@dataclass(frozen=True)
-class ExtCase:
-    k: int
-    ell: int
-    psi: SmoothCharacter
-    phi: SmoothCharacter
-    verdict: str
-    fired_bullets: tuple[int, ...]
-    source_character: TorusCharacter
-    h1_factors: tuple[TorusCharacter, ...]
-    matched_factors: tuple[TorusCharacter, ...]
-    hom_bound: tuple[int, int] | None
-    relations: dict
+class ExtCase(Value):
+    __slots__ = ("k", "ell", "psi", "phi", "verdict", "fired_bullets", "source_character",
+                 "h1_factors", "matched_factors", "hom_bound", "relations")
+
+    def __init__(self, k: int, ell: int, psi: SmoothCharacter, phi: SmoothCharacter,
+                 verdict: str, fired_bullets: tuple[int, ...],
+                 source_character: TorusCharacter, h1_factors: tuple[TorusCharacter, ...],
+                 matched_factors: tuple[TorusCharacter, ...],
+                 hom_bound: tuple[int, int] | None, relations: dict):
+        self.k = k
+        self.ell = ell
+        self.psi = psi
+        self.phi = phi
+        self.verdict = verdict
+        self.fired_bullets = fired_bullets
+        self.source_character = source_character
+        self.h1_factors = h1_factors
+        self.matched_factors = matched_factors
+        self.hom_bound = hom_bound
+        self.relations = relations
 
 
 def _decide(name, declared, lhs_z, rhs_z, identical_declarations=False):

@@ -25,36 +25,37 @@ reported as connecting-undetermined rather than guessed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI, w_twist_characters
 from djem.cohomology import cohomology
 from djem.errors import ParityError, ValidationError
 from djem.sl2 import WeightModule, default_truncation, dual_verma, n_finite_dual, simple, verma
+from djem.value import Value
 
 FAMILIES = ("verma", "dualverma", "simple")
 
 
-@dataclass(frozen=True)
-class OrlikStrauchSpec:
+class OrlikStrauchSpec(Value):
     """Input descriptor: a module family, the character weight k, and psi.
 
     The parameter k names the character chi_k of the inducing data, so family
     "verma" with k builds the ladder verma(-k).  Families "dualverma" and
     "simple" require k >= 0.
     """
-    family: str
-    k: int
-    psi: SmoothCharacter = TRIVIAL_PSI
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValidationError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.k % 2:
-            raise ParityError(f"k must be even, got {self.k}")
-        if self.family in ("dualverma", "simple") and self.k < 0:
-            raise ValidationError(f"family {self.family!r} requires k >= 0, got {self.k}")
+    __slots__ = ("family", "k", "psi")
+
+    def __init__(self, family: str, k: int, psi: SmoothCharacter = TRIVIAL_PSI):
+        if family not in FAMILIES:
+            raise ValidationError(f"family must be one of {FAMILIES}, got {family!r}")
+        if k % 2:
+            raise ParityError(f"k must be even, got {k}")
+        if family in ("dualverma", "simple") and k < 0:
+            raise ValidationError(f"family {family!r} requires k >= 0, got {k}")
+        self.family = family
+        self.k = k
+        self.psi = psi
 
 
 def build_module(spec: OrlikStrauchSpec, trunc=None) -> WeightModule:
@@ -101,8 +102,7 @@ def stalk_cohomology_characters(spec: OrlikStrauchSpec, trunc=None):
     return _stalk_characters(n_finite_dual(build_module(spec, trunc)))
 
 
-@dataclass(frozen=True)
-class ExtensionFlag:
+class ExtensionFlag(Value):
     """Layer structure of one degree.
 
     kind "zero": the degree vanishes.  kind "direct-sum-determined": the
@@ -111,27 +111,40 @@ class ExtensionFlag:
     kind "connecting-undetermined": the six-term sequence could not be
     spliced; section and stalk candidates are reported unmerged.
     """
-    kind: str
-    sub: tuple[TorusCharacter, ...] = ()
-    quot: tuple[TorusCharacter, ...] = ()
+
+    __slots__ = ("kind", "sub", "quot")
+
+    def __init__(self, kind: str, sub: tuple[TorusCharacter, ...] = (),
+                 quot: tuple[TorusCharacter, ...] = ()):
+        self.kind = kind
+        self.sub = sub
+        self.quot = quot
 
 
-@dataclass(frozen=True)
-class DegreeReport:
-    jh_factors: tuple[TorusCharacter, ...]
-    extension: ExtensionFlag
-    hecke_eigenvalues: tuple[tuple[int, Fraction], ...]
-    finite_slope_complete: bool
+class DegreeReport(Value):
+    __slots__ = ("jh_factors", "extension", "hecke_eigenvalues", "finite_slope_complete")
+
+    def __init__(self, jh_factors: tuple[TorusCharacter, ...], extension: ExtensionFlag,
+                 hecke_eigenvalues: tuple[tuple[int, Fraction], ...],
+                 finite_slope_complete: bool):
+        self.jh_factors = jh_factors
+        self.extension = extension
+        self.hecke_eigenvalues = hecke_eigenvalues
+        self.finite_slope_complete = finite_slope_complete
 
 
-@dataclass(frozen=True)
-class JacquetReport:
-    spec: OrlikStrauchSpec
-    truncation: int | None
-    section: dict
-    stalk: dict
-    degrees: dict
-    connecting_map_forced_zero: bool
+class JacquetReport(Value):
+    __slots__ = ("spec", "truncation", "section", "stalk", "degrees",
+                 "connecting_map_forced_zero")
+
+    def __init__(self, spec: OrlikStrauchSpec, truncation: int | None, section: dict,
+                 stalk: dict, degrees: dict, connecting_map_forced_zero: bool):
+        self.spec = spec
+        self.truncation = truncation
+        self.section = section
+        self.stalk = stalk
+        self.degrees = degrees
+        self.connecting_map_forced_zero = connecting_map_forced_zero
 
     @property
     def finite_slope_complete(self):

@@ -3,6 +3,10 @@
 Two runs of the same configuration must produce byte-identical documents:
 keys are sorted, rationals are rendered canonically as "num/den", ASCII is
 escaped, and list orderings are fixed by the producing code.
+
+The annotations name the result classes of djem.characters, djem.cohomology,
+djem.jacquet and djem.extbound without importing them, so that rendering a
+report never loads a module the command did not need.
 """
 
 from __future__ import annotations
@@ -12,11 +16,7 @@ import math
 from fractions import Fraction
 
 from djem import __version__
-from djem.characters import SmoothCharacter, TorusCharacter
-from djem.cohomology import CohomologyResult, StabilizationCertificate
 from djem.errors import ValidationError
-from djem.extbound import ExtCase
-from djem.jacquet import JacquetReport
 
 # A concrete eigenvalue p^e * unit is rendered only while |e| * log10(p),
 # plus the digits of the unit, stays within this many digits: past it the

@@ -17,11 +17,11 @@ cohomology can certify that nothing lives past the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from djem.errors import ParityError, TruncationError, ValidationError
 from djem.linalg import SparseMatrix
+from djem.value import Value
 
 TRUNCATION_MARGIN = 16
 
@@ -127,13 +127,16 @@ class IndexPoly:
         return f"IndexPoly({self.text()})"
 
 
-@dataclass(frozen=True)
-class LadderInfo:
+class LadderInfo(Value):
     """Closed-form ladder data: weight(i) = w0 + step*i, X e_i = coeff_x(i) e_{i + 2//step},
     Y e_i = coeff_y(i) e_{i - 2//step}."""
-    step: int
-    coeff_x: IndexPoly
-    coeff_y: IndexPoly
+
+    __slots__ = ("step", "coeff_x", "coeff_y")
+
+    def __init__(self, step: int, coeff_x: IndexPoly, coeff_y: IndexPoly):
+        self.step = step
+        self.coeff_x = coeff_x
+        self.coeff_y = coeff_y
 
 
 def _toggle_hat(label: str) -> str:

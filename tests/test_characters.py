@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -85,3 +86,37 @@ def test_text_rendering():
 def test_odd_weight_rejected():
     with pytest.raises(ParityError):
         TorusCharacter(3)
+
+
+def test_torus_characters_are_values():
+    chi = TorusCharacter(4, psi_exp=1, delta_exp=1)
+    same = TorusCharacter(4, 1, 0, 1)
+    assert chi == same and hash(chi) == hash(same)
+    for other in (TorusCharacter(6, psi_exp=1, delta_exp=1), TorusCharacter(4, delta_exp=1),
+                  TorusCharacter(4, psi_exp=1, psiw_exp=1, delta_exp=1),
+                  TorusCharacter(4, psi_exp=1)):
+        assert chi != other
+    assert chi != (4, 1, 0, 1)
+    assert Counter([chi, same, chi.w_twist()]) == Counter({chi: 2, chi.w_twist(): 1})
+    assert repr(chi) == "TorusCharacter(weight=4, psi_exp=1, psiw_exp=0, delta_exp=1)"
+
+
+def test_smooth_characters_are_values():
+    psi = SmoothCharacter("a", 1, 2)
+    same = SmoothCharacter("a", 1, Fraction(2), torus_unit_label="a")
+    assert psi == same and hash(psi) == hash(same)
+    assert len({psi, same, TRIVIAL_PSI}) == 2
+    for other in (SmoothCharacter("b", 1, 2), SmoothCharacter("a", 2, 2),
+                  SmoothCharacter("a", 1, 3), SmoothCharacter("a", 1, 2, w_selfdual=True),
+                  SmoothCharacter("a", 1, 2, torus_unit_label="u")):
+        assert psi != other
+    assert psi == SmoothCharacter("a", 1, "2/1")
+
+
+def test_normalized_folds_into_a_new_character():
+    chi = TorusCharacter(4, psi_exp=1, psiw_exp=2, delta_exp=-1)
+    folded = chi.normalized(TRIVIAL_PSI)
+    assert folded == TorusCharacter(4, psi_exp=3, delta_exp=-1)
+    assert chi == TorusCharacter(4, psi_exp=1, psiw_exp=2, delta_exp=-1)
+    assert folded.normalized(TRIVIAL_PSI) is folded
+    assert chi.normalized(SmoothCharacter("b", 1, 2)) is chi

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from djem import cli
 from djem.cli import (EXIT_CORPUS_DIFF, EXIT_CORPUS_SETUP, EXIT_TRUNCATION,
-                      EXIT_UNDECIDABLE, EXIT_VALIDATION, P_LIMIT, _default_fixtures_dir,
-                      _is_prime, corpus_manifest, fixture_document, main)
+                      EXIT_UNDECIDABLE, EXIT_VALIDATION, P_LIMIT, SIZE_LIMIT,
+                      _default_fixtures_dir, _is_prime, corpus_manifest, fixture_document,
+                      main)
 from djem.reporting import VALUE_DIGIT_CAP, frac_str
 
 
@@ -156,7 +158,6 @@ def test_large_prime_p_is_accepted_promptly():
     ("jacquet", "--family", "verma", "--k", "20000", "--json"),
     ("jacquet", "--family", "verma", "--k", "-4", "--psi", "a", "--psi-val", "10000"),
     ("jacquet", "--family", "verma", "--k", "-4", "--psi", "a", "--psi-val", "10000", "--json"),
-    ("ext-bound", "--k", "-4", "--ell", "2", "--psi", "a", "--psi-val", "10000"),
     ("ext-bound", "--k", "-4", "--ell", "2", "--phi", "a", "--phi-val", "10000", "--json"),
 ])
 def test_concrete_value_past_digit_cap_exits_2(capsys, argv):
@@ -164,6 +165,101 @@ def test_concrete_value_past_digit_cap_exits_2(capsys, argv):
     assert code == EXIT_VALIDATION
     assert f"more than {VALUE_DIGIT_CAP} digits" in err and "Traceback" not in err
     assert out == ""
+
+
+def test_ext_bound_text_mode_ignores_digit_cap(capsys):
+    # The text report prints no eigenvalue, so a value past the cap is never rendered.
+    argv = ("ext-bound", "--k", "-4", "--ell", "2", "--psi", "a", "--psi-val", "10000",
+            "--phi", "b", "--relation", "psi-eq-phi", "--relation", "not:psi-delta-eq-phi-w",
+            "--relation", "phi-delta-eq-phi-w", "--p", "3")
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert "verdict: one-or-two-dimensional" in out.splitlines()
+    code, _, err = run(capsys, *argv, "--json")
+    assert code == EXIT_VALIDATION
+    assert f"more than {VALUE_DIGIT_CAP} digits" in err
+
+
+@pytest.mark.parametrize("argv, json_name, text_name", [
+    (("jacquet", "--family", "verma", "--k", "4"), "jacquet_result_json", "jacquet_text"),
+    (("cohomology", "--family", "verma", "--k", "4", "--direction", "n"),
+     "cohomology_result_json", "cohomology_text"),
+    (("ext-bound", "--k", "-4", "--ell", "2", "--relation", "psi-eq-phi",
+      "--relation", "not:psi-delta-eq-phi-w", "--relation", "phi-delta-eq-phi-w"),
+     "ext_case_json", "ext_case_text"),
+])
+def test_only_the_requested_output_mode_is_rendered(capsys, monkeypatch, argv, json_name,
+                                                     text_name):
+    def refuse(*_):
+        raise AssertionError("rendered an output mode that was not requested")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, json_name, refuse)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, text_name, refuse)
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["command"] == argv[0]
+
+
+def _run_limited(argv, env=None):
+    """A fresh CLI process under a 1.5 GB address-space limit and a 20 s timeout,
+    so that an unbounded allocation fails fast instead of loading the machine."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-m", "djem.cli", *argv], capture_output=True,
+                          text=True, timeout=20, preexec_fn=limit,
+                          env={**os.environ, "PYTHONPATH": str(src), **(env or {})})
+
+
+@pytest.mark.parametrize("argv, env, flag", [
+    (("jacquet", "--family", "verma", "--k", "100000000", "--json"), None, "--k"),
+    (("cohomology", "--family", "verma", "--k", "4", "--direction", "n", "--trunc",
+      "100000000"), None, "--trunc"),
+    (("cohomology", "--family", "verma", "--k", "4", "--direction", "n"),
+     {"JACQUET_TRUNC_DEFAULT": "100000000"}, "JACQUET_TRUNC_DEFAULT"),
+    (("ext-bound", "--k", "-4", "--ell", "-100000000"), None, "--ell"),
+    (("kostant", "--k", "100000000"), None, "--k"),
+])
+def test_sizes_past_the_limit_exit_2_before_building(argv, env, flag):
+    out = _run_limited(argv, env)
+    assert out.returncode == EXIT_VALIDATION, out.stderr
+    assert f"{flag} must be at most {SIZE_LIMIT}" in out.stderr
+    assert "Traceback" not in out.stderr and out.stdout == ""
+
+
+def test_sizes_at_the_limit_are_accepted(capsys):
+    # k != -(ell + 2) is decided without building a module, so the bounds
+    # themselves are cheap to probe.
+    code, _, err = run(capsys, "ext-bound", "--k", str(-SIZE_LIMIT), "--ell", "2",
+                       "--trunc", str(SIZE_LIMIT))
+    assert code == 0, err
+    for flags in (("--k", str(-SIZE_LIMIT - 2), "--ell", "2"),
+                  ("--k", "-4", "--ell", str(SIZE_LIMIT + 2)),
+                  ("--k", "-4", "--ell", "6", "--trunc", str(SIZE_LIMIT + 1))):
+        code, _, err = run(capsys, "ext-bound", *flags)
+        assert code == EXIT_VALIDATION and f"must be at most {SIZE_LIMIT}" in err
+
+
+def test_cli_import_path_stays_lean():
+    # -S keeps site hooks from importing modules on their own behalf.
+    script = ("import sys\n"
+              "import djem.cli\n"
+              "djem.cli.main(['jacquet', '--family', 'verma', '--k', '4', '--json'])\n"
+              "heavy = ('dataclasses', 'inspect', 'concurrent.futures', 'logging',"
+              " 'djem.extbound')\n"
+              "print(sorted(m for m in heavy if m in sys.modules), file=sys.stderr)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                         timeout=20, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["command"] == "jacquet"
+    assert out.stderr.strip() == "[]"
 
 
 def test_huge_concrete_value_refused_promptly():

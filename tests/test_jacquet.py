@@ -201,3 +201,16 @@ def test_reports_invariant_under_truncation_doubling():
         assert a.section == b.section
         assert a.stalk == b.stalk
         assert a.degrees == b.degrees
+
+
+def test_degree_reports_are_values():
+    a = assemble_les(OrlikStrauchSpec("verma", 4), 20).degrees
+    b = assemble_les(OrlikStrauchSpec("verma", 4), 40).degrees
+    for i in (0, 1):
+        assert a[i] == b[i] and a[i] is not b[i]
+        assert hash(a[i]) == hash(b[i])
+    assert a[0] != a[1]
+    assert len({a[0], b[0], a[1], b[1]}) == 2
+    other = assemble_les(OrlikStrauchSpec("verma", 6)).degrees
+    assert a[0] != other[0]
+    assert OrlikStrauchSpec("verma", 4) == OrlikStrauchSpec("verma", 4, TRIVIAL_PSI)

@@ -158,6 +158,7 @@ def test_large_prime_p_is_accepted_promptly():
     ("jacquet", "--family", "verma", "--k", "20000", "--json"),
     ("jacquet", "--family", "verma", "--k", "-4", "--psi", "a", "--psi-val", "10000"),
     ("jacquet", "--family", "verma", "--k", "-4", "--psi", "a", "--psi-val", "10000", "--json"),
+    ("ext-bound", "--k", "-4", "--ell", "2", "--psi", "a", "--psi-val", "10000", "--json"),
     ("ext-bound", "--k", "-4", "--ell", "2", "--phi", "a", "--phi-val", "10000", "--json"),
 ])
 def test_concrete_value_past_digit_cap_exits_2(capsys, argv):

@@ -490,11 +490,15 @@ def corpus_run(fixtures_dir=None, parallel=0, json_mode=False, out=None):
 def corpus_write(fixtures_dir=None, parallel=0, out=None):
     out = out or sys.stdout
     fixtures = Path(fixtures_dir) if fixtures_dir else _default_fixtures_dir()
-    fixtures.mkdir(parents=True, exist_ok=True)
     manifest = corpus_manifest()
-    docs = _compute_all(manifest, parallel)
-    for name, _ in manifest:
-        (fixtures / f"{name}.json").write_bytes(docs[name].encode("utf-8"))
+    try:
+        fixtures.mkdir(parents=True, exist_ok=True)
+        docs = _compute_all(manifest, parallel)
+        for name, _ in manifest:
+            (fixtures / f"{name}.json").write_bytes(docs[name].encode("utf-8"))
+    except OSError as err:
+        print(f"corpus setup error: cannot write fixtures to {fixtures}: {err}", file=sys.stderr)
+        return EXIT_CORPUS_SETUP
     out.write(f"wrote {len(manifest)} fixtures to {fixtures}\n")
     return EXIT_OK
 

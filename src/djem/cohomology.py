@@ -83,22 +83,14 @@ class CohomologyResult(Value):
 def stabilization_certificate(m: WeightModule, direction: str) -> StabilizationCertificate:
     """Certificate for the operator of the given direction on a ladder module.
 
-    Finite modules get the empty certificate.  Truncated modules must carry
-    ladder coefficient data whose polynomials are the stored blocks, in both
-    operators (WeightModule.ladder_exact), before it is trusted.
+    Finite modules get the empty certificate; a truncated module's
+    certificate is read off its ladder polynomial for that operator.
     """
     if direction not in _DIRECTIONS:
         raise ValidationError(f"direction must be one of {sorted(_DIRECTIONS)}, got {direction!r}")
     op, _, _ = _DIRECTIONS[direction]
     if m.is_finite:
         return StabilizationCertificate(op.upper(), None, (), 0, True)
-    if m.ladder is None:
-        raise UnsupportedFamilyError(
-            "module carries no ladder coefficient data; cannot certify a truncated window")
-    if not m.ladder_exact:
-        raise UnsupportedFamilyError(
-            "stored X/Y actions disagree with the ladder coefficients, or the window is not "
-            "the ladder's consecutive indices")
     coeff = m.ladder.coeff_x if op == "x" else m.ladder.coeff_y
     if coeff.is_zero():
         raise UnsupportedFamilyError(
@@ -148,12 +140,12 @@ def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False)
             block = SparseMatrix.zero(0, 1)
         space = kernel(block)
         if space.dim:
-            h0.append(WeightLines(mu, space, m.basis_labels[mu]))
+            h0.append(WeightLines(mu, space, m.labels_at(mu)))
 
     h1 = []
     for nu in reversed(m.weights):
         src = nu - op_shift
-        if src in m.dims:
+        if m.dim_at(src):
             block = m.op_block(src, op)
             if block is None:  # target nu is inside the window, so unreachable
                 raise AssertionError("in-window block unexpectedly hidden")
@@ -173,7 +165,7 @@ def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False)
                 block = SparseMatrix.zero(1, 0)
         space = cokernel_basis(block)
         if space.dim:
-            h1.append(WeightLines(nu + report_shift, space, m.basis_labels[nu]))
+            h1.append(WeightLines(nu + report_shift, space, m.labels_at(nu)))
 
     return CohomologyResult(direction, tuple(h0), tuple(h1), report_shift,
                             certificate, certified)

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 Rational = Fraction
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -58,36 +57,12 @@ class SparseMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, dense):
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(dense):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                v = as_rational(v)
-                if v != 0:
-                    entries[(r, c)] = v
-        return cls._of(rows, cols, entries)
-
-    @classmethod
     def zero(cls, rows, cols):
         return cls(rows, cols)
 
     @classmethod
     def identity(cls, n):
         return cls(n, n, {(i, i): _ONE for i in range(n)})
-
-    @classmethod
-    def scalar(cls, n, value):
-        value = as_rational(value)
-        return cls(n, n, {(i, i): value for i in range(n)})
-
-    def entry(self, r, c) -> Fraction:
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError((r, c))
-        return self._entries.get((r, c), _ZERO)
 
     def items(self):
         """Nonzero entries as ((row, col), value) in row-major order."""
@@ -99,36 +74,6 @@ class SparseMatrix:
 
     def is_zero(self):
         return not self._entries
-
-    def apply(self, vector):
-        """Matrix-vector product; vector has length cols."""
-        if len(vector) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = [_ZERO] * self.rows
-        for (r, c), v in self._entries.items():
-            out[r] += v * as_rational(vector[c])
-        return out
-
-    def scaled(self, a):
-        a = as_rational(a)
-        return SparseMatrix._of(self.rows, self.cols,
-                                {rc: a * v for rc, v in self._entries.items()} if a else {})
-
-    def __neg__(self):
-        return SparseMatrix._of(self.rows, self.cols,
-                                {rc: -v for rc, v in self._entries.items()})
-
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        entries = dict(self._entries)
-        for rc, v in other._entries.items():
-            entries[rc] = entries[rc] + v if rc in entries else v
-        return SparseMatrix._of(self.rows, self.cols,
-                                {rc: v for rc, v in entries.items() if v})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, SparseMatrix):

@@ -2,17 +2,15 @@
 
 Conventions.  X = [[0,1],[0,0]] raises the weight by 2, Y = [[0,0],[1,0]]
 lowers it by 2, and H = diag(1,-1) acts on the mu weight space by the scalar
-mu; H is never stored, the grading is the H-action.  A module keeps, per
-weight mu in a finite window, the block of X (mu -> mu+2) and of Y
-(mu -> mu-2).  Each window edge is either exact (the module genuinely stops
-there) or a truncation cut (the module continues outside the window); blocks
-pointing past a truncation cut are unknown and reported as None.
-
-Every module is a ladder: one-dimensional weight spaces, so every block is
-1x1 (or empty at an edge).  The in-scope families also carry closed-form
-integer coefficient polynomials in the ladder index i = 0, 1, ... for the two
-operators.  The polynomials travel with the module so that downstream
-cohomology can certify that nothing lives past the window.
+mu; H is never stored, the grading is the H-action.  A module is a ladder
+on a finite window: one-dimensional weight spaces, and closed-form integer
+coefficient polynomials in the ladder index i = 0, 1, ... for X and Y
+(LadderInfo).  Nothing else is stored; the block of X (mu -> mu+2) and of Y
+(mu -> mu-2) at a weight is a 1x1 view of the polynomial at that index.  Each
+window edge is either exact (the module genuinely stops there) or a
+truncation cut (the module continues outside the window); blocks pointing
+past a truncation cut are unknown and reported as None.  The polynomials also
+let downstream cohomology certify that nothing lives past the window.
 """
 
 from __future__ import annotations
@@ -139,86 +137,35 @@ class LadderInfo(Value):
         self.coeff_y = coeff_y
 
 
-def _toggle_hat(label: str) -> str:
-    if label.startswith("ê"):
-        return "e" + label[1:]
-    if label.startswith("e"):
-        return "ê" + label[1:]
-    if label.startswith("dual(") and label.endswith(")"):
-        return label[5:-1]
-    return f"dual({label})"
-
-
 class WeightModule:
     """Immutable weight-graded module over sl2 on a finite even-weight window,
-    with a one-dimensional space at each weight."""
+    with a one-dimensional space at each weight.
 
-    __slots__ = ("family", "lowest_label_weight", "weights", "dims", "basis_labels",
-                 "bottom_exact", "top_exact", "truncation", "ladder",
-                 "_x_blocks", "_y_blocks", "_ladder_exact")
+    The module is its ladder and its window: e_i (ê_i when hatted) spans the
+    weight lowest_label_weight + step*i for i = 0 .. length-1, and every
+    operator block is a 1x1 view of the ladder polynomials, made when asked.
+    """
 
-    def __init__(self, family, lowest_label_weight, weights, dims, x_blocks, y_blocks,
-                 bottom_exact, top_exact, truncation, basis_labels, ladder=None):
+    __slots__ = ("family", "ladder", "lowest_label_weight", "length", "bottom_exact",
+                 "top_exact", "truncation", "hatted", "weights")
+
+    def __init__(self, family, ladder, lowest_label_weight, length, bottom_exact, top_exact,
+                 truncation, hatted=False):
+        if not isinstance(ladder, LadderInfo) or ladder.step not in (2, -2):
+            raise ValidationError("a weight module needs a LadderInfo of step 2 or -2")
+        length = int(length)
+        if length < 1:
+            raise ValidationError(f"a weight module needs at least one weight, got {length}")
         self.family = str(family)
+        self.ladder = ladder
         self.lowest_label_weight = _require_even(lowest_label_weight, "lowest label weight")
-        ws = tuple(sorted(_require_even(w, "weight") for w in weights))
-        if len(set(ws)) != len(ws):
-            raise ValidationError("duplicate weights in window")
-        self.weights = ws
-        self.dims = {w: int(dims[w]) for w in ws}
-        for w, d in self.dims.items():
-            if d != 1:
-                raise ValidationError(f"weight {w} stored with dimension {d}; "
-                                      f"weight spaces must be one-dimensional")
+        self.length = length
         self.bottom_exact = bool(bottom_exact)
         self.top_exact = bool(top_exact)
         self.truncation = None if truncation is None else int(truncation)
-        self.basis_labels = {w: tuple(basis_labels[w]) for w in ws}
-        for w in ws:
-            if len(self.basis_labels[w]) != self.dims[w]:
-                raise ValidationError(f"label count at weight {w} does not match dimension")
-        self._x_blocks = dict(x_blocks)
-        self._y_blocks = dict(y_blocks)
-        for name, blocks, shift in (("X", self._x_blocks, 2), ("Y", self._y_blocks, -2)):
-            for mu, blk in blocks.items():
-                if mu not in self.dims or (mu + shift) not in self.dims:
-                    raise ValidationError(f"{name} block at weight {mu} outside window")
-                if (blk.rows, blk.cols) != (1, 1):
-                    raise ValidationError(f"{name} block shape mismatch at weight {mu}")
-        self.ladder = ladder
-        self._ladder_exact = None
-
-    def _blocks_are_ladder(self) -> bool:
-        """True iff the window is the ladder e_0..e_{n-1} and every block
-        between two window weights, stored or implicitly zero, is the ladder
-        polynomial at its index.  The one place blocks meet polynomials."""
-        ladder, n = self.ladder, len(self.weights)
-        if ladder is None or n == 0 or ladder.step not in (2, -2):
-            return False
-        w0, step = self.lowest_label_weight, ladder.step
-        # Distinct even weights whose ends are w0 and w0 + step*(n-1) are
-        # exactly the ladder weights of indices 0..n-1.
-        if sorted((w0, w0 + step * (n - 1))) != [self.min_weight, self.max_weight]:
-            return False
-        s = 2 // step
-        value = lambda blk: 0 if blk is None else blk.entry(0, 0)
-        for i in range(n):
-            mu = w0 + step * i
-            if 0 <= i + s < n and value(self._x_blocks.get(mu)) != ladder.coeff_x(i):
-                return False
-            if 0 <= i - s < n and value(self._y_blocks.get(mu)) != ladder.coeff_y(i):
-                return False
-        return True
-
-    @property
-    def ladder_exact(self) -> bool:
-        """Whether the stored blocks are the ladder polynomials on consecutive
-        ladder indices.  Decided on first use and kept: the module is
-        immutable, and a module that is only mapped or dualized never pays
-        for the scan."""
-        if self._ladder_exact is None:
-            self._ladder_exact = self._blocks_are_ladder()
-        return self._ladder_exact
+        self.hatted = bool(hatted)
+        low = self.lowest_label_weight + min(0, ladder.step * (length - 1))
+        self.weights = tuple(range(low, low + 2 * length, 2))
 
     # -- window geometry ---------------------------------------------------
 
@@ -235,18 +182,30 @@ class WeightModule:
         return self.weights[-1]
 
     def dim_at(self, mu):
-        return self.dims.get(mu, 0)
+        return int(self.weights[0] <= mu <= self.weights[-1] and mu % 2 == 0)
+
+    @property
+    def dims(self):
+        """{weight: 1} over the window, built on each access."""
+        return dict.fromkeys(self.weights, 1)
 
     def total_dim(self):
-        return sum(self.dims.values())
+        return self.length
 
     def index_of_weight(self, mu):
-        if self.ladder is None:
-            raise ValidationError("not a ladder module")
         q, r = divmod(mu - self.lowest_label_weight, self.ladder.step)
-        if r != 0 or q < 0 or q >= len(self.weights):
+        if r != 0 or q < 0 or q >= self.length:
             raise ValidationError(f"weight {mu} is not on the ladder")
         return q
+
+    def labels_at(self, mu):
+        """The basis label of the mu weight space: (e_i,), or (ê_i,) when hatted."""
+        return (f"{'ê' if self.hatted else 'e'}_{self.index_of_weight(mu)}",)
+
+    @property
+    def basis_labels(self):
+        """{weight: labels_at(weight)} over the window, built on each access."""
+        return {mu: self.labels_at(mu) for mu in self.weights}
 
     # -- operator blocks ----------------------------------------------------
 
@@ -256,21 +215,19 @@ class WeightModule:
         Returns None when the target weight lies past a truncation cut, i.e.
         the block is not knowable from the window.
         """
-        return self._block(self._x_blocks, mu, mu + 2, self.top_exact)
+        return self._block(mu, mu + 2, self.top_exact, self.ladder.coeff_x)
 
     def y_block(self, mu):
         """Block of Y on the mu weight space (a map into weight mu-2), or None."""
-        return self._block(self._y_blocks, mu, mu - 2, self.bottom_exact)
+        return self._block(mu, mu - 2, self.bottom_exact, self.ladder.coeff_y)
 
-    def _block(self, blocks, mu, target, edge_exact):
-        if mu not in self.dims:
+    def _block(self, mu, target, edge_exact, coeff):
+        if not self.dim_at(mu):
             raise KeyError(f"weight {mu} not present")
-        if target in self.dims:
-            blk = blocks.get(mu)
-            return SparseMatrix.zero(1, 1) if blk is None else blk
-        if not edge_exact and not self.min_weight <= target <= self.max_weight:
-            return None
-        return SparseMatrix.zero(0, 1)
+        if self.dim_at(target):
+            return SparseMatrix(1, 1, {(0, 0): coeff(self.index_of_weight(mu))})
+        # The window is contiguous, so the target lies past an edge.
+        return SparseMatrix.zero(0, 1) if edge_exact else None
 
     def op_block(self, mu, op):
         if op == "x":
@@ -279,31 +236,12 @@ class WeightModule:
             return self.y_block(mu)
         raise ValidationError(f"unknown operator {op!r}")
 
-    def stored_x_blocks(self):
-        return dict(self._x_blocks)
-
-    def stored_y_blocks(self):
-        return dict(self._y_blocks)
-
     def __repr__(self):
-        span = f"[{self.min_weight}, {self.max_weight}]" if self.weights else "[]"
-        return f"WeightModule({self.family}, weights {span}, dim {self.total_dim()})"
+        return (f"WeightModule({self.family}, weights [{self.min_weight}, {self.max_weight}], "
+                f"dim {self.length})")
 
 
 # -- constructors -----------------------------------------------------------
-
-
-def _ladder_window(family, lam, ladder, n, truncation) -> WeightModule:
-    """The span of e_0..e_{n-1}, weight(e_i) = lam + 2i, with its 1x1 blocks
-    read off the ladder polynomials; exact below, and above too when the
-    window is not a truncation."""
-    weights = [lam + 2 * i for i in range(n)]
-    x_blocks = {weights[i]: SparseMatrix.from_rows([[ladder.coeff_x(i)]]) for i in range(n - 1)}
-    y_blocks = {weights[i]: SparseMatrix.from_rows([[ladder.coeff_y(i)]]) for i in range(1, n)}
-    return WeightModule(family, lam, weights, dict.fromkeys(weights, 1), x_blocks, y_blocks,
-                        bottom_exact=True, top_exact=truncation is None, truncation=truncation,
-                        basis_labels={w: (f"e_{i}",) for i, w in enumerate(weights)},
-                        ladder=ladder)
 
 
 def _lowest_weight_and_truncation(lam, trunc):
@@ -324,7 +262,8 @@ def verma(lam, trunc=None) -> WeightModule:
     """
     lam, trunc = _lowest_weight_and_truncation(lam, trunc)
     ladder = LadderInfo(step=2, coeff_x=IndexPoly((1,)), coeff_y=IndexPoly((0, 1 - lam, -1)))
-    return _ladder_window("verma", lam, ladder, trunc + 1, trunc)
+    return WeightModule("verma", ladder, lam, trunc + 1, bottom_exact=True, top_exact=False,
+                        truncation=trunc)
 
 
 def dual_verma(lam, trunc=None) -> WeightModule:
@@ -337,7 +276,8 @@ def dual_verma(lam, trunc=None) -> WeightModule:
     lam, trunc = _lowest_weight_and_truncation(lam, trunc)
     ladder = LadderInfo(step=2, coeff_x=IndexPoly((-lam, -(lam + 1), -1)),
                         coeff_y=IndexPoly((1,)))
-    return _ladder_window("dual-verma", lam, ladder, trunc + 1, trunc)
+    return WeightModule("dual-verma", ladder, lam, trunc + 1, bottom_exact=True,
+                        top_exact=False, truncation=trunc)
 
 
 def simple(minus_k) -> WeightModule:
@@ -352,90 +292,72 @@ def simple(minus_k) -> WeightModule:
             f"simple() expects a non-positive lowest weight, got {minus_k}")
     k = -minus_k
     ladder = LadderInfo(step=2, coeff_x=IndexPoly((1,)), coeff_y=IndexPoly((0, k + 1, -1)))
-    return _ladder_window("simple", -k, ladder, k + 1, None)
+    return WeightModule("simple", ladder, -k, k + 1, bottom_exact=True, top_exact=True,
+                        truncation=None)
 
 
 def n_finite_dual(m: WeightModule) -> WeightModule:
     """Restricted dual with the sign-involution action (tau.f)(v) = f(-tau v).
 
-    The dual basis vector of e_i sits at the negated weight, and each operator
-    block becomes the negated transpose of the block it pairs with.  Applied
-    twice this returns the original per-weight matrices exactly.
+    The dual basis vector ê_i of e_i sits at the negated weight, and each
+    operator block is the negated transpose of the block it pairs with:
+    X: V_mu -> V_{mu+2} dualizes to X: (V_{mu+2})^ -> (V_mu)^.  On the ladder
+    that negates each coefficient and moves it one index along, so the dual
+    is again a ladder, of the opposite step.  Applied twice this returns the
+    original module exactly.
     """
-    dims_d = {-w: d for w, d in m.dims.items()}
-    weights_d = sorted(dims_d)
-    labels_d = {-w: tuple(_toggle_hat(l) for l in m.basis_labels[w]) for w in m.weights}
-    x_d = {}
-    for mu, blk in m.stored_x_blocks().items():
-        # X: V_mu -> V_{mu+2} dualizes to X: (V_{mu+2})^ -> (V_mu)^.
-        x_d[-(mu + 2)] = -blk.transpose()
-    y_d = {}
-    for mu, blk in m.stored_y_blocks().items():
-        y_d[-(mu - 2)] = -blk.transpose()
     if m.family.startswith("n-finite-dual(") and m.family.endswith(")"):
         family_d = m.family[len("n-finite-dual("):-1]
     else:
         family_d = f"n-finite-dual({m.family})"
-    ladder_d = None
-    if m.ladder is not None:
-        sigma = 2 // m.ladder.step
-        ladder_d = LadderInfo(step=-m.ladder.step,
-                              coeff_x=-(m.ladder.coeff_x.shifted(-sigma)),
-                              coeff_y=-(m.ladder.coeff_y.shifted(sigma)))
-    return WeightModule(family_d, -m.lowest_label_weight, weights_d, dims_d, x_d, y_d,
+    sigma = 2 // m.ladder.step
+    ladder_d = LadderInfo(step=-m.ladder.step,
+                          coeff_x=-(m.ladder.coeff_x.shifted(-sigma)),
+                          coeff_y=-(m.ladder.coeff_y.shifted(sigma)))
+    return WeightModule(family_d, ladder_d, -m.lowest_label_weight, m.length,
                         bottom_exact=m.top_exact, top_exact=m.bottom_exact,
-                        truncation=m.truncation, basis_labels=labels_d, ladder=ladder_d)
+                        truncation=m.truncation, hatted=not m.hatted)
 
 
 def check_bracket_relations(m: WeightModule) -> bool:
     """True iff X.Y - Y.X acts by the scalar mu on every weight space where
     all four blocks are knowable from the window.
 
-    A ladder whose stored blocks are its coefficient polynomials is decided by
-    the polynomial identity behind the bracket; every other module, and a
-    ladder that fails the identity, is decided block by block.
+    Decided by the polynomial identity behind the bracket and the two window
+    ends; a ladder that fails the identity is decided weight by weight.
     """
     if _ladder_identity_holds(m):
         return all(_bracket_holds_at(m, mu) for mu in {m.min_weight, m.max_weight})
-    return _bracket_by_matrices(m)
+    return _bracket_weight_by_weight(m)
 
 
-def _bracket_by_matrices(m: WeightModule) -> bool:
+def _bracket_weight_by_weight(m: WeightModule) -> bool:
     return all(_bracket_holds_at(m, mu) for mu in m.weights)
 
 
 def _bracket_holds_at(m: WeightModule, mu) -> bool:
-    """The bracket on the mu weight space, or True when a block it needs lies
-    past a truncation cut."""
-    x_mu = m.x_block(mu)
-    y_mu = m.y_block(mu)
-    if x_mu is None or y_mu is None:
+    """The bracket on the mu weight space, read off the ladder coefficients,
+    or True when a block it needs lies past a truncation cut.  A term whose
+    operator leaves the window past an exact edge is zero."""
+    below, above = mu - 2 >= m.min_weight, mu + 2 <= m.max_weight
+    if (not above and not m.top_exact) or (not below and not m.bottom_exact):
         return True
-    xy = yx = SparseMatrix.zero(1, 1)
-    if y_mu.rows:
-        x_dn = m.x_block(mu - 2)
-        if x_dn is None:
-            return True
-        xy = x_dn * y_mu
-    if x_mu.rows:
-        y_up = m.y_block(mu + 2)
-        if y_up is None:
-            return True
-        yx = y_up * x_mu
-    return xy - yx == SparseMatrix.scalar(1, mu)
+    i, s = m.index_of_weight(mu), 2 // m.ladder.step
+    cx, cy = m.ladder.coeff_x, m.ladder.coeff_y
+    xy = cx(i - s) * cy(i) if below else 0
+    yx = cy(i + s) * cx(i) if above else 0
+    return xy - yx == mu
 
 
 def _ladder_identity_holds(m: WeightModule) -> bool:
-    """True iff m is ladder-exact and cx(i - s) cy(i) - cy(i + s) cx(i) =
-    weight(i) holds for every integer i, where s = 2 // step.
+    """True iff cx(i - s) cy(i) - cy(i + s) cx(i) = weight(i) holds for every
+    integer i, where s = 2 // step.
 
     Then the bracket holds on every weight space with both neighbours in the
     window, so only the two window ends, where a term reaching past an exact
     edge is dropped, remain to be checked.  The identity has degree at most
     deg cx + deg cy, so checking it at one more point than that proves it.
     """
-    if not m.ladder_exact:
-        return False
     w0, step = m.lowest_label_weight, m.ladder.step
     s = 2 // step
     cx, cy = m.ladder.coeff_x, m.ladder.coeff_y
@@ -472,7 +394,7 @@ class ModuleMap:
                 s_op = self.source.op_block(mu, op)
                 if s_op is None:
                     continue
-                if mu in self.target.dims:
+                if self.target.dim_at(mu):
                     t_op = self.target.op_block(mu, op)
                     if t_op is None:
                         continue
@@ -486,7 +408,7 @@ class ModuleMap:
 
     def cokernel_dims(self):
         from djem.linalg import rank
-        return {mu: self.target.dims[mu] - rank(self.block(mu)) for mu in self.target.weights}
+        return {mu: self.target.dim_at(mu) - rank(self.block(mu)) for mu in self.target.weights}
 
 
 def bgg_morphism(k, trunc=None) -> ModuleMap:

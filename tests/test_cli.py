@@ -373,6 +373,15 @@ def test_corpus_run_packaged_fixtures(capsys):
     assert "0 failed" in out
 
 
+def test_corpus_run_parallel_matches_sequential(capsys):
+    code, sequential, _ = run(capsys, "corpus", "run")
+    assert code == 0
+    code, parallel, _ = run(capsys, "corpus", "run", "--parallel", "2")
+    assert code == 0
+    assert "36 fixtures, 36 passed, 0 failed" in parallel
+    assert parallel == sequential
+
+
 def test_corpus_manifest_covers_required_cases():
     names = [name for name, _ in corpus_manifest()]
     for k in range(-8, 9, 2):
@@ -436,6 +445,21 @@ def test_corpus_write_then_run(tmp_path, capsys):
     summary = json.loads(out)["result"]
     assert summary["failed"] == 0
     assert summary["first_failure"] is None
+
+
+def test_corpus_write_to_unwritable_path_is_setup_error(tmp_path, capsys):
+    not_a_dir = tmp_path / "file.txt"
+    not_a_dir.write_text("x", encoding="ascii")
+    code, out, err = run(capsys, "corpus", "write", "--fixtures", str(not_a_dir))
+    assert code == EXIT_CORPUS_SETUP
+    assert out == ""
+    assert err.startswith("corpus setup error: ") and err.count("\n") == 1
+    # An OSError on one fixture file, here a directory in its place, is a setup error too.
+    dst = tmp_path / "fresh"
+    (dst / f"{corpus_manifest()[0][0]}.json").mkdir(parents=True)
+    code, _, err = run(capsys, "corpus", "write", "--fixtures", str(dst))
+    assert code == EXIT_CORPUS_SETUP
+    assert err.startswith("corpus setup error: ") and err.count("\n") == 1
 
 
 # -- schema -------------------------------------------------------------------

@@ -4,7 +4,8 @@ import rref_oracle as oracle
 from djem.cohomology import cohomology, kostant_check, stabilization_certificate
 from djem.errors import CertificateError, UnsupportedFamilyError, ValidationError
 from djem.linalg import SparseMatrix, cokernel_basis, kernel
-from djem.sl2 import WeightModule, dual_verma, n_finite_dual, simple, verma
+from djem.sl2 import (IndexPoly, LadderInfo, WeightModule, dual_verma, n_finite_dual, simple,
+                      verma)
 
 
 def test_dual_of_verma_lowering_direction():
@@ -87,23 +88,6 @@ def test_certificate_scan_at_four_times_bound():
             assert wide.index_of_weight(pre_shift) <= cert.bound
 
 
-def test_certificate_refuses_corrupted_stored_block():
-    for op in ("x", "y"):
-        m = n_finite_dual(verma(-4, 20))
-        xs, ys = m.stored_x_blocks(), m.stored_y_blocks()
-        blocks = xs if op == "x" else ys
-        mu = sorted(blocks)[3]
-        blocks[mu] = blocks[mu] + SparseMatrix.from_rows([[1]])
-        bad = WeightModule(m.family, m.lowest_label_weight, m.weights, m.dims, xs, ys,
-                           m.bottom_exact, m.top_exact, m.truncation, m.basis_labels, m.ladder)
-        assert m.ladder_exact and not bad.ladder_exact
-        # A block that disagrees with the ladder in either operator voids both
-        # directions' certificates.
-        for direction in ("n", "nbar"):
-            with pytest.raises(UnsupportedFamilyError, match="disagree"):
-                stabilization_certificate(bad, direction)
-
-
 def test_uncertifiable_truncation_refuses_by_default():
     d = n_finite_dual(verma(-30, 3))
     with pytest.raises(CertificateError, match="increase truncation"):
@@ -113,12 +97,11 @@ def test_uncertifiable_truncation_refuses_by_default():
 
 
 def test_unrecognized_family_refuses_by_default():
-    base = verma(-4, 8)
-    stripped = WeightModule("generic", base.lowest_label_weight, base.weights, base.dims,
-                            base.stored_x_blocks(), base.stored_y_blocks(),
-                            base.bottom_exact, base.top_exact, base.truncation,
-                            base.basis_labels)
-    with pytest.raises(UnsupportedFamilyError):
+    # A hand-made ladder whose X coefficient vanishes identically: its
+    # one-weight window passes the bracket check, but nothing certifies the cut.
+    stripped = WeightModule("generic", LadderInfo(2, IndexPoly(()), IndexPoly((1,))), 0, 1,
+                            bottom_exact=True, top_exact=False, truncation=0)
+    with pytest.raises(UnsupportedFamilyError, match="vanishes identically"):
         cohomology(stripped, "n")
     res = cohomology(stripped, "n", allow_uncertified=True)
     assert not res.certified
@@ -128,11 +111,10 @@ def test_unrecognized_family_refuses_by_default():
 
 def test_bracket_precondition_enforced():
     m = verma(-2, 6)
-    blocks = m.stored_y_blocks()
-    blocks[0] = SparseMatrix.from_rows([[7]])
-    bad = WeightModule("verma", m.lowest_label_weight, m.weights, m.dims,
-                       m.stored_x_blocks(), blocks, m.bottom_exact, m.top_exact,
-                       m.truncation, m.basis_labels, m.ladder)
+    # A wrong Y polynomial: Y e_1 = 7 where verma(-2) has Y e_1 = 1(2 - 0) = 2.
+    bad_y = IndexPoly((7,))
+    bad = WeightModule("verma", LadderInfo(2, m.ladder.coeff_x, bad_y), m.lowest_label_weight,
+                       m.length, m.bottom_exact, m.top_exact, m.truncation)
     with pytest.raises(ValidationError, match="bracket"):
         cohomology(bad, "n")
 

@@ -5,13 +5,18 @@ import pytest
 
 from djem.errors import ParityError, TruncationError, ValidationError
 from djem.linalg import SparseMatrix
-from djem.sl2 import (IndexPoly, LadderInfo, ModuleMap, WeightModule, _bracket_by_matrices,
-                      _ladder_identity_holds, bgg_morphism, check_bracket_relations,
-                      default_truncation, dual_verma, n_finite_dual, simple, verma)
+from djem.sl2 import (IndexPoly, LadderInfo, ModuleMap, WeightModule, _ladder_identity_holds,
+                      bgg_morphism, check_bracket_relations, default_truncation, dual_verma,
+                      n_finite_dual, simple, verma)
+
+
+def value(blk):
+    """The entry of a 1x1 block, or 0 for an empty one."""
+    return dict(blk.items()).get((0, 0), 0)
 
 
 def entry(m, mu, op):
-    return m.op_block(mu, op).entry(0, 0)
+    return value(m.op_block(mu, op))
 
 
 # -- raising/lowering ladders -------------------------------------------------
@@ -38,7 +43,7 @@ def test_verma_coefficient_root_and_bracket_by_matrices():
     mu = 2
     xy = m.x_block(mu - 2) * m.y_block(mu)
     yx = m.y_block(mu + 2) * m.x_block(mu)
-    assert xy - yx == SparseMatrix.scalar(1, mu)
+    assert value(xy) - value(yx) == mu
 
 
 def test_verma_rejects_odd_weight():
@@ -64,7 +69,7 @@ def test_dual_verma_bracket_at_second_rung():
     mu = lam + 2
     xy = m.x_block(mu - 2) * m.y_block(mu)
     yx = m.y_block(mu + 2) * m.x_block(mu)
-    assert xy - yx == SparseMatrix.scalar(1, mu)
+    assert value(xy) - value(yx) == mu
 
 
 def test_simple_trivial_module():
@@ -149,33 +154,34 @@ def test_bracket_relations_hold_for_all_constructors():
             assert check_bracket_relations(n_finite_dual(m))
 
 
+def _variant(m, coeff_y=None, edges=None):
+    """m on the same window with another Y polynomial (a ladder that is wrong
+    for the window) or other edge exactness."""
+    ladder = LadderInfo(m.ladder.step, m.ladder.coeff_x, coeff_y or m.ladder.coeff_y)
+    bottom_exact, top_exact = edges or (m.bottom_exact, m.top_exact)
+    return WeightModule(m.family, ladder, m.lowest_label_weight, m.length, bottom_exact,
+                        top_exact, m.truncation, m.hatted)
+
+
 def test_bracket_detects_corruption():
     m = verma(-4, 8)
-    blocks = m.stored_y_blocks()
-    mu = -4 + 2 * 2
-    blocks[mu] = blocks[mu] + SparseMatrix.from_rows([[1]])
-    corrupted = WeightModule("generic", m.lowest_label_weight, m.weights, m.dims,
-                             m.stored_x_blocks(), blocks, m.bottom_exact, m.top_exact,
-                             m.truncation, m.basis_labels)
+    # Every Y coefficient is off by one, e.g. Y e_2 = 2(4 - 1) + 1 = 7.
+    coeffs = list(m.ladder.coeff_y.coeffs)
+    corrupted = _variant(m, IndexPoly([coeffs[0] + 1] + coeffs[1:]))
+    assert entry(corrupted, -4 + 2 * 2, "y") == 7
     assert not check_bracket_relations(corrupted)
 
 
-def _variant(m, ladder, x_blocks, y_blocks, bottom_exact, top_exact):
-    return WeightModule(m.family, m.lowest_label_weight, m.weights, m.dims, x_blocks, y_blocks,
-                        bottom_exact, top_exact, m.truncation, m.basis_labels, ladder)
-
-
-def _blocks_from(m, ladder):
-    """Stored X and Y blocks of m's window read off the ladder polynomials."""
-    n, s = len(m.weights), 2 // ladder.step
-    xs, ys = {}, {}
-    for i in range(n):
-        mu = m.lowest_label_weight + ladder.step * i
-        if 0 <= i + s < n:
-            xs[mu] = SparseMatrix.from_rows([[ladder.coeff_x(i)]])
-        if 0 <= i - s < n:
-            ys[mu] = SparseMatrix.from_rows([[ladder.coeff_y(i)]])
-    return xs, ys
+def _bracket_by_matrices(m):
+    """The bracket weight by weight, multiplying the 1x1 views as matrices."""
+    def holds(mu):
+        x_mu, y_mu = m.x_block(mu), m.y_block(mu)
+        if x_mu is None or y_mu is None:
+            return True
+        xy = value(m.x_block(mu - 2) * y_mu) if y_mu.rows else 0
+        yx = value(m.y_block(mu + 2) * x_mu) if x_mu.rows else 0
+        return xy - yx == mu
+    return all(holds(mu) for mu in m.weights)
 
 
 @functools.cache
@@ -186,13 +192,13 @@ def _full_window(ctor, lam, dual):
 
 def _window(m, trunc):
     """The truncated module m cut to ladder indices 0..trunc: what its
-    constructor builds with that truncation, sharing m's blocks."""
-    keep = {m.lowest_label_weight + m.ladder.step * i for i in range(trunc + 1)}
-    xs = {mu: b for mu, b in m.stored_x_blocks().items() if {mu, mu + 2} <= keep}
-    ys = {mu: b for mu, b in m.stored_y_blocks().items() if {mu, mu - 2} <= keep}
-    return WeightModule(m.family, m.lowest_label_weight, keep, {mu: 1 for mu in keep}, xs, ys,
-                        m.bottom_exact, m.top_exact, trunc,
-                        {mu: m.basis_labels[mu] for mu in keep}, m.ladder)
+    constructor builds with that truncation."""
+    return WeightModule(m.family, m.ladder, m.lowest_label_weight, trunc + 1, m.bottom_exact,
+                        m.top_exact, trunc, m.hatted)
+
+
+def _views(m):
+    return [(mu, m.x_block(mu), m.y_block(mu)) for mu in m.weights]
 
 
 def test_window_is_the_truncated_constructor():
@@ -204,36 +210,26 @@ def test_window_is_the_truncated_constructor():
         for attr in ("family", "weights", "basis_labels", "bottom_exact", "top_exact",
                      "truncation", "ladder"):
             assert getattr(cut, attr) == getattr(built, attr), attr
-        assert cut.stored_x_blocks() == built.stored_x_blocks()
-        assert cut.stored_y_blocks() == built.stored_y_blocks()
+        assert _views(cut) == _views(built)
 
 
 def _random_module(rng):
-    """A family module or its dual, as built or altered in one of four ways."""
+    """A family module or its dual, as built, with other edges, or with a
+    perturbed Y polynomial."""
     lam, trunc = 2 * rng.randint(-20, 20), rng.randint(0, 40)
     ctor = rng.choice((verma, dual_verma, simple))
     m = _full_window(ctor, lam, rng.random() < 0.5)
     if ctor is not simple:
         m = _window(m, trunc)
-    xs, ys = m.stored_x_blocks(), m.stored_y_blocks()
-    edges = (m.bottom_exact, m.top_exact)
-    how = rng.choice(("as-built",) * 3 + ("edges",) * 3 + ("corrupt-block", "generic",
-                                                           "wrong-ladder"))
+    how = rng.choice(("as-built",) * 3 + ("edges",) * 3 + ("wrong-ladder",))
     if how == "edges":
-        edges = (rng.random() < 0.5, rng.random() < 0.5)
-    elif how == "corrupt-block" and len(m.weights) > 1:
-        blocks = rng.choice([b for b in (xs, ys) if b])
-        mu = rng.choice(sorted(blocks))
-        blocks[mu] = blocks[mu] + SparseMatrix.from_rows([[rng.choice((-2, -1, 1, 3))]])
-    elif how == "corrupt-block":
-        how = "as-built"  # a one-weight window stores no block
-    elif how == "wrong-ladder":
+        return how, _variant(m, edges=(rng.random() < 0.5, rng.random() < 0.5))
+    if how == "wrong-ladder":
         coeffs = list(m.ladder.coeff_y.coeffs) + [0, 0]
         coeffs[0] += rng.randint(-3, 3)
         coeffs[1] += rng.randint(-1, 1)
-        ladder = LadderInfo(m.ladder.step, m.ladder.coeff_x, IndexPoly(coeffs))
-        return how, _variant(m, ladder, *_blocks_from(m, ladder), *edges)
-    return how, _variant(m, None if how == "generic" else m.ladder, xs, ys, *edges)
+        return how, _variant(m, IndexPoly(coeffs))
+    return how, m
 
 
 def test_ladder_bracket_agrees_with_matrix_check():
@@ -247,22 +243,17 @@ def test_ladder_bracket_agrees_with_matrix_check():
         seen[how, fast, verdict] = seen.get((how, fast, verdict), 0) + 1
     # Both verdicts, and both paths, are exercised where they can occur.
     for key in (("as-built", True, True), ("edges", True, True), ("edges", True, False),
-                ("corrupt-block", False, False), ("generic", False, True),
                 ("wrong-ladder", False, False)):
         assert seen.get(key, 0) >= 20, (key, seen)
-    assert not any(fast for (how, fast, _) in seen if how in ("corrupt-block", "generic"))
 
 
-def test_weight_module_rejects_other_than_one_dimensional_weight_spaces():
-    for d in (2, 0):
-        with pytest.raises(ValidationError, match="one-dimensional"):
-            WeightModule("generic", 0, (0, 2), {0: 1, 2: d}, {}, {}, True, True, None,
-                         {0: ("e_0",), 2: ("e_1",) * d})
-
-
-def test_bracket_on_empty_module():
-    empty = WeightModule("generic", 0, (), {}, {}, {}, True, True, None, {})
-    assert check_bracket_relations(empty)
+def test_weight_module_needs_a_step_two_ladder_and_a_weight():
+    ladder = verma(0, 4).ladder
+    for bad in (None, LadderInfo(4, ladder.coeff_x, ladder.coeff_y)):
+        with pytest.raises(ValidationError, match="LadderInfo of step 2 or -2"):
+            WeightModule("generic", bad, 0, 3, True, True, None)
+    with pytest.raises(ValidationError, match="at least one weight"):
+        WeightModule("generic", ladder, 0, 0, True, True, None)
 
 
 def test_lowering_coefficient_roots_scan():

@@ -247,13 +247,30 @@ def test_ladder_bracket_agrees_with_matrix_check():
         assert seen.get(key, 0) >= 20, (key, seen)
 
 
-def test_weight_module_needs_a_step_two_ladder_and_a_weight():
+def test_weight_module_rejects_other_than_one_dimensional_weight_spaces():
+    # A ladder of step 0 puts every basis vector at one weight (a space of
+    # dimension 2 or more); a step of 4 leaves the weights between rungs at
+    # dimension 0.  Only steps 2 and -2 give one dimension at each weight.
     ladder = verma(0, 4).ladder
-    for bad in (None, LadderInfo(4, ladder.coeff_x, ladder.coeff_y)):
+    for bad in (None, LadderInfo(0, ladder.coeff_x, ladder.coeff_y),
+                LadderInfo(4, ladder.coeff_x, ladder.coeff_y)):
         with pytest.raises(ValidationError, match="LadderInfo of step 2 or -2"):
             WeightModule("generic", bad, 0, 3, True, True, None)
-    with pytest.raises(ValidationError, match="at least one weight"):
-        WeightModule("generic", ladder, 0, 0, True, True, None)
+    m = WeightModule("generic", ladder, 0, 3, True, True, None)
+    assert m.dims == {0: 1, 2: 1, 4: 1}
+    assert [m.dim_at(mu) for mu in range(-2, 7)] == [0, 0, 1, 0, 1, 0, 1, 0, 0]
+
+
+def test_bracket_on_empty_module():
+    # The empty module is refused at construction, so the bracket check is
+    # never asked of it; the smallest module it can be asked of has one weight.
+    ladder = verma(0, 4).ladder
+    for length in (0, -1):
+        with pytest.raises(ValidationError, match="at least one weight"):
+            WeightModule("generic", ladder, 0, length, True, True, None)
+    single = WeightModule("generic", ladder, 0, 1, True, True, None)
+    assert single.weights == (0,)
+    assert check_bracket_relations(single)
 
 
 def test_lowering_coefficient_roots_scan():

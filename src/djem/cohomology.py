@@ -100,6 +100,21 @@ def stabilization_certificate(m: WeightModule, direction: str) -> StabilizationC
     return StabilizationCertificate(op.upper(), coeff, tuple(roots), max(bound, 0), False)
 
 
+def _candidate_weights(m: WeightModule, coeff: IndexPoly, shift: int):
+    """Window weights, highest first, where a kernel (shift 0) or cokernel
+    (shift = the operator's weight shift) line can sit: a block is non-zero
+    except where the coefficient vanishes or the operator leaves the window,
+    so the two window ends and the in-window roots of the coefficient, moved
+    by shift.  Every weight when the roots cannot be listed (an identically
+    zero coefficient, or degree > 2)."""
+    try:
+        roots = coeff.integer_roots()
+    except ValueError:
+        return reversed(m.weights)
+    moved = (m.lowest_label_weight + m.ladder.step * i + shift for i in roots if 0 <= i < m.length)
+    return sorted({m.min_weight, m.max_weight, *filter(m.dim_at, moved)}, reverse=True)
+
+
 def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False) -> CohomologyResult:
     """Kernel (degree 0) and twisted cokernel (degree 1) of X or Y on m.
 
@@ -129,8 +144,9 @@ def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False)
                 f"{certificate.bound}; increase truncation")
         certified = False
 
+    coeff = m.ladder.coeff_x if op == "x" else m.ladder.coeff_y
     h0 = []
-    for mu in reversed(m.weights):
+    for mu in _candidate_weights(m, coeff, 0):
         block = m.op_block(mu, op)
         if block is None:
             if certified:
@@ -143,7 +159,7 @@ def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False)
             h0.append(WeightLines(mu, space, m.labels_at(mu)))
 
     h1 = []
-    for nu in reversed(m.weights):
+    for nu in _candidate_weights(m, coeff, op_shift):
         src = nu - op_shift
         if m.dim_at(src):
             block = m.op_block(src, op)

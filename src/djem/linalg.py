@@ -1,10 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
-Sparse matrices with Fraction entries, and kernels, column-space complements
-and ranks of the blocks a ladder has: at most one row and one column.  Such a
-block is either zero or of full rank, so every answer is the zero space or
-the full line, in canonical form; a larger block raises ValueError.  There is
-no floating-point mode.
+Sparse matrices with Fraction entries, and kernels and column-space
+complements of the blocks a ladder has: at most one row and one column.
+Such a block is either zero or of full rank, so every answer is the zero
+space or the full line, in canonical form; a larger block raises ValueError.
+There is no floating-point mode.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def as_rational(value) -> Fraction:
 class SparseMatrix:
     """A rows x cols matrix over Q.  Zero entries are never stored.
 
-    Instances are treated as immutable; all arithmetic returns new matrices.
+    Instances are treated as immutable.
     """
 
     __slots__ = ("rows", "cols", "_entries")
@@ -50,46 +50,15 @@ class SparseMatrix:
         self._entries = stored
 
     @classmethod
-    def _of(cls, rows, cols, entries):
-        """A matrix from nonzero Fraction entries already inside its shape."""
-        m = object.__new__(cls)
-        m.rows, m.cols, m._entries = rows, cols, entries
-        return m
-
-    @classmethod
     def zero(cls, rows, cols):
         return cls(rows, cols)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, {(i, i): _ONE for i in range(n)})
 
     def items(self):
         """Nonzero entries as ((row, col), value) in row-major order."""
         return sorted(self._entries.items())
 
-    def transpose(self):
-        return SparseMatrix._of(self.cols, self.rows,
-                                {(c, r): v for (r, c), v in self._entries.items()})
-
     def is_zero(self):
         return not self._entries
-
-    def __mul__(self, other):
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        by_row = {}
-        for (r, c), v in other._entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        entries = {}
-        for (r, k), a in self._entries.items():
-            for c, b in by_row.get(k, ()):
-                rc, v = (r, c), a * b
-                entries[rc] = entries[rc] + v if rc in entries else v
-        return SparseMatrix._of(self.rows, other.cols,
-                                {rc: v for rc, v in entries.items() if v})
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -142,11 +111,6 @@ def _require_line(m: SparseMatrix):
 def _line_space(dim, full) -> Subspace:
     """The zero space or the full line of Q^dim (dim <= 1), in canonical form."""
     return Subspace(dim, ((_ONE,),) if full and dim else ())
-
-
-def rank(m: SparseMatrix) -> int:
-    _require_line(m)
-    return 0 if m.is_zero() else 1
 
 
 def kernel(m: SparseMatrix) -> Subspace:

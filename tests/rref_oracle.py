@@ -60,7 +60,8 @@ def from_vectors(ambient_dim, vectors) -> Subspace:
 
 
 def full(ambient_dim) -> Subspace:
-    return Subspace(ambient_dim, _dense(SparseMatrix.identity(ambient_dim)))
+    return Subspace(ambient_dim, [[_ONE if c == r else _ZERO for c in range(ambient_dim)]
+                                  for r in range(ambient_dim)])
 
 
 def canonicalized(space: Subspace) -> Subspace:
@@ -107,7 +108,9 @@ def cokernel_basis(m: SparseMatrix) -> Subspace:
     The complement is spanned by the coordinate vectors at the non-pivot
     coordinates of the column space, so it depends only on the column space.
     """
-    _, pivots = rref(_dense(m.transpose()), m.rows)
+    dense = _dense(m)
+    transposed = [[dense[r][c] for r in range(m.rows)] for c in range(m.cols)]
+    _, pivots = rref(transposed, m.rows)
     pivot_set = set(pivots)
     basis = []
     for j in range(m.rows):

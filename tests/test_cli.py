@@ -319,6 +319,40 @@ def test_bad_rational_in_config_file_exits_2(tmp_path, capsys):
     assert "--psi-unit" in err and "Traceback" not in err
 
 
+NEGATIVE_UNIT_RUNS = [
+    ("jacquet", "--family", "verma", "--k", "2", "--psi", "a", "--psi-unit", "-2/5", "--json"),
+    ("ext-bound", "--k", "-4", "--ell", "2", "--psi", "a", "--phi", "b",
+     "--phi-unit", "-2/5", "--relation", "psi-eq-phi", "--json"),
+    ("les-check", "--k", "2", "--psi", "a", "--psi-val", "1", "--psi-unit", "-7/3", "--json"),
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_UNIT_RUNS, ids=lambda argv: argv[0])
+def test_negative_unit_is_taken_as_the_flag_value(capsys, argv):
+    flag = next(i for i, token in enumerate(argv) if token.endswith("-unit"))
+    joined = argv[:flag] + (f"{argv[flag]}={argv[flag + 1]}",) + argv[flag + 2:]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, *joined)
+
+
+def test_negative_unit_in_config_file(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("family = verma\nk = 2\npsi = a\npsi-unit = -2/5\n", encoding="utf-8")
+    code, out, err = run(capsys, "jacquet", "--config", str(cfg), "--json")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "jacquet", "--family", "verma", "--k", "2", "--psi", "a",
+                      "--psi-unit=-2/5", "--json")[1]
+
+
+@pytest.mark.parametrize("value", ["--json", "-abc", "-2/5x"])
+def test_unit_flag_without_a_value_stays_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["jacquet", "--family", "verma", "--k", "2", "--psi", "a", "--psi-unit", value])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_config_file_not_utf8_exits_2(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
     cfg.write_bytes(b"family = verma\nk = \xff\n")

@@ -1,11 +1,15 @@
+import random
+from itertools import zip_longest
+
 import pytest
 
 import rref_oracle as oracle
-from djem.cohomology import cohomology, kostant_check, stabilization_certificate
+from djem.cohomology import (CohomologyResult, WeightLines, cohomology, kostant_check,
+                             stabilization_certificate)
 from djem.errors import CertificateError, UnsupportedFamilyError, ValidationError
-from djem.linalg import SparseMatrix, cokernel_basis, kernel
-from djem.sl2 import (IndexPoly, LadderInfo, WeightModule, dual_verma, n_finite_dual, simple,
-                      verma)
+from djem.linalg import SparseMatrix, Subspace, cokernel_basis, kernel
+from djem.sl2 import (IndexPoly, LadderInfo, WeightModule, check_bracket_relations, dual_verma,
+                      n_finite_dual, simple, verma)
 
 
 def test_dual_of_verma_lowering_direction():
@@ -210,3 +214,142 @@ def test_kostant_check_rejects_bad_input():
         kostant_check(-2)
     with pytest.raises(ValidationError):
         kostant_check(3)
+
+
+# -- root candidates against every weight ------------------------------------------
+
+
+_LINE = Subspace(1, ((1,),))
+
+
+def _per_weight_cohomology(m, direction, allow_uncertified=False):
+    """cohomology() weight by weight, read straight off the ladder: after
+    the same checks and certificate, a kernel line sits at every window
+    weight whose coefficient vanishes, and a cokernel line at every weight
+    such a coefficient maps to; at a window end, where the operator leaves
+    or enters the window, a line sits when that edge is exact, or when the
+    answer is not certified."""
+    if direction not in ("n", "nbar"):
+        raise ValidationError(direction)
+    if not check_bracket_relations(m):
+        raise ValidationError("bracket")
+    op_shift, report_shift = {"n": (2, -2), "nbar": (-2, 2)}[direction]
+    certificate, certified = None, True
+    try:
+        certificate = stabilization_certificate(m, direction)
+    except UnsupportedFamilyError:
+        if not allow_uncertified:
+            raise
+        certified = False
+    if certificate is not None and not certificate.finite and m.truncation < certificate.bound:
+        if not allow_uncertified:
+            raise CertificateError("bound")
+        certified = False
+    if direction == "n":
+        coeff, leaves, enters = m.ladder.coeff_x, m.top_exact, m.bottom_exact
+    else:
+        coeff, leaves, enters = m.ladder.coeff_y, m.bottom_exact, m.top_exact
+
+    def zero_block(src, edge_exact):
+        """Whether the operator's block from src to src + op_shift is zero;
+        past a window end, whether that edge is exact or the answer is not
+        certified."""
+        if m.dim_at(src) and m.dim_at(src + op_shift):
+            return coeff(m.index_of_weight(src)) == 0
+        return edge_exact or not certified
+
+    h0 = tuple(WeightLines(mu, _LINE, m.labels_at(mu)) for mu in reversed(m.weights)
+               if zero_block(mu, leaves))
+    h1 = tuple(WeightLines(nu + report_shift, _LINE, m.labels_at(nu))
+               for nu in reversed(m.weights) if zero_block(nu - op_shift, enters))
+    return CohomologyResult(direction, h0, h1, report_shift, certificate, certified)
+
+
+def _outcome(compute, m, direction, allow):
+    try:
+        return compute(m, direction, allow)
+    except (ValidationError, UnsupportedFamilyError, CertificateError, ValueError) as err:
+        return type(err)
+
+
+def _family_grid():
+    for lam in range(-40, 41, 2):
+        for trunc in (0, 1, 3, 7, 20, 40, None):
+            yield verma(lam, trunc)
+            yield dual_verma(lam, trunc)
+    for k in range(0, 41, 2):
+        yield simple(-k)
+
+
+def _times(p, q):
+    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return IndexPoly(out)
+
+
+def _hand_made_ladder(rng):
+    """A random ladder of step 2 or -2 on a random window.
+
+    Mostly one whose bracket identity holds: with a + b = w0 + 1, any
+    integer split cx(i) cy(i+1) = -(i+a)(i+b) satisfies it and puts the
+    roots of cx and cy anywhere.  An exact edge passes the bracket check
+    only at a root of that product, so edges are mostly made exact there.
+    Otherwise arbitrary polynomials of degree up to 3, zero included, on a
+    window of at most three weights near weight 0, where the bracket holds
+    for few of them."""
+    w0 = 2 * rng.randint(-20, 20)
+    if rng.random() < 0.8:
+        a = rng.choice((1, rng.randint(-30, 30)))
+        b = w0 + 1 - a
+        sign, chosen = rng.choice((1, -1)), rng.sample(range(2), rng.randint(0, 2))
+        cx, rest = IndexPoly((sign,)), IndexPoly((-sign,))
+        for n, f in enumerate((IndexPoly((a, 1)), IndexPoly((b, 1)))):
+            if n in chosen:
+                cx = _times(cx, f)
+            else:
+                rest = _times(rest, f)
+        ladder = LadderInfo(2, cx, rest.shifted(-1))  # cy(i+1) = rest(i)
+        ends = [n for n in (1 - a, 1 - b) if 1 <= n <= 40]
+        top_exact = bool(ends) and rng.random() < 0.5
+        length = rng.choice(ends) if top_exact else rng.randint(1, 30)
+        bottom_exact = 1 in (a, b) or rng.random() < 0.2
+        if 3 <= length <= 8 and rng.random() < 0.3:
+            # Add a polynomial that vanishes on the window: the same module
+            # with an X coefficient of degree > 2, whose roots go unlisted.
+            vanishing = IndexPoly((1,))
+            for j in range(length):
+                vanishing = _times(vanishing, IndexPoly((-j, 1)))
+            cx = [c + d for c, d in zip_longest(cx.coeffs, vanishing.coeffs, fillvalue=0)]
+            ladder = LadderInfo(2, IndexPoly(cx), ladder.coeff_y)
+        m = WeightModule("hand-made", ladder, w0, length, bottom_exact,
+                         top_exact != (rng.random() < 0.1),
+                         rng.choice((None, rng.randint(0, 40))))
+        return n_finite_dual(m) if rng.random() < 0.5 else m
+    poly = lambda: IndexPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 4))])
+    return WeightModule("hand-made", LadderInfo(rng.choice((2, -2)), poly(), poly()),
+                        rng.choice((-2, 0, 2, w0)), rng.randint(1, 3), rng.random() < 0.5,
+                        rng.random() < 0.5, rng.choice((None, rng.randint(0, 5))))
+
+
+def test_root_candidates_agree_with_every_weight():
+    rng = random.Random(20261018)
+    family = [m for base in _family_grid() for m in (base, n_finite_dual(base))]
+    modules = family + [_hand_made_ladder(rng) for _ in range(1200)]
+    kinds = {}
+    for m in modules:
+        for direction in ("n", "nbar"):
+            want = None
+            for allow in (False, True):
+                # allow_uncertified changes only what would otherwise be refused
+                if not isinstance(want, CohomologyResult):
+                    want = _outcome(_per_weight_cohomology, m, direction, allow)
+                assert _outcome(cohomology, m, direction, allow) == want, (m, direction, allow)
+                kind = want.__name__ if isinstance(want, type) else (
+                    "certified" if want.certified else "window-only")
+                kinds[kind] = kinds.get(kind, 0) + 1
+    # Answers of both kinds and every refusal are exercised.
+    for kind in ("certified", "window-only", "ValidationError", "CertificateError",
+                 "UnsupportedFamilyError", "ValueError"):
+        assert kinds.get(kind, 0) >= 20, kinds

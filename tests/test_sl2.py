@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import rref_oracle as oracle
 from djem.errors import ParityError, TruncationError, ValidationError
 from djem.linalg import SparseMatrix
 from djem.sl2 import (IndexPoly, LadderInfo, ModuleMap, WeightModule, _ladder_identity_holds,
@@ -41,9 +42,9 @@ def test_verma_coefficient_root_and_bracket_by_matrices():
     m = verma(-2, 8)
     assert entry(m, -2 + 2 * 3, "y") == 0  # -3(-2+2) = 0
     mu = 2
-    xy = m.x_block(mu - 2) * m.y_block(mu)
-    yx = m.y_block(mu + 2) * m.x_block(mu)
-    assert value(xy) - value(yx) == mu
+    xy = entry(m, mu - 2, "x") * entry(m, mu, "y")
+    yx = entry(m, mu + 2, "y") * entry(m, mu, "x")
+    assert xy - yx == mu
 
 
 def test_verma_rejects_odd_weight():
@@ -67,9 +68,9 @@ def test_dual_verma_bracket_at_second_rung():
     lam = -6
     m = dual_verma(lam, 9)
     mu = lam + 2
-    xy = m.x_block(mu - 2) * m.y_block(mu)
-    yx = m.y_block(mu + 2) * m.x_block(mu)
-    assert value(xy) - value(yx) == mu
+    xy = entry(m, mu - 2, "x") * entry(m, mu, "y")
+    yx = entry(m, mu + 2, "y") * entry(m, mu, "x")
+    assert xy - yx == mu
 
 
 def test_simple_trivial_module():
@@ -103,7 +104,7 @@ def test_quotient_map_onto_simple_is_equivariant():
     k = 4
     big = verma(-k, 12)
     small = simple(-k)
-    qmap = ModuleMap(big, small, {w: SparseMatrix.identity(1) for w in small.weights})
+    qmap = ModuleMap(big, small, 0)
     assert qmap.is_equivariant()
 
 
@@ -173,13 +174,13 @@ def test_bracket_detects_corruption():
 
 
 def _bracket_by_matrices(m):
-    """The bracket weight by weight, multiplying the 1x1 views as matrices."""
+    """The bracket weight by weight, multiplying the entries of the 1x1 views."""
     def holds(mu):
         x_mu, y_mu = m.x_block(mu), m.y_block(mu)
         if x_mu is None or y_mu is None:
             return True
-        xy = value(m.x_block(mu - 2) * y_mu) if y_mu.rows else 0
-        yx = value(m.y_block(mu + 2) * x_mu) if x_mu.rows else 0
+        xy = entry(m, mu - 2, "x") * value(y_mu) if y_mu.rows else 0
+        yx = entry(m, mu + 2, "y") * value(x_mu) if x_mu.rows else 0
         return xy - yx == mu
     return all(holds(mu) for mu in m.weights)
 
@@ -304,7 +305,8 @@ def test_embedding_equivariance_and_seam():
 def test_embedding_smallest_case():
     em = bgg_morphism(0, 16)
     assert em.source.lowest_label_weight == 2
-    assert em.block(2) == SparseMatrix.identity(1)  # e'_0 -> e_1
+    assert em.offset == 1  # e'_0 -> e_1
+    assert em.source.labels_at(2) == ("e_0",) and em.target.labels_at(2) == ("e_1",)
 
 
 def test_embedding_cokernel_equals_simple():
@@ -314,6 +316,82 @@ def test_embedding_cokernel_equals_simple():
         cok = em.cokernel_dims()
         for mu in em.target.weights:
             assert cok.get(mu, 0) == expected.dim_at(mu)
+
+
+def _block_product(a, b):
+    entries = {}
+    for (r, k), x in a.items():
+        for (j, c), y in b.items():
+            if j == k:
+                entries[r, c] = entries.get((r, c), 0) + x * y
+    return SparseMatrix(a.rows, b.cols, entries)
+
+
+def _per_weight_map(qmap):
+    """(is_equivariant, cokernel_dims) of a ladder shift from its per-weight
+    blocks: the 1x1 identity wherever source and target share a weight,
+    multiplied with the operator views at every source weight."""
+    s, t = qmap.source, qmap.target
+    one = SparseMatrix(1, 1, {(0, 0): 1})
+
+    def block(mu):
+        if s.dim_at(mu) and t.dim_at(mu):
+            return one
+        return SparseMatrix.zero(t.dim_at(mu), s.dim_at(mu))
+
+    def commutes(mu, op, delta):
+        s_op = s.op_block(mu, op)
+        t_op = t.op_block(mu, op) if t.dim_at(mu) else SparseMatrix.zero(t.dim_at(mu + delta), 0)
+        if s_op is None or t_op is None:
+            return True
+        return _block_product(t_op, block(mu)) == _block_product(block(mu + delta), s_op)
+
+    equivariant = all(commutes(mu, op, delta) for mu in s.weights
+                      for op, delta in (("x", 2), ("y", -2)))
+    return equivariant, {mu: t.dim_at(mu) - oracle.rank(block(mu)) for mu in t.weights}
+
+
+def _shifted_ladders(rng):
+    """A random ladder shift: the target's polynomials are the source's moved
+    by the offset, or are perturbed; windows and edges are random."""
+    step, offset = rng.choice((2, -2)), rng.randint(-6, 6)
+    poly = lambda: IndexPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+    cx, cy = poly(), poly()
+    source = WeightModule("generic", LadderInfo(step, cx, cy), 2 * rng.randint(-10, 10),
+                          rng.randint(1, 12), rng.random() < 0.5, rng.random() < 0.5,
+                          rng.choice((None, 12)))
+    tx, ty = cx.shifted(-offset), cy.shifted(-offset)
+    if rng.random() < 0.3:
+        coeffs = list((tx if rng.random() < 0.5 else ty).coeffs) + [0]
+        coeffs[rng.randrange(len(coeffs))] += rng.choice((1, -1))
+        tx, ty = (IndexPoly(coeffs), ty) if rng.random() < 0.5 else (tx, IndexPoly(coeffs))
+    target = WeightModule("generic", LadderInfo(step, tx, ty),
+                          source.lowest_label_weight - step * offset, rng.randint(1, 12),
+                          rng.random() < 0.5, rng.random() < 0.5, rng.choice((None, 12)))
+    return ModuleMap(source, target, offset)
+
+
+def test_ladder_shift_agrees_with_per_weight_blocks():
+    rng = random.Random(20261019)
+    maps = [bgg_morphism(k, trunc) for k in range(0, 41, 2)
+            for trunc in {k + 2, k + 3, 2 * k + 5, default_truncation(k), k + 40}]
+    maps += [ModuleMap(verma(-k, trunc), simple(-k), 0) for k in range(0, 41, 2)
+             for trunc in (0, k // 2, k, k + 1, k + 7)]
+    maps += [_shifted_ladders(rng) for _ in range(1500)]
+    verdicts = {}
+    for qmap in maps:
+        equivariant, cokernel = _per_weight_map(qmap)
+        assert qmap.is_equivariant() == equivariant, (qmap.source, qmap.target, qmap.offset)
+        assert qmap.cokernel_dims() == cokernel
+        verdicts[equivariant] = verdicts.get(equivariant, 0) + 1
+    assert verdicts.get(True, 0) >= 200 and verdicts.get(False, 0) >= 200, verdicts
+
+
+def test_ladder_shift_must_preserve_weights():
+    with pytest.raises(ValidationError, match="preserve weights"):
+        ModuleMap(verma(2, 4), verma(0, 4), 0)
+    with pytest.raises(ValidationError, match="preserve weights"):
+        ModuleMap(n_finite_dual(verma(0, 4)), verma(0, 4), 0)
 
 
 def test_embedding_truncation_too_small():

@@ -8,7 +8,8 @@ corpus.  JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 The truncation default is abs(k) + 16 and can be overridden per run with
 --trunc or globally with the JACQUET_TRUNC_DEFAULT environment variable.
 |k|, |ell| and an explicit truncation are capped at SIZE_LIMIT.  A flat
-"key = value" config file may supply any option; explicit flags win.
+"key = value" config file, given once as --config PATH or --config=PATH,
+may supply any option; explicit flags win.
 
 Only the modules a subcommand needs are imported when it runs: ext-bound
 loads djem.extbound, and corpus --parallel loads concurrent.futures.
@@ -77,7 +78,6 @@ def _add_common_args(sp, with_trunc=True):
     if with_trunc:
         sp.add_argument("--trunc", type=int, default=None,
                         help="truncation window override (default abs(k)+16)")
-    sp.add_argument("--config", default=None, help=argparse.SUPPRESS)
 
 
 class _SubcommandParser(argparse.ArgumentParser):
@@ -142,7 +142,6 @@ def build_parser():
     cp.add_argument("--parallel", type=int, default=0, metavar="N",
                     help="compute fixtures on N worker threads")
     cp.add_argument("--json", action="store_true")
-    cp.add_argument("--config", default=None, help=argparse.SUPPRESS)
 
     return parser
 
@@ -293,10 +292,7 @@ def _cmd_bgg_check(args):
     trunc = _resolve_trunc(args, args.k)
     morphism = bgg_morphism(args.k, trunc)
     equivariant = morphism.is_equivariant()
-    expected = simple(-args.k)
-    cok = morphism.cokernel_dims()
-    cokernel_matches = all(cok.get(mu, 0) == expected.dim_at(mu)
-                           for mu in morphism.target.weights)
+    cokernel_matches = morphism.cokernel_dims() == simple(-args.k).dims
     passed = equivariant and cokernel_matches
 
     def as_json():
@@ -546,13 +542,20 @@ def _config_file_tokens(path) -> list:
 
 
 def _apply_config_file(argv):
-    if "--config" not in argv:
+    """Expands `--config PATH` or `--config=PATH`, given at most once."""
+    at = [i for i, arg in enumerate(argv) if arg == "--config" or arg.startswith("--config=")]
+    if not at:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ValidationError("--config requires a file path")
-    path = argv[idx + 1]
-    rest = argv[:idx] + argv[idx + 2:]
+    if len(at) > 1:
+        raise ValidationError("--config may be given only once")
+    idx = end = at[0]
+    _, eq, path = argv[idx].partition("=")
+    if not eq:
+        end += 1
+        if end >= len(argv):
+            raise ValidationError("--config requires a file path")
+        path = argv[end]
+    rest = argv[:idx] + argv[end + 1:]
     if not rest:
         raise ValidationError("--config cannot supply the subcommand itself")
     if not Path(path).is_file():

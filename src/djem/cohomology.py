@@ -163,22 +163,13 @@ def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False)
         src = nu - op_shift
         if m.dim_at(src):
             block = m.op_block(src, op)
-            if block is None:  # target nu is inside the window, so unreachable
-                raise AssertionError("in-window block unexpectedly hidden")
+        elif certified and not (m.top_exact if src > m.max_weight else m.bottom_exact):
+            # src lies past a truncation cut: the incoming coefficient at the
+            # first index past it is certified nonzero, so nu is fully hit in
+            # the true module.
+            continue
         else:
-            beyond_top = src > m.max_weight
-            beyond_bottom = src < m.min_weight
-            genuine_empty = ((beyond_top and m.top_exact)
-                             or (beyond_bottom and m.bottom_exact)
-                             or (not beyond_top and not beyond_bottom))
-            if genuine_empty:
-                block = SparseMatrix.zero(1, 0)
-            elif certified:
-                # The incoming coefficient at the first index past the cut is
-                # certified nonzero, so nu is fully hit in the true module.
-                continue
-            else:
-                block = SparseMatrix.zero(1, 0)
+            block = SparseMatrix.zero(1, 0)
         space = cokernel_basis(block)
         if space.dim:
             h1.append(WeightLines(nu + report_shift, space, m.labels_at(nu)))

@@ -361,6 +361,38 @@ def test_config_file_not_utf8_exits_2(tmp_path, capsys):
     assert "UTF-8" in err and "Traceback" not in err
 
 
+def _psi_config(tmp_path):
+    cfg = tmp_path / "psi.cfg"
+    cfg.write_text("psi = a\npsi-val = 3\n", encoding="utf-8")
+    return cfg
+
+
+VERMA_K2 = ("jacquet", "--family", "verma", "--k", "2", "--json")
+
+
+def test_config_equals_path_is_applied(tmp_path, capsys):
+    code, out, err = run(capsys, *VERMA_K2, f"--config={_psi_config(tmp_path)}")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, *VERMA_K2, "--psi", "a", "--psi-val", "3")[1]
+
+
+@pytest.mark.parametrize("spelling", ["abbreviated", "missing-file", "second", "in-file"])
+def test_config_given_another_way_exits_2(tmp_path, capsys, spelling):
+    cfg = _psi_config(tmp_path)
+    nested = tmp_path / "nested.cfg"
+    nested.write_text(f"config = {cfg}\n", encoding="utf-8")
+    extra = {"abbreviated": ["--conf", str(cfg)],
+             "missing-file": [f"--config={tmp_path / 'missing.cfg'}"],
+             "second": ["--config", str(cfg), "--config", str(cfg)],
+             "in-file": ["--config", str(nested)]}[spelling]
+    try:
+        code = main([*VERMA_K2, *extra])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
+
+
 def test_check_commands(capsys):
     for argv in (("kostant", "--k", "2"), ("bgg-check", "--k", "2"), ("les-check", "--k", "2")):
         code, out, _ = run(capsys, *argv)

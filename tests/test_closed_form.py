@@ -11,9 +11,14 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from djem.characters import SmoothCharacter, TRIVIAL_PSI
-from djem.jacquet import OrlikStrauchSpec, assemble_les
+from djem.cohomology import kostant_check, stabilization_certificate
+from djem.errors import CertificateError
+from djem.jacquet import OrlikStrauchSpec, assemble_les, build_module, les_consistency_check
 from djem.reporting import jacquet_result_json
+from djem.sl2 import n_finite_dual
 
 
 def _load_oracle():
@@ -28,6 +33,7 @@ oracle = _load_oracle()
 
 K_MAX = 2000
 STRIDE = 8  # every STRIDE-th even k, from a seeded start
+WINDOW_K_MAX = 40
 DECLARED_PSI = ("chi", 1, "3/2")
 
 
@@ -51,3 +57,34 @@ def test_jacquet_reports_match_the_closed_form():
                 assert got == oracle.jacquet_result(family, k, psi), (family, k, psi)
                 checked += 1
     assert checked == 2 * (len(ks) + 2 * sum(1 for k in ks if k >= 0))
+
+
+def _report_json(family, k, character, trunc=None):
+    report = assemble_les(OrlikStrauchSpec(family, k, character), trunc)
+    return json.loads(json.dumps(jacquet_result_json(report)))
+
+
+def test_reports_are_the_same_from_the_minimal_certified_window():
+    for family, ks in (("verma", range(-WINDOW_K_MAX, WINDOW_K_MAX + 1, 2)),
+                       ("dualverma", range(0, WINDOW_K_MAX + 1, 2))):
+        for k in ks:
+            dual = n_finite_dual(build_module(OrlikStrauchSpec(family, k)))
+            t_min = max(stabilization_certificate(dual, d).bound for d in ("n", "nbar"))
+            for psi, character in _psis():
+                expected = oracle.jacquet_result(family, k, psi)
+                for trunc in (t_min, 4 * t_min + 1):
+                    assert _report_json(family, k, character, trunc) == expected, (family, k, trunc)
+                if t_min > 0:
+                    with pytest.raises(CertificateError):
+                        assemble_les(OrlikStrauchSpec(family, k, character), t_min - 1)
+
+
+def test_kostant_check_up_to_k_max():
+    assert all(kostant_check(k) for k in range(0, K_MAX + 1, 2))
+
+
+def test_les_consistency_up_to_k_max():
+    start = random.Random(20261021).randrange(2)
+    for k in range(2 * start, K_MAX + 1, 4):
+        for _, character in _psis():
+            assert les_consistency_check(k, character), (k, character)

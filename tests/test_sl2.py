@@ -6,7 +6,7 @@ import pytest
 import rref_oracle as oracle
 from djem.errors import ParityError, TruncationError, ValidationError
 from djem.linalg import SparseMatrix
-from djem.sl2 import (IndexPoly, LadderInfo, ModuleMap, WeightModule, _ladder_identity_holds,
+from djem.sl2 import (IndexPoly, LadderInfo, ModuleMap, WeightModule, _bracket_holds_at,
                       bgg_morphism, check_bracket_relations, default_truncation, dual_verma,
                       n_finite_dual, simple, verma)
 
@@ -240,12 +240,21 @@ def test_ladder_bracket_agrees_with_matrix_check():
         how, m = _random_module(rng)
         verdict = check_bracket_relations(m)
         assert verdict == _bracket_by_matrices(m), (how, m)
-        fast = _ladder_identity_holds(m)
-        seen[how, fast, verdict] = seen.get((how, fast, verdict), 0) + 1
-    # Both verdicts, and both paths, are exercised where they can occur.
-    for key in (("as-built", True, True), ("edges", True, True), ("edges", True, False),
-                ("wrong-ladder", False, False)):
+        seen[how, verdict] = seen.get((how, verdict), 0) + 1
+    # Both verdicts are exercised where they can occur.
+    for key in (("as-built", True), ("edges", True), ("edges", False), ("wrong-ladder", False)):
         assert seen.get(key, 0) >= 20, (key, seen)
+
+
+def test_bracket_failing_only_above_the_lowest_interior_weight():
+    # verma(0) with (i-1)(i-2) added to Y: Y e_i = (2 - 2i) e_{i-1}.  On an
+    # interior weight the bracket reads 2 - 2i = 2i, true at i = 1 only, and
+    # it holds at the exact bottom end; d = 1, so the weight at i = 2 decides.
+    m = verma(0, 40)
+    bent = _variant(m, IndexPoly([2, -2]))
+    assert [_bracket_holds_at(bent, 2 * i) for i in range(4)] == [True, True, False, False]
+    for edges in ((True, False), (True, True)):
+        assert not check_bracket_relations(_variant(bent, edges=edges)), edges
 
 
 def test_weight_module_rejects_other_than_one_dimensional_weight_spaces():
@@ -348,7 +357,8 @@ def _per_weight_map(qmap):
 
     equivariant = all(commutes(mu, op, delta) for mu in s.weights
                       for op, delta in (("x", 2), ("y", -2)))
-    return equivariant, {mu: t.dim_at(mu) - oracle.rank(block(mu)) for mu in t.weights}
+    cokernel = {mu: t.dim_at(mu) - oracle.rank(block(mu)) for mu in t.weights}
+    return equivariant, {mu: dim for mu, dim in cokernel.items() if dim}
 
 
 def _shifted_ladders(rng):
@@ -385,6 +395,45 @@ def test_ladder_shift_agrees_with_per_weight_blocks():
         assert qmap.cokernel_dims() == cokernel
         verdicts[equivariant] = verdicts.get(equivariant, 0) + 1
     assert verdicts.get(True, 0) >= 200 and verdicts.get(False, 0) >= 200, verdicts
+
+
+def _generic(ladder, lowest, length, bottom_exact, top_exact):
+    return WeightModule("generic", ladder, lowest, length, bottom_exact, top_exact, 12)
+
+
+def test_shift_differing_past_the_lowest_shared_weights():
+    # The source (indices j = 0..9, weights 0..18) sits inside the target
+    # (offset 2, weights -4..22) with both its edges cut, so its two ends
+    # check only the X identity at j = 0 and the Y identity at j = 9.  The
+    # moved target X polynomial differs from the source's by 3 j (j - 1),
+    # zero at the two lowest shared indices; d = 2.
+    cx, cy = IndexPoly([1]), IndexPoly([0, 1, -1])
+    source = _generic(LadderInfo(2, cx, cy), 0, 10, False, False)
+    tx = IndexPoly([1, -3, 3]).shifted(-2)  # 1 + 3 j (j - 1) at j = index - 2
+    target = _generic(LadderInfo(2, tx, cy.shifted(-2)), -4, 14, True, True)
+    qmap = ModuleMap(source, target, 2)
+    assert all(qmap._commutes_at(mu) for mu in (0, 2, 18))
+    assert not qmap._commutes_at(4)
+    assert not qmap.is_equivariant()
+    assert _per_weight_map(qmap)[0] is False
+
+
+def test_shift_whose_y_differs_past_the_lowest_shared_weights():
+    # The source (j = 0..15, weights 0..30) runs past the target (offset 1,
+    # weights -2..18) by more than one weight, and its Y polynomial j - 10
+    # vanishes at weight 20, so the seam just above the target commutes.  The
+    # moved target Y polynomial j^2 - 2j - 8 differs from the source's by
+    # (j - 1)(j - 2), zero at the second and third shared weights.  Y is an
+    # identity only where the weight below is shared, so with d = 2 the
+    # fourth shared weight decides.
+    cx, cy = IndexPoly([1]), IndexPoly([-10, 1])
+    source = _generic(LadderInfo(2, cx, cy), 0, 16, False, False)
+    target = _generic(LadderInfo(2, cx, IndexPoly([-8, -2, 1]).shifted(-1)), -2, 11, True, True)
+    qmap = ModuleMap(source, target, 1)
+    assert all(qmap._commutes_at(mu) for mu in (0, 2, 4, 20, 30))
+    assert not qmap._commutes_at(6)
+    assert not qmap.is_equivariant()
+    assert _per_weight_map(qmap)[0] is False
 
 
 def test_ladder_shift_must_preserve_weights():

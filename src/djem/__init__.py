@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI
 from djem.cohomology import CohomologyResult, StabilizationCertificate, cohomology, kostant_check
 from djem.jacquet import JacquetReport, OrlikStrauchSpec, assemble_les, les_consistency_check
-from djem.linalg import Rational, SparseMatrix, Subspace
+from djem.linalg import Rational
 from djem.sl2 import WeightModule, dual_verma, n_finite_dual, simple, verma
 
 __all__ = [
@@ -18,9 +18,7 @@ __all__ = [
     "OrlikStrauchSpec",
     "Rational",
     "SmoothCharacter",
-    "SparseMatrix",
     "StabilizationCertificate",
-    "Subspace",
     "TorusCharacter",
     "TRIVIAL_PSI",
     "WeightModule",

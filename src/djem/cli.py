@@ -171,6 +171,9 @@ def _character_from_args(args, name) -> SmoothCharacter:
         if val != 0 or unit != 1:
             raise ValidationError("the label 'trivial' is reserved for the character with "
                                   "z-value p^0 * 1/1")
+        if torus not in ("", "trivial"):
+            raise ValidationError(f"the label 'trivial' is reserved for the character with "
+                                  f"torus unit 'trivial', got --{name}-torus-unit {torus!r}")
         selfdual = True
     return SmoothCharacter(label, val, unit, w_selfdual=selfdual, torus_unit_label=torus)
 

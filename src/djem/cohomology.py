@@ -17,7 +17,7 @@ as non-certified.
 from __future__ import annotations
 
 from djem.errors import CertificateError, UnsupportedFamilyError, ValidationError
-from djem.linalg import SparseMatrix, Subspace, cokernel_basis, kernel
+from djem.linalg import cokernel_basis, kernel
 from djem.sl2 import IndexPoly, WeightModule, check_bracket_relations, n_finite_dual, simple
 from djem.value import Value
 
@@ -46,18 +46,17 @@ class StabilizationCertificate(Value):
 
 
 class WeightLines(Value):
-    """The computed line of one weight: a canonical subspace plus its basis label."""
+    """A computed line at one weight, named by its basis label."""
 
-    __slots__ = ("weight", "space", "labels")
+    __slots__ = ("weight", "labels")
 
-    def __init__(self, weight: int, space: Subspace, labels: tuple[str, ...]):
+    def __init__(self, weight: int, labels: tuple[str, ...]):
         self.weight = weight
-        self.space = space
         self.labels = labels
 
     @property
     def dim(self):
-        return self.space.dim
+        return len(self.labels)
 
 
 class CohomologyResult(Value):
@@ -102,17 +101,32 @@ def stabilization_certificate(m: WeightModule, direction: str) -> StabilizationC
 
 def _candidate_weights(m: WeightModule, coeff: IndexPoly, shift: int):
     """Window weights, highest first, where a kernel (shift 0) or cokernel
-    (shift = the operator's weight shift) line can sit: a block is non-zero
-    except where the coefficient vanishes or the operator leaves the window,
-    so the two window ends and the in-window roots of the coefficient, moved
-    by shift.  Every weight when the roots cannot be listed (an identically
-    zero coefficient, or degree > 2)."""
+    (shift = the operator's weight shift) line can sit: the line map is
+    nonzero except where the coefficient vanishes or the operator leaves the
+    window, so the two window ends and the in-window roots of the
+    coefficient, moved by shift.  Every weight when the roots cannot be
+    listed (an identically zero coefficient, or degree > 2)."""
     try:
         roots = coeff.integer_roots()
     except ValueError:
         return reversed(m.weights)
     moved = (m.lowest_label_weight + m.ladder.step * i + shift for i in roots if 0 <= i < m.length)
     return sorted({m.min_weight, m.max_weight, *filter(m.dim_at, moved)}, reverse=True)
+
+
+def _line_map(m: WeightModule, coeff: IndexPoly, src, dst, certified):
+    """The operator's coefficient from the src line to the dst line, where at
+    least one of the two is in the window: read off the ladder when both are,
+    0 when the other lies past an exact edge (nothing is there) or past a cut
+    in an uncertified answer, and None when it lies past a certified cut: the
+    coefficient at the first index past a cut is certified nonzero, so the
+    true module has no line there."""
+    if m.dim_at(src) and m.dim_at(dst):
+        return coeff(m.index_of_weight(src))
+    other = dst if m.dim_at(src) else src
+    if certified and not (m.top_exact if other > m.max_weight else m.bottom_exact):
+        return None
+    return 0
 
 
 def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False) -> CohomologyResult:
@@ -147,32 +161,15 @@ def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False)
     coeff = m.ladder.coeff_x if op == "x" else m.ladder.coeff_y
     h0 = []
     for mu in _candidate_weights(m, coeff, 0):
-        block = m.op_block(mu, op)
-        if block is None:
-            if certified:
-                # Ladder index at the cut is >= bound, so the coefficient is
-                # nonzero there and the true kernel misses this weight.
-                continue
-            block = SparseMatrix.zero(0, 1)
-        space = kernel(block)
-        if space.dim:
-            h0.append(WeightLines(mu, space, m.labels_at(mu)))
+        c = _line_map(m, coeff, mu, mu + op_shift, certified)
+        if c is not None and kernel(c):
+            h0.append(WeightLines(mu, m.labels_at(mu)))
 
     h1 = []
     for nu in _candidate_weights(m, coeff, op_shift):
-        src = nu - op_shift
-        if m.dim_at(src):
-            block = m.op_block(src, op)
-        elif certified and not (m.top_exact if src > m.max_weight else m.bottom_exact):
-            # src lies past a truncation cut: the incoming coefficient at the
-            # first index past it is certified nonzero, so nu is fully hit in
-            # the true module.
-            continue
-        else:
-            block = SparseMatrix.zero(1, 0)
-        space = cokernel_basis(block)
-        if space.dim:
-            h1.append(WeightLines(nu + report_shift, space, m.labels_at(nu)))
+        c = _line_map(m, coeff, nu - op_shift, nu, certified)
+        if c is not None and cokernel_basis(c):
+            h1.append(WeightLines(nu + report_shift, m.labels_at(nu)))
 
     return CohomologyResult(direction, tuple(h0), tuple(h1), report_shift,
                             certificate, certified)

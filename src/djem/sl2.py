@@ -5,12 +5,12 @@ lowers it by 2, and H = diag(1,-1) acts on the mu weight space by the scalar
 mu; H is never stored, the grading is the H-action.  A module is a ladder
 on a finite window: one-dimensional weight spaces, and closed-form integer
 coefficient polynomials in the ladder index i = 0, 1, ... for X and Y
-(LadderInfo).  Nothing else is stored; the block of X (mu -> mu+2) and of Y
-(mu -> mu-2) at a weight is a 1x1 view of the polynomial at that index.  Each
-window edge is either exact (the module genuinely stops there) or a
-truncation cut (the module continues outside the window); blocks pointing
-past a truncation cut are unknown and reported as None.  The polynomials also
-let downstream cohomology certify that nothing lives past the window.
+(LadderInfo).  Nothing else is stored: X maps the line at weight mu to the
+line at mu+2 by the X polynomial at that index, and Y maps it to mu-2 by the
+Y polynomial.  Each window edge is either exact (the module genuinely stops
+there) or a truncation cut (the module continues outside the window), where
+the coefficient pointing past the cut is unknown.  The polynomials also let
+downstream cohomology certify that nothing lives past the window.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from math import isqrt
 
 from djem.errors import ParityError, TruncationError, ValidationError
-from djem.linalg import SparseMatrix
 from djem.value import Value
 
 TRUNCATION_MARGIN = 16
@@ -142,8 +141,8 @@ class WeightModule:
     with a one-dimensional space at each weight.
 
     The module is its ladder and its window: e_i (ê_i when hatted) spans the
-    weight lowest_label_weight + step*i for i = 0 .. length-1, and every
-    operator block is a 1x1 view of the ladder polynomials, made when asked.
+    weight lowest_label_weight + step*i for i = 0 .. length-1, and X and Y
+    act on it by the ladder polynomials at i.
     """
 
     __slots__ = ("family", "ladder", "lowest_label_weight", "length", "bottom_exact",
@@ -206,35 +205,6 @@ class WeightModule:
     def basis_labels(self):
         """{weight: labels_at(weight)} over the window, built on each access."""
         return {mu: self.labels_at(mu) for mu in self.weights}
-
-    # -- operator blocks ----------------------------------------------------
-
-    def x_block(self, mu):
-        """Block of X on the mu weight space (a map into weight mu+2).
-
-        Returns None when the target weight lies past a truncation cut, i.e.
-        the block is not knowable from the window.
-        """
-        return self._block(mu, mu + 2, self.top_exact, self.ladder.coeff_x)
-
-    def y_block(self, mu):
-        """Block of Y on the mu weight space (a map into weight mu-2), or None."""
-        return self._block(mu, mu - 2, self.bottom_exact, self.ladder.coeff_y)
-
-    def _block(self, mu, target, edge_exact, coeff):
-        if not self.dim_at(mu):
-            raise KeyError(f"weight {mu} not present")
-        if self.dim_at(target):
-            return SparseMatrix(1, 1, {(0, 0): coeff(self.index_of_weight(mu))})
-        # The window is contiguous, so the target lies past an edge.
-        return SparseMatrix.zero(0, 1) if edge_exact else None
-
-    def op_block(self, mu, op):
-        if op == "x":
-            return self.x_block(mu)
-        if op == "y":
-            return self.y_block(mu)
-        raise ValidationError(f"unknown operator {op!r}")
 
     def __repr__(self):
         return (f"WeightModule({self.family}, weights [{self.min_weight}, {self.max_weight}], "
@@ -300,11 +270,11 @@ def n_finite_dual(m: WeightModule) -> WeightModule:
     """Restricted dual with the sign-involution action (tau.f)(v) = f(-tau v).
 
     The dual basis vector ê_i of e_i sits at the negated weight, and each
-    operator block is the negated transpose of the block it pairs with:
+    operator coefficient is the negated coefficient it pairs with:
     X: V_mu -> V_{mu+2} dualizes to X: (V_{mu+2})^ -> (V_mu)^.  On the ladder
-    that negates each coefficient and moves it one index along, so the dual
-    is again a ladder, of the opposite step.  Applied twice this returns the
-    original module exactly.
+    that negates each coefficient polynomial and moves it one index along, so
+    the dual is again a ladder, of the opposite step.  Applied twice this
+    returns the original module exactly.
     """
     if m.family.startswith("n-finite-dual(") and m.family.endswith(")"):
         family_d = m.family[len("n-finite-dual("):-1]
@@ -321,7 +291,7 @@ def n_finite_dual(m: WeightModule) -> WeightModule:
 
 def check_bracket_relations(m: WeightModule) -> bool:
     """True iff X.Y - Y.X acts by the scalar mu on every weight space where
-    all four blocks are knowable from the window.
+    all four coefficients are knowable from the window.
 
     On a weight with both neighbours in the window the bracket reads
     cx(i - s) cy(i) - cy(i + s) cx(i) = weight(i), with s = 2 // step: a
@@ -335,8 +305,8 @@ def check_bracket_relations(m: WeightModule) -> bool:
 
 def _bracket_holds_at(m: WeightModule, mu) -> bool:
     """The bracket on the mu weight space, read off the ladder coefficients,
-    or True when a block it needs lies past a truncation cut.  A term whose
-    operator leaves the window past an exact edge is zero."""
+    or True when a coefficient it needs points past a truncation cut.  A term
+    whose operator leaves the window past an exact edge is zero."""
     below, above = mu - 2 >= m.min_weight, mu + 2 <= m.max_weight
     if (not above and not m.top_exact) or (not below and not m.bottom_exact):
         return True
@@ -383,8 +353,8 @@ class ModuleMap:
 
     def _commutes_at(self, mu) -> bool:
         """X and Y commute with the map on the mu weight space of the source.
-        A side whose vector is missing is zero; a source block past a
-        truncation cut is unknowable and skipped."""
+        A side whose vector is missing is zero; a source coefficient pointing
+        past a truncation cut is unknowable and skipped."""
         s, t = self.source, self.target
         for delta, edge_exact, coeff_s, coeff_t in (
                 (2, s.top_exact, s.ladder.coeff_x, t.ladder.coeff_x),

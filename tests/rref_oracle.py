@@ -1,24 +1,43 @@
 """Reference linear algebra over Q by reduced row echelon form.
 
-djem's `linalg` answers only the blocks of a ladder (at most one row and one
-column).  This module answers every shape, so tests can check djem's
-answers against it and exercise matrices djem itself never builds.  Spaces
-come back as `djem.linalg.Subspace` in canonical RREF form, which is unique
-per subspace, so equal spaces compare equal as data.
+djem answers only line maps, by their coefficient.  This module answers
+matrices of every shape, given as dense rows and a column count, so tests
+can check djem's answers against it and exercise matrices djem itself never
+builds.  It imports nothing from djem.  Spaces come back as `Space` records
+whose basis is in canonical RREF form, which is unique per subspace, so
+equal spaces compare equal as data.
 """
 
 from fractions import Fraction
-
-from djem.linalg import SparseMatrix, Subspace, as_rational
+from typing import NamedTuple
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _dense(m: SparseMatrix):
-    rows = [[_ZERO] * m.cols for _ in range(m.rows)]
-    for (r, c), v in m.items():
-        rows[r][c] = v
+class Space(NamedTuple):
+    """A subspace of Q^ambient_dim, stored by its canonical RREF basis."""
+
+    ambient_dim: int
+    basis: tuple
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+
+def _rational(value) -> Fraction:
+    if isinstance(value, float):
+        raise TypeError("expected an exact rational, got float")
+    return Fraction(value)
+
+
+def _checked(dense, cols):
+    """The rows as lists of Fractions, each checked to have cols entries."""
+    rows = [[_rational(v) for v in row] for row in dense]
+    for row in rows:
+        if len(row) != cols:
+            raise ValueError(f"row of length {len(row)} in a matrix of {cols} columns")
     return rows
 
 
@@ -49,30 +68,28 @@ def rref(dense, cols):
     return rows[:pr], pivots
 
 
-def from_vectors(ambient_dim, vectors) -> Subspace:
+def from_vectors(ambient_dim, vectors) -> Space:
     """The span of the vectors, in canonical form."""
-    vecs = [[as_rational(v) for v in vec] for vec in vectors]
-    for vec in vecs:
-        if len(vec) != ambient_dim:
-            raise ValueError("vector length mismatch")
-    red, _ = rref(vecs, ambient_dim)
-    return Subspace(ambient_dim, red)
+    red, _ = rref(_checked(vectors, ambient_dim), ambient_dim)
+    return Space(ambient_dim, tuple(tuple(row) for row in red))
 
 
-def full(ambient_dim) -> Subspace:
-    return Subspace(ambient_dim, [[_ONE if c == r else _ZERO for c in range(ambient_dim)]
-                                  for r in range(ambient_dim)])
+def full(ambient_dim) -> Space:
+    return from_vectors(ambient_dim, [[_ONE if c == r else _ZERO for c in range(ambient_dim)]
+                                      for r in range(ambient_dim)])
 
 
-def canonicalized(space: Subspace) -> Subspace:
+def zero(ambient_dim) -> Space:
+    return Space(ambient_dim, ())
+
+
+def canonicalized(space: Space) -> Space:
     return from_vectors(space.ambient_dim, space.basis)
 
 
-def contains(space: Subspace, vector) -> bool:
+def contains(space: Space, vector) -> bool:
     """Membership for a space in canonical form."""
-    v = [as_rational(x) for x in vector]
-    if len(v) != space.ambient_dim:
-        raise ValueError("vector length mismatch")
+    (v,) = _checked([vector], space.ambient_dim)
     for row in space.basis:
         pivot = next(j for j, x in enumerate(row) if x != 0)
         if v[pivot] != 0:
@@ -81,42 +98,42 @@ def contains(space: Subspace, vector) -> bool:
     return all(x == 0 for x in v)
 
 
-def rank(m: SparseMatrix) -> int:
-    _, pivots = rref(_dense(m), m.cols)
+def rank(dense, cols) -> int:
+    _, pivots = rref(_checked(dense, cols), cols)
     return len(pivots)
 
 
-def kernel(m: SparseMatrix) -> Subspace:
-    """Solution space of m.v = 0, as a canonical Subspace of Q^cols."""
-    red, pivots = rref(_dense(m), m.cols)
+def kernel(dense, cols) -> Space:
+    """Solution space of m.v = 0 for the matrix m with these rows, in Q^cols."""
+    red, pivots = rref(_checked(dense, cols), cols)
     pivot_set = set(pivots)
     basis = []
-    for f in range(m.cols):
+    for f in range(cols):
         if f in pivot_set:
             continue
-        v = [_ZERO] * m.cols
+        v = [_ZERO] * cols
         v[f] = _ONE
         for i, p in enumerate(pivots):
             v[p] = -red[i][f]
         basis.append(v)
-    return from_vectors(m.cols, basis)
+    return from_vectors(cols, basis)
 
 
-def cokernel_basis(m: SparseMatrix) -> Subspace:
+def cokernel_basis(dense, cols) -> Space:
     """Canonical complement of the column space inside Q^rows.
 
     The complement is spanned by the coordinate vectors at the non-pivot
     coordinates of the column space, so it depends only on the column space.
     """
-    dense = _dense(m)
-    transposed = [[dense[r][c] for r in range(m.rows)] for c in range(m.cols)]
-    _, pivots = rref(transposed, m.rows)
+    rows = _checked(dense, cols)
+    transposed = [[rows[r][c] for r in range(len(rows))] for c in range(cols)]
+    _, pivots = rref(transposed, len(rows))
     pivot_set = set(pivots)
     basis = []
-    for j in range(m.rows):
+    for j in range(len(rows)):
         if j in pivot_set:
             continue
-        v = [_ZERO] * m.rows
+        v = [_ZERO] * len(rows)
         v[j] = _ONE
         basis.append(v)
-    return from_vectors(m.rows, basis)
+    return from_vectors(len(rows), basis)

@@ -345,6 +345,28 @@ def test_negative_unit_in_config_file(tmp_path, capsys):
                       "--psi-unit=-2/5", "--json")[1]
 
 
+@pytest.mark.parametrize("case", ["psi", "phi", "config-file"])
+def test_trivial_label_with_another_torus_unit_exits_2(tmp_path, capsys, case):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("family = verma\nk = 2\npsi = trivial\npsi-torus-unit = foo\njson = true\n",
+                   encoding="utf-8")
+    argv = {"psi": ("jacquet", "--family", "verma", "--k", "2", "--psi", "trivial",
+                    "--psi-torus-unit", "foo", "--json"),
+            "phi": ("ext-bound", "--k", "-4", "--ell", "2", "--phi", "trivial",
+                    "--phi-torus-unit", "foo"),
+            "config-file": ("jacquet", "--config", str(cfg))}[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "torus-unit 'foo'" in err and "Traceback" not in err
+
+
+def test_trivial_label_with_its_own_torus_unit_is_the_trivial_character(capsys):
+    argv = ("jacquet", "--family", "verma", "--k", "2", "--psi", "trivial", "--json")
+    code, out, err = run(capsys, *argv, "--psi-torus-unit", "trivial")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, *argv)[1]
+
+
 @pytest.mark.parametrize("value", ["--json", "-abc", "-2/5x"])
 def test_unit_flag_without_a_value_stays_a_usage_error(capsys, value):
     with pytest.raises(SystemExit) as exc:

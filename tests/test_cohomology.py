@@ -7,9 +7,9 @@ import rref_oracle as oracle
 from djem.cohomology import (CohomologyResult, WeightLines, cohomology, kostant_check,
                              stabilization_certificate)
 from djem.errors import CertificateError, UnsupportedFamilyError, ValidationError
-from djem.linalg import SparseMatrix, Subspace, cokernel_basis, kernel
 from djem.sl2 import (IndexPoly, LadderInfo, WeightModule, check_bracket_relations, dual_verma,
                       n_finite_dual, simple, verma)
+from ladder_blocks import SHIFT, coefficient, line_answer, window_blocks
 
 
 def test_dual_of_verma_lowering_direction():
@@ -145,12 +145,10 @@ def _family_zoo():
 
 def test_per_weight_rank_nullity_both_directions():
     for m in _family_zoo():
-        for op in ("x", "y"):
-            for mu in m.weights:
-                blk = m.op_block(mu, op)
-                if blk is None:
-                    continue
-                assert kernel(blk).dim - cokernel_basis(blk).dim == m.dims[mu] - blk.rows
+        for blk in window_blocks(m):
+            ker, cok = line_answer(blk)
+            assert (ker, cok) == (oracle.kernel(*blk).dim, oracle.cokernel_basis(*blk).dim)
+            assert ker - cok == blk[1] - len(blk[0])
 
 
 def test_results_stable_under_truncation_doubling():
@@ -174,18 +172,24 @@ def test_finite_euler_characteristic_vanishes():
 
 
 def _global_operator(m, op):
-    order = [(mu, j) for mu in m.weights for j in range(m.dims[mu])]
-    pos = {key: idx for idx, key in enumerate(order)}
-    entries = {}
-    for mu in m.weights:
-        blk = m.op_block(mu, op)
-        if blk is None or blk.rows == 0:
-            continue
-        target = mu + 2 if op == "x" else mu - 2
-        for (r, c), v in blk.items():
-            entries[(pos[(target, r)], pos[(mu, c)])] = v
-    n = len(order)
-    return SparseMatrix(n, n, entries)
+    """The matrix of op on a module exact at both ends, in the basis of its
+    weight lines (lowest weight first), built from the ladder coefficients."""
+    pos = {mu: j for j, mu in enumerate(m.weights)}
+    dense = [[0] * len(pos) for _ in pos]
+    for mu, j in pos.items():
+        if mu + SHIFT[op] in pos:
+            dense[pos[mu + SHIFT[op]]][j] = coefficient(m, mu, op)
+    return dense, len(pos)
+
+
+def _basis_weights(m, space):
+    """The weight of each basis vector of a space of m's weight lines, each
+    checked to lie in a single weight space."""
+    weights = []
+    for v in space.basis:
+        (j,) = [j for j, x in enumerate(v) if x != 0]
+        weights.append(m.weights[j])
+    return sorted(weights)
 
 
 def test_two_line_pattern_small_cases():
@@ -196,17 +200,47 @@ def test_two_line_pattern_small_cases():
     assert res6.h0_dims() == {6: 1} and res6.h1_dims() == {-8: 1}
 
 
+def _exact_at_both_ends():
+    """simple(-k) and its dual for even k <= 40, then the seeded hand-made
+    ladders of test_root_candidates_agree_with_every_weight that are exact at
+    both ends and pass the bracket check."""
+    for k in range(0, 41, 2):
+        yield simple(-k)
+        yield n_finite_dual(simple(-k))
+    rng = random.Random(20261018)
+    for m in [_hand_made_ladder(rng) for _ in range(1200)]:
+        if m.bottom_exact and m.top_exact and check_bracket_relations(m):
+            yield m
+
+
 def test_two_line_pattern_against_global_matrix():
     for k in (0, 2, 6):
         d = n_finite_dual(simple(-k))
         gx = _global_operator(d, "x")
-        assert oracle.kernel(gx).dim == 1
-        assert oracle.cokernel_basis(gx).dim == 1
+        assert oracle.kernel(*gx).dim == 1
+        assert oracle.cokernel_basis(*gx).dim == 1
         res = cohomology(d, "n")
         assert sum(res.h0_dims().values()) == 1
         assert sum(res.h1_dims().values()) == 1
         assert res.h0[0].weight == k
         assert res.h1[0].weight == -(k + 2)
+    # Weight by weight: the oracle's kernel and cokernel of the whole
+    # operator sit at the H^0 and H^1 weights, before the report shift.  A
+    # refusal (a truncated module whose X coefficient has degree 3 cannot
+    # be certified) leaves no answer to compare.
+    compared = 0
+    for m in _exact_at_both_ends():
+        for direction, op in (("n", "x"), ("nbar", "y")):
+            res = _outcome(cohomology, m, direction, True)
+            if not isinstance(res, CohomologyResult):
+                continue
+            g = _global_operator(m, op)
+            assert _basis_weights(m, oracle.kernel(*g)) == sorted(
+                line.weight for line in res.h0), (m, direction)
+            assert _basis_weights(m, oracle.cokernel_basis(*g)) == sorted(
+                line.weight - res.weight_shift_applied for line in res.h1), (m, direction)
+            compared += 1
+    assert compared >= 200, compared
 
 
 def test_kostant_check_rejects_bad_input():
@@ -217,9 +251,6 @@ def test_kostant_check_rejects_bad_input():
 
 
 # -- root candidates against every weight ------------------------------------------
-
-
-_LINE = Subspace(1, ((1,),))
 
 
 def _per_weight_cohomology(m, direction, allow_uncertified=False):
@@ -258,9 +289,9 @@ def _per_weight_cohomology(m, direction, allow_uncertified=False):
             return coeff(m.index_of_weight(src)) == 0
         return edge_exact or not certified
 
-    h0 = tuple(WeightLines(mu, _LINE, m.labels_at(mu)) for mu in reversed(m.weights)
+    h0 = tuple(WeightLines(mu, m.labels_at(mu)) for mu in reversed(m.weights)
                if zero_block(mu, leaves))
-    h1 = tuple(WeightLines(nu + report_shift, _LINE, m.labels_at(nu))
+    h1 = tuple(WeightLines(nu + report_shift, m.labels_at(nu))
                for nu in reversed(m.weights) if zero_block(nu - op_shift, enters))
     return CohomologyResult(direction, h0, h1, report_shift, certificate, certified)
 

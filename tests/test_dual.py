@@ -6,10 +6,11 @@ block it pairs with, so X: V_mu -> V_{mu+2} dualizes to
 X: (V_{mu+2})^ -> (V_mu)^ and likewise for Y.  These tests compare every
 in-window block of the dual with that definition, and check that dualizing
 twice gives the module back, over a grid of families, weights and
-truncations.  They use only the blocks' public views.
+truncations.  The blocks are read off each module's ladder polynomials.
 """
 
 from djem.sl2 import dual_verma, n_finite_dual, simple, verma
+from ladder_blocks import block
 
 TRUNCATIONS = (0, 1, 7, 40)
 
@@ -23,14 +24,15 @@ def _grid():
         yield simple(-k)
 
 
-def _entry(blk):
-    """The entry of a 1x1 block, checked to be one."""
-    assert (blk.rows, blk.cols) == (1, 1)
-    return dict(blk.items()).get((0, 0), 0)
+def _entry(m, mu, op):
+    """The entry of the block of op at mu, checked to be 1x1."""
+    (row,), cols = block(m, mu, op)
+    assert (len(row), cols) == (1, 1)
+    return row[0]
 
 
 def _views(m):
-    return [(mu, m.x_block(mu), m.y_block(mu)) for mu in m.weights]
+    return [(mu, block(m, mu, "x"), block(m, mu, "y")) for mu in m.weights]
 
 
 def test_dual_blocks_are_the_negated_paired_blocks():
@@ -41,10 +43,10 @@ def test_dual_blocks_are_the_negated_paired_blocks():
         window = set(m.weights)
         for mu in m.weights:
             if mu + 2 in window:
-                assert _entry(d.x_block(-(mu + 2))) == -_entry(m.x_block(mu)), (m, mu)
+                assert _entry(d, -(mu + 2), "x") == -_entry(m, mu, "x"), (m, mu)
                 checked += 1
             if mu - 2 in window:
-                assert _entry(d.y_block(-(mu - 2))) == -_entry(m.y_block(mu)), (m, mu)
+                assert _entry(d, -(mu - 2), "y") == -_entry(m, mu, "y"), (m, mu)
                 checked += 1
     # Each window of n weights has n - 1 in-window X blocks and as many Y blocks.
     assert checked == sum(2 * (len(m.weights) - 1) for m in _grid())
@@ -54,6 +56,6 @@ def test_double_dual_gives_the_module_back():
     for m in _grid():
         dd = n_finite_dual(n_finite_dual(m))
         for attr in ("family", "weights", "basis_labels", "bottom_exact", "top_exact",
-                     "truncation", "ladder"):
+                     "truncation", "ladder", "hatted"):
             assert getattr(dd, attr) == getattr(m, attr), (m, attr)
         assert _views(dd) == _views(m), m

@@ -5,19 +5,14 @@ import pytest
 
 import rref_oracle as oracle
 from djem.errors import ParityError, TruncationError, ValidationError
-from djem.linalg import SparseMatrix
 from djem.sl2 import (IndexPoly, LadderInfo, ModuleMap, WeightModule, _bracket_holds_at,
                       bgg_morphism, check_bracket_relations, default_truncation, dual_verma,
                       n_finite_dual, simple, verma)
-
-
-def value(blk):
-    """The entry of a 1x1 block, or 0 for an empty one."""
-    return dict(blk.items()).get((0, 0), 0)
+from ladder_blocks import block, value
 
 
 def entry(m, mu, op):
-    return value(m.op_block(mu, op))
+    return value(block(m, mu, op))
 
 
 # -- raising/lowering ladders -------------------------------------------------
@@ -34,7 +29,7 @@ def test_verma_lowering_matches_closed_form():
 
 def test_verma_generating_vector():
     m = verma(6, 8)
-    assert m.y_block(6).rows == 0  # Y kills e_0
+    assert block(m, 6, "y") == ([], 1)  # Y kills e_0
     assert m.dims[6] == 1 and m.basis_labels[6] == ("e_0",)
 
 
@@ -76,7 +71,7 @@ def test_dual_verma_bracket_at_second_rung():
 def test_simple_trivial_module():
     s = simple(0)
     assert s.weights == (0,)
-    assert s.x_block(0).rows == 0 and s.y_block(0).rows == 0
+    assert block(s, 0, "x") == block(s, 0, "y") == ([], 1)
 
 
 def test_simple_three_dimensional():
@@ -139,8 +134,8 @@ def test_double_dual_restores_all_matrices():
         assert dd.weights == s.weights
         assert dd.family == s.family
         for mu in s.weights:
-            assert dd.x_block(mu) == s.x_block(mu)
-            assert dd.y_block(mu) == s.y_block(mu)
+            assert block(dd, mu, "x") == block(s, mu, "x")
+            assert block(dd, mu, "y") == block(s, mu, "y")
         assert dd.basis_labels == s.basis_labels
 
 
@@ -174,13 +169,13 @@ def test_bracket_detects_corruption():
 
 
 def _bracket_by_matrices(m):
-    """The bracket weight by weight, multiplying the entries of the 1x1 views."""
+    """The bracket weight by weight, multiplying the entries of the blocks."""
     def holds(mu):
-        x_mu, y_mu = m.x_block(mu), m.y_block(mu)
+        x_mu, y_mu = block(m, mu, "x"), block(m, mu, "y")
         if x_mu is None or y_mu is None:
             return True
-        xy = entry(m, mu - 2, "x") * value(y_mu) if y_mu.rows else 0
-        yx = entry(m, mu + 2, "y") * value(x_mu) if x_mu.rows else 0
+        xy = entry(m, mu - 2, "x") * value(y_mu) if y_mu[0] else 0
+        yx = entry(m, mu + 2, "y") * value(x_mu) if x_mu[0] else 0
         return xy - yx == mu
     return all(holds(mu) for mu in m.weights)
 
@@ -199,7 +194,7 @@ def _window(m, trunc):
 
 
 def _views(m):
-    return [(mu, m.x_block(mu), m.y_block(mu)) for mu in m.weights]
+    return [(mu, block(m, mu, "x"), block(m, mu, "y")) for mu in m.weights]
 
 
 def test_window_is_the_truncated_constructor():
@@ -294,10 +289,10 @@ def test_truncation_coherence():
     for ctor in (verma, dual_verma):
         small, big = ctor(-4, 6), ctor(-4, 14)
         for mu in small.weights:
-            assert big.y_block(mu) == small.y_block(mu)
-            sx = small.x_block(mu)
+            assert block(big, mu, "y") == block(small, mu, "y")
+            sx = block(small, mu, "x")
             if sx is not None:
-                assert big.x_block(mu) == sx
+                assert block(big, mu, "x") == sx
 
 
 # -- the ladder embedding -----------------------------------------------------
@@ -328,36 +323,36 @@ def test_embedding_cokernel_equals_simple():
 
 
 def _block_product(a, b):
-    entries = {}
-    for (r, k), x in a.items():
-        for (j, c), y in b.items():
-            if j == k:
-                entries[r, c] = entries.get((r, c), 0) + x * y
-    return SparseMatrix(a.rows, b.cols, entries)
+    (da, ca), (db, cb) = a, b
+    return [[sum(da[r][j] * db[j][c] for j in range(ca)) for c in range(cb)]
+            for r in range(len(da))], cb
+
+
+def _zero(rows, cols):
+    return [[0] * cols for _ in range(rows)], cols
 
 
 def _per_weight_map(qmap):
     """(is_equivariant, cokernel_dims) of a ladder shift from its per-weight
     blocks: the 1x1 identity wherever source and target share a weight,
-    multiplied with the operator views at every source weight."""
+    multiplied with the operator blocks at every source weight."""
     s, t = qmap.source, qmap.target
-    one = SparseMatrix(1, 1, {(0, 0): 1})
 
-    def block(mu):
+    def map_block(mu):
         if s.dim_at(mu) and t.dim_at(mu):
-            return one
-        return SparseMatrix.zero(t.dim_at(mu), s.dim_at(mu))
+            return [[1]], 1
+        return _zero(t.dim_at(mu), s.dim_at(mu))
 
     def commutes(mu, op, delta):
-        s_op = s.op_block(mu, op)
-        t_op = t.op_block(mu, op) if t.dim_at(mu) else SparseMatrix.zero(t.dim_at(mu + delta), 0)
+        s_op = block(s, mu, op)
+        t_op = block(t, mu, op) if t.dim_at(mu) else _zero(t.dim_at(mu + delta), 0)
         if s_op is None or t_op is None:
             return True
-        return _block_product(t_op, block(mu)) == _block_product(block(mu + delta), s_op)
+        return _block_product(t_op, map_block(mu)) == _block_product(map_block(mu + delta), s_op)
 
     equivariant = all(commutes(mu, op, delta) for mu in s.weights
                       for op, delta in (("x", 2), ("y", -2)))
-    cokernel = {mu: t.dim_at(mu) - oracle.rank(block(mu)) for mu in t.weights}
+    cokernel = {mu: t.dim_at(mu) - oracle.rank(*map_block(mu)) for mu in t.weights}
     return equivariant, {mu: dim for mu, dim in cokernel.items() if dim}
 
 

@@ -86,8 +86,8 @@ class TorusCharacter(Value):
                     + self.psi_exp * psi.z_valuation
                     - self.psiw_exp * psi.z_valuation
                     + self.delta_exp * DELTA_P_Z_EXPONENT)
-        unit = psi.z_unit ** self.psi_exp * (1 / psi.z_unit) ** self.psiw_exp
-        return (exponent, unit)
+        # psi^w(z) has unit 1 / z_unit, so the two powers combine into one.
+        return (exponent, psi.z_unit ** (self.psi_exp - self.psiw_exp))
 
     def text(self) -> str:
         parts = [f"chi_{{{self.weight}}}"]

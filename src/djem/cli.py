@@ -374,31 +374,33 @@ def _run_handler(args):
 # -- regression corpus -------------------------------------------------------
 
 
+@functools.cache
 def corpus_manifest():
-    """Every fixture as (name, argv).  Truncations are pinned explicitly so
-    golden bytes do not depend on the environment."""
+    """Every fixture as (name, argv), sorted by name: a constant, built once
+    per process and immutable, so every caller may share it.  Truncations
+    are pinned explicitly so golden bytes do not depend on the environment."""
     jobs = []
     for k in range(-8, 9, 2):
         jobs.append((f"jacquet-verma-k{k:+03d}",
-                     ["jacquet", "--family", "verma", "--k", str(k), "--psi", "trivial",
-                      "--trunc", str(default_truncation(k)), "--json"]))
+                     ("jacquet", "--family", "verma", "--k", str(k), "--psi", "trivial",
+                      "--trunc", str(default_truncation(k)), "--json")))
     for k in (0, 2, 4, 6, 8):
         jobs.append((f"jacquet-dualverma-k{k:+03d}",
-                     ["jacquet", "--family", "dualverma", "--k", str(k), "--psi", "trivial",
-                      "--trunc", str(default_truncation(k)), "--json"]))
+                     ("jacquet", "--family", "dualverma", "--k", str(k), "--psi", "trivial",
+                      "--trunc", str(default_truncation(k)), "--json")))
     for k in (0, 2, 4, 6):
         jobs.append((f"jacquet-simple-k{k:+03d}",
-                     ["jacquet", "--family", "simple", "--k", str(k), "--psi", "trivial",
-                      "--trunc", str(default_truncation(k)), "--json"]))
+                     ("jacquet", "--family", "simple", "--k", str(k), "--psi", "trivial",
+                      "--trunc", str(default_truncation(k)), "--json")))
     for k in range(0, 13, 2):
         jobs.append((f"bgg-check-k{k:+03d}",
-                     ["bgg-check", "--k", str(k), "--trunc", str(default_truncation(k)), "--json"]))
-        jobs.append((f"kostant-k{k:+03d}", ["kostant", "--k", str(k), "--json"]))
+                     ("bgg-check", "--k", str(k), "--trunc", str(default_truncation(k)), "--json")))
+        jobs.append((f"kostant-k{k:+03d}", ("kostant", "--k", str(k), "--json")))
     for k in (0, 2, 4, 6):
         jobs.append((f"les-check-k{k:+03d}",
-                     ["les-check", "--k", str(k), "--psi", "trivial",
-                      "--trunc", str(default_truncation(k + 2)), "--json"]))
-    return sorted(jobs)
+                     ("les-check", "--k", str(k), "--psi", "trivial",
+                      "--trunc", str(default_truncation(k + 2)), "--json")))
+    return tuple(sorted(jobs))
 
 
 def fixture_document(argv) -> str:

@@ -83,7 +83,9 @@ def stabilization_certificate(m: WeightModule, direction: str) -> StabilizationC
     """Certificate for the operator of the given direction on a ladder module.
 
     Finite modules get the empty certificate; a truncated module's
-    certificate is read off its ladder polynomial for that operator.
+    certificate is read off its ladder polynomial for that operator.  A
+    truncated module whose polynomial is zero, or has roots that cannot be
+    listed (degree > 2), raises UnsupportedFamilyError.
     """
     if direction not in _DIRECTIONS:
         raise ValidationError(f"direction must be one of {sorted(_DIRECTIONS)}, got {direction!r}")
@@ -94,7 +96,12 @@ def stabilization_certificate(m: WeightModule, direction: str) -> StabilizationC
     if coeff.is_zero():
         raise UnsupportedFamilyError(
             "ladder coefficient vanishes identically; a truncated window cannot be certified")
-    roots = coeff.integer_roots()
+    try:
+        roots = coeff.integer_roots()
+    except ValueError as err:
+        raise UnsupportedFamilyError(
+            f"the integer roots of the ladder coefficient {coeff.text()} cannot be listed "
+            f"({err}); a truncated window cannot be certified") from None
     bound = max(roots) + 1 if roots else 0
     return StabilizationCertificate(op.upper(), coeff, tuple(roots), max(bound, 0), False)
 

@@ -183,9 +183,8 @@ def assemble_les(spec: OrlikStrauchSpec, trunc=None) -> JacquetReport:
     dual = n_finite_dual(build_module(spec, trunc))
     section = _section_characters(dual)
     stalk = _stalk_characters(dual)
-    t0, s1 = stalk[0], section[1]
-    forced_zero = (not t0) or (not s1) or not any(
-        a.z_eigenvalue(spec.psi) == b.z_eigenvalue(spec.psi) for a in t0 for b in s1)
+    t0_values = {c.z_eigenvalue(spec.psi) for c in stalk[0]}
+    forced_zero = t0_values.isdisjoint(c.z_eigenvalue(spec.psi) for c in section[1])
     if forced_zero:
         degrees = {i: _degree_report(section[i], stalk[i], spec.psi) for i in (0, 1)}
     else:

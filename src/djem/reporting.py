@@ -11,9 +11,9 @@ report never loads a module the command did not need.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from djem import __version__
 from djem.errors import ValidationError
@@ -227,4 +227,40 @@ def make_document(command, config, result):
 
 
 def serialize(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """The document in the layout of json.dumps(doc, sort_keys=True, indent=2,
+    ensure_ascii=True) + "\\n", byte for byte.
+
+    json runs its C encoder only when indent is None, so an indented dump goes
+    through the pure-Python one; this emitter writes the same bytes directly.
+    It takes what djem documents hold: dicts with str keys, lists and tuples,
+    str, int, bool and None.  Anything else raises TypeError."""
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(o, newline) -> str:
+    """o as JSON; newline is "\\n" plus the indent of the line o starts on."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = newline + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in o]) + newline + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = []
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_quote(key) + ": " + _encode(o[key], inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

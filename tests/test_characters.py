@@ -59,6 +59,16 @@ def test_w_conjugate_exponents_negate():
     assert (v, u) == (-5, Fraction(1, 2))
 
 
+def test_unit_is_one_power_of_the_z_unit():
+    # psi^a (psi^w)^b has unit u^a (1/u)^b = u^(a - b).
+    for u in (Fraction(1), Fraction(3, 2), Fraction(-2, 5), Fraction(-1), Fraction(7, 3)):
+        psi = SmoothCharacter("a", 2, u)
+        for a in range(-3, 4):
+            for b in range(-3, 4):
+                _, unit = TorusCharacter(0, psi_exp=a, psiw_exp=b).z_eigenvalue(psi)
+                assert type(unit) is Fraction and unit == u ** a * (1 / u) ** b, (u, a, b)
+
+
 def test_w_twist_involution():
     chars = (TorusCharacter(4, psi_exp=1, delta_exp=1),
              TorusCharacter(-6, psiw_exp=1),

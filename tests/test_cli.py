@@ -484,6 +484,15 @@ def test_corpus_manifest_covers_required_cases():
     assert names == sorted(names)
 
 
+def test_corpus_manifest_is_one_immutable_object():
+    manifest = corpus_manifest()
+    assert corpus_manifest() is manifest
+    assert type(manifest) is tuple
+    for name, argv in manifest:
+        assert type(name) is str and type(argv) is tuple
+        assert all(type(token) is str for token in argv)
+
+
 def test_corpus_detects_edited_golden(tmp_path, capsys):
     dst = tmp_path / "corpus"
     shutil.copytree(_default_fixtures_dir(), dst)

@@ -226,14 +226,12 @@ def test_two_line_pattern_against_global_matrix():
         assert res.h1[0].weight == -(k + 2)
     # Weight by weight: the oracle's kernel and cokernel of the whole
     # operator sit at the H^0 and H^1 weights, before the report shift.  A
-    # refusal (a truncated module whose X coefficient has degree 3 cannot
-    # be certified) leaves no answer to compare.
+    # truncated module whose X coefficient has degree 3 cannot be
+    # certified, so it is compared through its window-only answer.
     compared = 0
     for m in _exact_at_both_ends():
         for direction, op in (("n", "x"), ("nbar", "y")):
-            res = _outcome(cohomology, m, direction, True)
-            if not isinstance(res, CohomologyResult):
-                continue
+            res = cohomology(m, direction, allow_uncertified=True)
             g = _global_operator(m, op)
             assert _basis_weights(m, oracle.kernel(*g)) == sorted(
                 line.weight for line in res.h0), (m, direction)
@@ -299,7 +297,7 @@ def _per_weight_cohomology(m, direction, allow_uncertified=False):
 def _outcome(compute, m, direction, allow):
     try:
         return compute(m, direction, allow)
-    except (ValidationError, UnsupportedFamilyError, CertificateError, ValueError) as err:
+    except (ValidationError, UnsupportedFamilyError, CertificateError) as err:
         return type(err)
 
 
@@ -369,6 +367,7 @@ def test_root_candidates_agree_with_every_weight():
     family = [m for base in _family_grid() for m in (base, n_finite_dual(base))]
     modules = family + [_hand_made_ladder(rng) for _ in range(1200)]
     kinds = {}
+    unlisted_roots = 0
     for m in modules:
         for direction in ("n", "nbar"):
             want = None
@@ -380,7 +379,31 @@ def test_root_candidates_agree_with_every_weight():
                 kind = want.__name__ if isinstance(want, type) else (
                     "certified" if want.certified else "window-only")
                 kinds[kind] = kinds.get(kind, 0) + 1
+            coeff = m.ladder.coeff_x if direction == "n" else m.ladder.coeff_y
+            if not m.is_finite and coeff.degree > 2 and check_bracket_relations(m):
+                # Roots of degree > 2 go unlisted: refused by default, flagged
+                # window-only on request.
+                assert _outcome(cohomology, m, direction, False) is UnsupportedFamilyError
+                assert cohomology(m, direction, allow_uncertified=True).certified is False
+                unlisted_roots += 1
     # Answers of both kinds and every refusal are exercised.
     for kind in ("certified", "window-only", "ValidationError", "CertificateError",
-                 "UnsupportedFamilyError", "ValueError"):
+                 "UnsupportedFamilyError"):
         assert kinds.get(kind, 0) >= 20, kinds
+    assert unlisted_roots >= 20, unlisted_roots
+
+
+def test_unlisted_roots_refuse_by_default_and_flag_window_only():
+    # With Y coefficient -1, X coefficient (i+1)(i+2) satisfies the bracket
+    # from weight 2 up; (i+1)(i+2) + i(i-1)(i-2) agrees with it on the ladder
+    # indices {0, 1, 2} of the window, but has degree 3.
+    cx = IndexPoly((2, 5, -2, 1))
+    m = WeightModule("hand-made", LadderInfo(2, cx, IndexPoly((-1,))), 2, 3, True, False, 5)
+    assert check_bracket_relations(m)
+    with pytest.raises(UnsupportedFamilyError, match="cannot be listed"):
+        stabilization_certificate(m, "n")
+    with pytest.raises(UnsupportedFamilyError):
+        cohomology(m, "n")
+    res = cohomology(m, "n", allow_uncertified=True)
+    assert res.certified is False and res.certificate is None
+    assert res == _per_weight_cohomology(m, "n", allow_uncertified=True)

@@ -4,11 +4,13 @@ About two hundred argument vectors are drawn with a fixed seed over the
 documented subcommands and flags (corpus aside) and handed to djem.cli.main.
 Every one must end in a documented way: exit 0, 2, 3 or 4, or argparse's
 usage error (SystemExit(2)).  Any other exception, a traceback, fails the
-test with the argv that raised it.  Sizes stay small (|k|, |ell| and --trunc
-at most 200) except for values drawn just past SIZE_LIMIT, which must be
-refused before anything is built.
+test with the argv that raised it.  A --json answer must be in json's
+sorted, indent-2, ASCII layout, byte for byte.  Sizes stay small (|k|,
+|ell| and --trunc at most 200) except for values drawn just past
+SIZE_LIMIT, which must be refused before anything is built.
 """
 
+import json
 import random
 
 from djem.cli import P_LIMIT, SIZE_LIMIT, TRUNC_ENV_VAR, main
@@ -169,7 +171,7 @@ def _cases(tmp_path):
 
 def test_every_fuzzed_argv_ends_in_a_documented_way(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(TRUNC_ENV_VAR, raising=False)
-    codes = {}
+    codes, documents = {}, 0
     for argv in _cases(tmp_path):
         try:
             code = main(argv)
@@ -180,6 +182,11 @@ def test_every_fuzzed_argv_ends_in_a_documented_way(tmp_path, capsys, monkeypatc
             raise AssertionError(f"{argv} raised {exc!r}") from exc
         assert code == "usage" or code in DOCUMENTED_EXITS, (argv, code)
         codes[code] = codes.get(code, 0) + 1
-        capsys.readouterr()
-    # The draw reaches answers and refusals alike.
+        out = capsys.readouterr().out
+        if code == 0 and out.startswith("{"):
+            assert out == json.dumps(json.loads(out), sort_keys=True, indent=2,
+                                     ensure_ascii=True) + "\n", argv
+            documents += 1
+    # The draw reaches answers, JSON documents among them, and refusals alike.
     assert codes.get(0, 0) >= 20 and codes.get(2, 0) >= 20 and codes.get("usage", 0) >= 5, codes
+    assert documents >= 10, documents

@@ -1,0 +1,79 @@
+"""reporting.serialize against json.dumps(doc, sort_keys=True, indent=2,
+ensure_ascii=True) + "\\n", byte for byte: on every corpus document and on
+seeded random documents that reach every branch of the layout and of
+json's ASCII escaping.  The command line's --json output is checked the same
+way in test_fuzz_cli."""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from djem.cli import _parser, _run_handler, corpus_manifest
+from djem.reporting import make_document, serialize
+
+SEED = 20261018
+DOCUMENTS = 2000
+
+# Each a string json escapes, or must leave alone, in its own way: quote,
+# backslash, slash, controls with and without a short escape, DEL, Latin-1,
+# BMP and astral characters (the last two written as surrogate pairs).
+ODD_CHARACTERS = ('"', "\\", "/", "\n", "\r", "\t", "\b", "\f", "\x00", "\x1f", "\x7f",
+                  "\xe9", "\xff", "\xa0", "\u00bd", "\u2028", "\ufeff", "\U0001f600",
+                  "\U0010ffff")
+
+
+def _dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+def test_serialize_matches_json_on_every_corpus_document():
+    for name, argv in corpus_manifest():
+        args = _parser().parse_args(argv)
+        config, result = _run_handler(args)[0]()
+        doc = make_document(args.command, config, result)
+        assert serialize(doc) == _dumps(doc), name
+
+
+def _string(rng):
+    n = rng.choice((0, 1, 2, 5, 12))
+    return "".join(rng.choice(ODD_CHARACTERS) if rng.random() < 0.3
+                   else chr(rng.randint(0x20, 0x7e)) for _ in range(n))
+
+
+def _scalar(rng):
+    r = rng.random()
+    if r < 0.35:
+        return _string(rng)
+    if r < 0.7:
+        return rng.choice((0, 1, -1, rng.randint(-10**6, 10**6), -2**64 - rng.randint(0, 9),
+                           2**64 + rng.randint(0, 9), rng.randint(-10**40, 10**40)))
+    return rng.choice((True, False, None))
+
+
+def _value(rng, depth):
+    r = rng.random()
+    if depth >= 4 or r < 0.4:
+        return _scalar(rng)
+    n = rng.choice((0, 0, 1, 2, 3, 5))
+    if r < 0.6:
+        return [_value(rng, depth + 1) for _ in range(n)]
+    if r < 0.7:
+        return tuple(_value(rng, depth + 1) for _ in range(n))
+    return {_string(rng): _value(rng, depth + 1) for _ in range(n)}
+
+
+def test_serialize_matches_json_on_random_documents():
+    rng = random.Random(SEED)
+    for _ in range(DOCUMENTS):
+        doc = _value(rng, 0)
+        assert serialize(doc) == _dumps(doc), doc
+
+
+@pytest.mark.parametrize("doc", [Fraction(1, 2), {"a": [Fraction(3)]}, {1, 2}, 1.5, [0.0],
+                                 {1: "x"}, {"a": {None: 1}}, {("a",): 0}, b"bytes"],
+                         ids=repr)
+def test_serialize_refuses_what_no_document_holds(doc):
+    with pytest.raises(TypeError):
+        serialize(doc)

@@ -46,10 +46,10 @@ EXIT_CORPUS_SETUP = 6
 
 TRUNC_ENV_VAR = "JACQUET_TRUNC_DEFAULT"
 
-# Largest |k|, |ell| and explicit truncation accepted.  Each module still
-# builds the tuple of its window weights, which grows linearly in each; at
-# this cap a report takes about 0.1 s and 20 MB RSS per CLI call (2 vCPU,
-# Python 3.11.7), about what a call at k = 2 takes.
+# Largest |k|, |ell| and explicit truncation accepted: input validation.  A
+# module stores only the two ends of its window and a report reads only the
+# ends and the coefficient roots, so a report at this cap costs what one at
+# k = 2 does.
 SIZE_LIMIT = 50_000
 
 _RELATION_NAMES = ("psi-eq-phi", "psi-delta-eq-phi-w", "phi-delta-eq-phi-w")

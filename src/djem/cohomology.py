@@ -21,8 +21,9 @@ from djem.linalg import cokernel_basis, kernel
 from djem.sl2 import IndexPoly, WeightModule, check_bracket_relations, n_finite_dual, simple
 from djem.value import Value
 
-# direction -> (operator, weight shift of the operator, degree-1 report shift)
-_DIRECTIONS = {"n": ("x", 2, -2), "nbar": ("y", -2, 2)}
+# direction -> (operator, weight shift of the operator); degree 1 is reported
+# shifted by minus the operator's shift
+_DIRECTIONS = {"n": ("x", 2), "nbar": ("y", -2)}
 
 
 class StabilizationCertificate(Value):
@@ -89,7 +90,7 @@ def stabilization_certificate(m: WeightModule, direction: str) -> StabilizationC
     """
     if direction not in _DIRECTIONS:
         raise ValidationError(f"direction must be one of {sorted(_DIRECTIONS)}, got {direction!r}")
-    op, _, _ = _DIRECTIONS[direction]
+    op, _ = _DIRECTIONS[direction]
     if m.is_finite:
         return StabilizationCertificate(op.upper(), None, (), 0, True)
     coeff = m.ladder.coeff_x if op == "x" else m.ladder.coeff_y
@@ -106,34 +107,17 @@ def stabilization_certificate(m: WeightModule, direction: str) -> StabilizationC
     return StabilizationCertificate(op.upper(), coeff, tuple(roots), max(bound, 0), False)
 
 
-def _candidate_weights(m: WeightModule, coeff: IndexPoly, shift: int):
+def _candidate_weights(m: WeightModule, roots, shift: int):
     """Window weights, highest first, where a kernel (shift 0) or cokernel
     (shift = the operator's weight shift) line can sit: the line map is
     nonzero except where the coefficient vanishes or the operator leaves the
-    window, so the two window ends and the in-window roots of the
-    coefficient, moved by shift.  Every weight when the roots cannot be
-    listed (an identically zero coefficient, or degree > 2)."""
-    try:
-        roots = coeff.integer_roots()
-    except ValueError:
+    window, so the two window ends and the in-window integer roots of the
+    coefficient, moved by shift.  Every weight when roots is None (they
+    cannot be listed: an identically zero coefficient, or degree > 2)."""
+    if roots is None:
         return reversed(m.weights)
     moved = (m.lowest_label_weight + m.ladder.step * i + shift for i in roots if 0 <= i < m.length)
     return sorted({m.min_weight, m.max_weight, *filter(m.dim_at, moved)}, reverse=True)
-
-
-def _line_map(m: WeightModule, coeff: IndexPoly, src, dst, certified):
-    """The operator's coefficient from the src line to the dst line, where at
-    least one of the two is in the window: read off the ladder when both are,
-    0 when the other lies past an exact edge (nothing is there) or past a cut
-    in an uncertified answer, and None when it lies past a certified cut: the
-    coefficient at the first index past a cut is certified nonzero, so the
-    true module has no line there."""
-    if m.dim_at(src) and m.dim_at(dst):
-        return coeff(m.index_of_weight(src))
-    other = dst if m.dim_at(src) else src
-    if certified and not (m.top_exact if other > m.max_weight else m.bottom_exact):
-        return None
-    return 0
 
 
 def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False) -> CohomologyResult:
@@ -148,7 +132,7 @@ def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False)
         raise ValidationError(f"direction must be one of {sorted(_DIRECTIONS)}, got {direction!r}")
     if not check_bracket_relations(m):
         raise ValidationError("module fails the bracket identity [X, Y] = H on its window")
-    op, op_shift, report_shift = _DIRECTIONS[direction]
+    op, shift = _DIRECTIONS[direction]
 
     certificate = None
     certified = True
@@ -166,20 +150,30 @@ def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False)
         certified = False
 
     coeff = m.ladder.coeff_x if op == "x" else m.ladder.coeff_y
+    try:
+        roots = coeff.integer_roots()
+    except ValueError:
+        roots = None
+
+    def line(src):
+        # Past a certified cut the coefficient is nonzero, so the true module
+        # has no line there; a window-only answer reads the cut as an edge.
+        c = m.line_coefficient(op, src)
+        return 0 if c is None and not certified else c
+
     h0 = []
-    for mu in _candidate_weights(m, coeff, 0):
-        c = _line_map(m, coeff, mu, mu + op_shift, certified)
+    for mu in _candidate_weights(m, roots, 0):
+        c = line(mu)
         if c is not None and kernel(c):
             h0.append(WeightLines(mu, m.labels_at(mu)))
 
     h1 = []
-    for nu in _candidate_weights(m, coeff, op_shift):
-        c = _line_map(m, coeff, nu - op_shift, nu, certified)
+    for nu in _candidate_weights(m, roots, shift):
+        c = line(nu - shift)
         if c is not None and cokernel_basis(c):
-            h1.append(WeightLines(nu + report_shift, m.labels_at(nu)))
+            h1.append(WeightLines(nu - shift, m.labels_at(nu)))
 
-    return CohomologyResult(direction, tuple(h0), tuple(h1), report_shift,
-                            certificate, certified)
+    return CohomologyResult(direction, tuple(h0), tuple(h1), -shift, certificate, certified)
 
 
 def kostant_check(k) -> bool:

@@ -146,7 +146,7 @@ class WeightModule:
     """
 
     __slots__ = ("family", "ladder", "lowest_label_weight", "length", "bottom_exact",
-                 "top_exact", "truncation", "hatted", "weights")
+                 "top_exact", "truncation", "hatted", "min_weight", "max_weight")
 
     def __init__(self, family, ladder, lowest_label_weight, length, bottom_exact, top_exact,
                  truncation, hatted=False):
@@ -163,8 +163,8 @@ class WeightModule:
         self.top_exact = bool(top_exact)
         self.truncation = None if truncation is None else int(truncation)
         self.hatted = bool(hatted)
-        low = self.lowest_label_weight + min(0, ladder.step * (length - 1))
-        self.weights = tuple(range(low, low + 2 * length, 2))
+        self.min_weight = self.lowest_label_weight + min(0, ladder.step * (length - 1))
+        self.max_weight = self.min_weight + 2 * (length - 1)
 
     # -- window geometry ---------------------------------------------------
 
@@ -173,15 +173,12 @@ class WeightModule:
         return self.truncation is None
 
     @property
-    def min_weight(self):
-        return self.weights[0]
-
-    @property
-    def max_weight(self):
-        return self.weights[-1]
+    def weights(self):
+        """The window weights, lowest first, as a range."""
+        return range(self.min_weight, self.max_weight + 2, 2)
 
     def dim_at(self, mu):
-        return int(self.weights[0] <= mu <= self.weights[-1] and mu % 2 == 0)
+        return int(self.min_weight <= mu <= self.max_weight and mu % 2 == 0)
 
     @property
     def dims(self):
@@ -196,6 +193,20 @@ class WeightModule:
         if r != 0 or q < 0 or q >= self.length:
             raise ValidationError(f"weight {mu} is not on the ladder")
         return q
+
+    def line_coefficient(self, op, src):
+        """The coefficient of op ("x" or "y") from the line at the even weight
+        src to the line at src + 2 (X) or src - 2 (Y): the ladder polynomial
+        at src's index when both lines are in the window; otherwise 0 when the
+        line outside the window lies past an exact edge (nothing is there),
+        and None when it lies past a truncation cut (the window cannot tell)."""
+        dst = src + 2 if op == "x" else src - 2
+        lo, hi = self.min_weight, self.max_weight
+        if lo <= src <= hi and lo <= dst <= hi:
+            poly = self.ladder.coeff_x if op == "x" else self.ladder.coeff_y
+            return poly((src - self.lowest_label_weight) // self.ladder.step)
+        exact = self.top_exact if max(src, dst) > hi else self.bottom_exact
+        return 0 if exact else None
 
     def labels_at(self, mu):
         """The basis label of the mu weight space: (e_i,), or (ê_i,) when hatted."""
@@ -304,16 +315,13 @@ def check_bracket_relations(m: WeightModule) -> bool:
 
 
 def _bracket_holds_at(m: WeightModule, mu) -> bool:
-    """The bracket on the mu weight space, read off the ladder coefficients,
-    or True when a coefficient it needs points past a truncation cut.  A term
-    whose operator leaves the window past an exact edge is zero."""
-    below, above = mu - 2 >= m.min_weight, mu + 2 <= m.max_weight
-    if (not above and not m.top_exact) or (not below and not m.bottom_exact):
+    """The bracket on the mu weight space, read off the line coefficients,
+    or True when a coefficient it needs points past a truncation cut."""
+    x_up, y_down = m.line_coefficient("x", mu), m.line_coefficient("y", mu)
+    if x_up is None or y_down is None:
         return True
-    i, s = m.index_of_weight(mu), 2 // m.ladder.step
-    cx, cy = m.ladder.coeff_x, m.ladder.coeff_y
-    xy = cx(i - s) * cy(i) if below else 0
-    yx = cy(i + s) * cx(i) if above else 0
+    xy = m.line_coefficient("x", mu - 2) * y_down
+    yx = m.line_coefficient("y", mu + 2) * x_up
     return xy - yx == mu
 
 
@@ -356,14 +364,11 @@ class ModuleMap:
         A side whose vector is missing is zero; a source coefficient pointing
         past a truncation cut is unknowable and skipped."""
         s, t = self.source, self.target
-        for delta, edge_exact, coeff_s, coeff_t in (
-                (2, s.top_exact, s.ladder.coeff_x, t.ladder.coeff_x),
-                (-2, s.bottom_exact, s.ladder.coeff_y, t.ladder.coeff_y)):
-            nu = mu + delta
-            if not t.dim_at(nu) or (not s.dim_at(nu) and not edge_exact):
+        for op, nu in (("x", mu + 2), ("y", mu - 2)):
+            rhs = s.line_coefficient(op, mu)
+            if rhs is None or not t.dim_at(nu):
                 continue
-            lhs = coeff_t(t.index_of_weight(mu)) if t.dim_at(mu) else 0
-            rhs = coeff_s(s.index_of_weight(mu)) if s.dim_at(nu) else 0
+            lhs = t.line_coefficient(op, mu) if t.dim_at(mu) else 0
             if lhs != rhs:
                 return False
         return True

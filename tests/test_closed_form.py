@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from djem.characters import SmoothCharacter, TRIVIAL_PSI
+from djem.cli import SIZE_LIMIT
 from djem.cohomology import kostant_check, stabilization_certificate
 from djem.errors import CertificateError
 from djem.jacquet import OrlikStrauchSpec, assemble_les, build_module, les_consistency_check
@@ -57,6 +58,16 @@ def test_jacquet_reports_match_the_closed_form():
                 assert got == oracle.jacquet_result(family, k, psi), (family, k, psi)
                 checked += 1
     assert checked == 2 * (len(ks) + 2 * sum(1 for k in ks if k >= 0))
+
+
+def test_jacquet_reports_match_the_closed_form_at_the_size_limit():
+    # A report reads only the window ends and the coefficient roots, so the
+    # largest k the command line accepts costs what a small one does.
+    for family, k in (("verma", -SIZE_LIMIT), ("verma", SIZE_LIMIT), ("dualverma", SIZE_LIMIT)):
+        for psi, character in _psis():
+            report = assemble_les(OrlikStrauchSpec(family, k, character))
+            got = json.loads(json.dumps(jacquet_result_json(report)))
+            assert got == oracle.jacquet_result(family, k, psi), (family, k, psi)
 
 
 def _report_json(family, k, character, trunc=None):

@@ -39,7 +39,7 @@ def test_dual_blocks_are_the_negated_paired_blocks():
     checked = 0
     for m in _grid():
         d = n_finite_dual(m)
-        assert d.weights == tuple(sorted(-mu for mu in m.weights))
+        assert tuple(d.weights) == tuple(sorted(-mu for mu in m.weights))
         window = set(m.weights)
         for mu in m.weights:
             if mu + 2 in window:

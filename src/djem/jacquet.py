@@ -157,7 +157,9 @@ def hecke_eigenvalue(chi: TorusCharacter, psi: SmoothCharacter = TRIVIAL_PSI):
     return chi.z_eigenvalue(psi)
 
 
-def _degree_report(section_chars, stalk_chars, psi) -> DegreeReport:
+def _degree_report(section_chars, stalk_chars, eigenvalues) -> DegreeReport:
+    """One degree of a spliced report; eigenvalues maps each character to
+    its Hecke eigenvalue."""
     if not section_chars and not stalk_chars:
         flag = ExtensionFlag("zero")
     elif section_chars and stalk_chars:
@@ -165,7 +167,7 @@ def _degree_report(section_chars, stalk_chars, psi) -> DegreeReport:
     else:
         flag = ExtensionFlag("direct-sum-determined")
     jh = tuple(section_chars) + tuple(stalk_chars)
-    hecke = tuple(hecke_eigenvalue(c, psi) for c in jh)
+    hecke = tuple(eigenvalues[c] for c in jh)
     return DegreeReport(jh, flag, hecke, all(u != 0 for _, u in hecke))
 
 
@@ -183,10 +185,14 @@ def assemble_les(spec: OrlikStrauchSpec, trunc=None) -> JacquetReport:
     dual = n_finite_dual(build_module(spec, trunc))
     section = _section_characters(dual)
     stalk = _stalk_characters(dual)
-    t0_values = {c.z_eigenvalue(spec.psi) for c in stalk[0]}
-    forced_zero = t0_values.isdisjoint(c.z_eigenvalue(spec.psi) for c in section[1])
+    # Each distinct character's z-eigenvalue, once: the splice decision and
+    # the Hecke lists both read it.
+    characters = dict.fromkeys(c for part in (section, stalk) for i in (0, 1) for c in part[i])
+    eigenvalues = {c: hecke_eigenvalue(c, spec.psi) for c in characters}
+    t0_values = {eigenvalues[c] for c in stalk[0]}
+    forced_zero = t0_values.isdisjoint(eigenvalues[c] for c in section[1])
     if forced_zero:
-        degrees = {i: _degree_report(section[i], stalk[i], spec.psi) for i in (0, 1)}
+        degrees = {i: _degree_report(section[i], stalk[i], eigenvalues) for i in (0, 1)}
     else:
         degrees = {
             i: DegreeReport((), ExtensionFlag("connecting-undetermined",

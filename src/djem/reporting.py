@@ -26,7 +26,8 @@ VALUE_DIGIT_CAP = 4000
 
 
 def frac_str(x) -> str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -66,43 +67,67 @@ def smooth_character_json(psi: SmoothCharacter):
     }
 
 
-def character_json(chi: TorusCharacter, psi: SmoothCharacter, p=None):
-    return {
-        "weight": chi.weight,
-        "psi_exp": chi.psi_exp,
-        "psiw_exp": chi.psiw_exp,
-        "delta_exp": chi.delta_exp,
-        "text": chi.text(),
-        "eigenvalue": eigenvalue_json(chi.z_eigenvalue(psi), p),
-    }
+class _Characters:
+    """The JSON objects of the characters of one report over one psi: each
+    distinct character, and each distinct eigenvalue, is rendered once, and
+    every list that names it shares its object."""
+
+    __slots__ = ("psi", "p", "characters", "eigenvalues")
+
+    def __init__(self, psi: SmoothCharacter, p=None):
+        self.psi = psi
+        self.p = p
+        self.characters = {}
+        self.eigenvalues = {}
+
+    def eigenvalue(self, pair):
+        out = self.eigenvalues.get(pair)
+        if out is None:
+            out = self.eigenvalues[pair] = eigenvalue_json(pair, self.p)
+        return out
+
+    def character(self, chi: TorusCharacter):
+        out = self.characters.get(chi)
+        if out is None:
+            out = self.characters[chi] = {
+                "weight": chi.weight,
+                "psi_exp": chi.psi_exp,
+                "psiw_exp": chi.psiw_exp,
+                "delta_exp": chi.delta_exp,
+                "text": chi.text(),
+                "eigenvalue": self.eigenvalue(chi.z_eigenvalue(self.psi)),
+            }
+        return out
+
+    def of(self, chars):
+        return [self.character(c) for c in chars]
 
 
-def extension_json(flag, psi, p=None):
+def extension_json(flag, chars: _Characters):
     out = {"kind": flag.kind}
     if flag.kind == "ext-class-undetermined":
-        out["sub"] = [character_json(c, psi, p) for c in flag.sub]
-        out["quot"] = [character_json(c, psi, p) for c in flag.quot]
+        out["sub"] = chars.of(flag.sub)
+        out["quot"] = chars.of(flag.quot)
     elif flag.kind == "connecting-undetermined":
-        out["section"] = [character_json(c, psi, p) for c in flag.sub]
-        out["stalk"] = [character_json(c, psi, p) for c in flag.quot]
+        out["section"] = chars.of(flag.sub)
+        out["stalk"] = chars.of(flag.quot)
     return out
 
 
 def jacquet_result_json(report: JacquetReport, p=None):
-    psi = report.spec.psi
-    chars = lambda cs: [character_json(c, psi, p) for c in cs]
+    chars = _Characters(report.spec.psi, p)
     degrees = {}
     for i in (0, 1):
         deg = report.degrees[i]
         degrees[str(i)] = {
-            "jh_factors": chars(deg.jh_factors),
-            "extension": extension_json(deg.extension, psi, p),
-            "hecke_eigenvalues": [eigenvalue_json(e, p) for e in deg.hecke_eigenvalues],
+            "jh_factors": chars.of(deg.jh_factors),
+            "extension": extension_json(deg.extension, chars),
+            "hecke_eigenvalues": [chars.eigenvalue(e) for e in deg.hecke_eigenvalues],
             "finite_slope_complete": deg.finite_slope_complete,
         }
     return {
-        "section": {"0": chars(report.section[0]), "1": chars(report.section[1])},
-        "stalk": {"0": chars(report.stalk[0]), "1": chars(report.stalk[1])},
+        "section": {"0": chars.of(report.section[0]), "1": chars.of(report.section[1])},
+        "stalk": {"0": chars.of(report.stalk[0]), "1": chars.of(report.stalk[1])},
         "degrees": degrees,
         "connecting_map_forced_zero": report.connecting_map_forced_zero,
         "finite_slope_complete": report.finite_slope_complete,
@@ -179,15 +204,16 @@ def cohomology_text(res: CohomologyResult):
 
 
 def ext_case_json(case: ExtCase, p=None):
+    phi_chars = _Characters(case.phi, p)
     return {
         "k": case.k,
         "ell": case.ell,
         "verdict": case.verdict,
         "fired_bullets": list(case.fired_bullets),
         "relations": dict(sorted(case.relations.items())),
-        "source_character": character_json(case.source_character, case.psi, p),
-        "h1_factors": [character_json(c, case.phi, p) for c in case.h1_factors],
-        "matched_factors": [character_json(c, case.phi, p) for c in case.matched_factors],
+        "source_character": _Characters(case.psi, p).character(case.source_character),
+        "h1_factors": phi_chars.of(case.h1_factors),
+        "matched_factors": phi_chars.of(case.matched_factors),
         "hom_bound": None if case.hom_bound is None else
             {"min": case.hom_bound[0], "max": case.hom_bound[1]},
     }
@@ -231,16 +257,25 @@ def serialize(doc) -> str:
     ensure_ascii=True) + "\\n", byte for byte.
 
     json runs its C encoder only when indent is None, so an indented dump goes
-    through the pure-Python one; this emitter writes the same bytes directly.
-    It takes what djem documents hold: dicts with str keys, lists and tuples,
-    str, int, bool and None.  Anything else raises TypeError."""
-    return _encode(doc, "\n") + "\n"
+    through the pure-Python one; this emitter writes the same bytes directly,
+    into one list of chunks.  It takes what djem documents hold: dicts with
+    str keys, lists and tuples, str, int, bool and None, subclasses included.
+    Anything else raises TypeError."""
+    out = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _encode(o, newline) -> str:
-    """o as JSON; newline is "\\n" plus the indent of the line o starts on."""
+# The JSON kind of each exact type a document holds; _kind decides the rest.
+_KINDS = {str: str, int: int, list: list, tuple: list, dict: dict}
+
+
+def _kind(o):
+    """The JSON kind of o by json's own isinstance tests, in json's order:
+    str, int, list or dict, or the literal itself for None, True and False."""
     if isinstance(o, str):
-        return _quote(o)
+        return str
     if o is None:
         return "null"
     if o is True:
@@ -248,19 +283,67 @@ def _encode(o, newline) -> str:
     if o is False:
         return "false"
     if isinstance(o, int):
-        return int.__repr__(o)
-    inner = newline + "  "
+        return int
     if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in o]) + newline + "]"
+        return list
     if isinstance(o, dict):
+        return dict
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _write(o, newline, out):
+    """Appends o as JSON to out; newline is "\\n" plus the indent of the line
+    o starts on.  A scalar of an exact type inside a container is written in
+    place, without a call."""
+    kind = _KINDS.get(type(o)) or _kind(o)
+    if kind is str:
+        out.append(_quote(o))
+    elif kind is int:
+        out.append(int.__repr__(o))
+    elif kind is list:
         if not o:
-            return "{}"
-        items = []
+            out.append("[]")
+            return
+        inner = newline + "  "
+        comma, sep = "," + inner, "[" + inner
+        for v in o:
+            out.append(sep)
+            sep = comma
+            t = type(v)
+            if t is str:
+                out.append(_quote(v))
+            elif t is int:
+                out.append(int.__repr__(v))
+            elif t is bool:
+                out.append("true" if v else "false")
+            elif v is None:
+                out.append("null")
+            else:
+                _write(v, inner, out)
+        out.append(newline + "]")
+    elif kind is dict:
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        comma, sep = "," + inner, "{" + inner
         for key in sorted(o):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(_quote(key) + ": " + _encode(o[key], inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+            out.append(sep + _quote(key) + ": ")
+            sep = comma
+            v = o[key]
+            t = type(v)
+            if t is str:
+                out.append(_quote(v))
+            elif t is int:
+                out.append(int.__repr__(v))
+            elif t is bool:
+                out.append("true" if v else "false")
+            elif v is None:
+                out.append("null")
+            else:
+                _write(v, inner, out)
+        out.append(newline + "}")
+    else:
+        out.append(kind)

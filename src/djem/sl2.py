@@ -146,7 +146,8 @@ class WeightModule:
     """
 
     __slots__ = ("family", "ladder", "lowest_label_weight", "length", "bottom_exact",
-                 "top_exact", "truncation", "hatted", "min_weight", "max_weight")
+                 "top_exact", "truncation", "hatted", "min_weight", "max_weight",
+                 "bracket_verdict")
 
     def __init__(self, family, ladder, lowest_label_weight, length, bottom_exact, top_exact,
                  truncation, hatted=False):
@@ -165,6 +166,9 @@ class WeightModule:
         self.hatted = bool(hatted)
         self.min_weight = self.lowest_label_weight + min(0, ladder.step * (length - 1))
         self.max_weight = self.min_weight + 2 * (length - 1)
+        # check_bracket_relations' answer, stored by its first call: the
+        # module never changes, so neither does the answer.
+        self.bracket_verdict = None
 
     # -- window geometry ---------------------------------------------------
 
@@ -179,11 +183,6 @@ class WeightModule:
 
     def dim_at(self, mu):
         return int(self.min_weight <= mu <= self.max_weight and mu % 2 == 0)
-
-    @property
-    def dims(self):
-        """{weight: 1} over the window, built on each access."""
-        return dict.fromkeys(self.weights, 1)
 
     def total_dim(self):
         return self.length
@@ -309,9 +308,13 @@ def check_bracket_relations(m: WeightModule) -> bool:
     polynomial identity in i of degree at most d = max(deg cx + deg cy, 1).
     A nonzero polynomial of degree <= d has at most d roots, so the lowest
     d + 2 weights (d + 1 of them interior) and the top weight decide it.
+    The verdict is stored on the module, so a module is checked once.
     """
-    d = max(m.ladder.coeff_x.degree + m.ladder.coeff_y.degree, 1)
-    return all(_bracket_holds_at(m, mu) for mu in (*m.weights[:d + 2], m.max_weight))
+    if m.bracket_verdict is None:
+        d = max(m.ladder.coeff_x.degree + m.ladder.coeff_y.degree, 1)
+        m.bracket_verdict = all(_bracket_holds_at(m, mu)
+                                for mu in (*m.weights[:d + 2], m.max_weight))
+    return m.bracket_verdict
 
 
 def _bracket_holds_at(m: WeightModule, mu) -> bool:
@@ -373,13 +376,19 @@ class ModuleMap:
                 return False
         return True
 
-    def cokernel_dims(self):
-        """{weight: 1} at each target weight the source window does not reach:
-        the map is onto each target weight the source also has.  Weights with
-        a zero cokernel are not listed."""
+    def cokernel_ranges(self):
+        """The cokernel as the target weights below and above the source
+        window, two ranges (either may be empty): the map is onto each target
+        weight the source also has, and misses every other."""
         s, t = self.source, self.target
         below = range(t.min_weight, min(t.max_weight + 2, s.min_weight), 2)
         above = range(max(t.min_weight, s.max_weight + 2), t.max_weight + 2, 2)
+        return below, above
+
+    def cokernel_dims(self):
+        """{weight: 1} at each weight of cokernel_ranges(); weights with a zero
+        cokernel are not listed."""
+        below, above = self.cokernel_ranges()
         return dict.fromkeys((*below, *above), 1)
 
 

@@ -432,6 +432,33 @@ def test_connecting_undetermined_surfaced(capsys):
     assert result["degrees"]["0"]["jh_factors"] == []
 
 
+def test_connecting_undetermined_at_a_concrete_prime(capsys):
+    # psi(z) = -p^6 at k = 4: the stalk H^0 line chi_4 psi^w and the section
+    # H^1 line chi_{-6} psi delta_P share the z-eigenvalue -p^-2, so nothing
+    # is spliced, and every candidate is rendered at p = 5.
+    code, out, _ = run(capsys, "jacquet", "--family", "simple", "--k", "4", "--psi", "chi",
+                       "--psi-val", "6", "--psi-unit", "-1", "--p", "5", "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["connecting_map_forced_zero"] is False
+    values = {}
+    for i in ("0", "1"):
+        degree = result["degrees"][i]
+        assert degree["extension"]["kind"] == "connecting-undetermined"
+        assert degree["jh_factors"] == [] and degree["hecke_eigenvalues"] == []
+        for side in ("section", "stalk"):
+            assert degree["extension"][side] == result[side][i]
+            (chi,) = degree["extension"][side]
+            values[side, i] = (chi["text"], chi["eigenvalue"])
+    assert values == {
+        ("section", "0"): ("chi_{4} psi delta_P", {"p_exp": 8, "unit": "-1/1", "value": "-390625/1"}),
+        ("stalk", "0"): ("chi_{4} psi^w", {"p_exp": -2, "unit": "-1/1", "value": "-1/25"}),
+        ("section", "1"): ("chi_{-6} psi delta_P", {"p_exp": -2, "unit": "-1/1", "value": "-1/25"}),
+        ("stalk", "1"): ("chi_{-6} psi^w", {"p_exp": -12, "unit": "-1/1",
+                                            "value": "-1/244140625"}),
+    }
+
+
 def test_ext_bound_command(capsys):
     code, out, _ = run(capsys, "ext-bound", "--k", "-4", "--ell", "2", "--json")
     assert code == 0
@@ -468,6 +495,20 @@ def test_corpus_run_parallel_matches_sequential(capsys):
     assert code == 0
     assert "36 fixtures, 36 passed, 0 failed" in parallel
     assert parallel == sequential
+
+
+def test_corpus_threads_share_the_subcommand_parsers(capsys):
+    # Every worker thread parses through the same cached subcommand parsers;
+    # a switch interval this short interleaves the threads inside a parse.
+    code, sequential, _ = run(capsys, "corpus", "run", "--json")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert run(capsys, "corpus", "run", "--json", "--parallel", "8") == (code, sequential, "")
+    finally:
+        sys.setswitchinterval(interval)
+    assert code == 0 and json.loads(sequential)["result"]["passed"] == 36
 
 
 def test_corpus_manifest_covers_required_cases():

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from djem.characters import SmoothCharacter, TRIVIAL_PSI
-from djem.cli import SIZE_LIMIT
+from djem.cli import SIZE_LIMIT, TRUNC_ENV_VAR, main
 from djem.cohomology import kostant_check, stabilization_certificate
 from djem.errors import CertificateError
 from djem.jacquet import OrlikStrauchSpec, assemble_les, build_module, les_consistency_check
@@ -88,6 +88,22 @@ def test_reports_are_the_same_from_the_minimal_certified_window():
                 if t_min > 0:
                     with pytest.raises(CertificateError):
                         assemble_les(OrlikStrauchSpec(family, k, character), t_min - 1)
+
+
+def test_cohomology_documents_match_the_closed_form(capsys, monkeypatch):
+    monkeypatch.delenv(TRUNC_ENV_VAR, raising=False)
+    checked = 0
+    for family in ("verma", "dualverma", "simple"):
+        for k in range(-WINDOW_K_MAX if family == "verma" else 0, WINDOW_K_MAX + 1, 2):
+            for direction in ("n", "nbar"):
+                code = main(["cohomology", "--family", family, "--k", str(k),
+                             "--direction", direction, "--json"])
+                doc = json.loads(capsys.readouterr().out)
+                want = oracle.cohomology_result(family, k, direction)
+                assert code == 0 and doc["command"] == "cohomology", (family, k, direction)
+                assert {key: doc["result"].get(key) for key in want} == want, (family, k, direction)
+                checked += 1
+    assert checked == 166
 
 
 def test_kostant_check_up_to_k_max():

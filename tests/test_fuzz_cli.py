@@ -158,8 +158,8 @@ def _config_text(rng):
     return "\n".join(lines) + "\n"
 
 
-def _cases(tmp_path):
-    rng = random.Random(SEED)
+def _cases(tmp_path, seed=SEED):
+    rng = random.Random(seed)
     for n in range(CASES):
         argv = _subcommand_argv(rng)
         if rng.random() < 0.15:

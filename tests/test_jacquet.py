@@ -140,6 +140,35 @@ def test_connecting_map_refused_on_matching_eigenvalues():
     assert r.degrees[0].extension.quot == (stk(k),)
 
 
+def test_connecting_map_is_undetermined_exactly_on_the_matching_psis():
+    # Only simple has both a stalk H^0 line, stk(k), and a section H^1 line,
+    # sec(-(k+2)).  Their z-eigenvalues p^(k - v) u^-1 and p^(v - k - 4) u
+    # agree iff v = k + 2 and u = +-1, and only then may the connecting map
+    # be nonzero.
+    undetermined = []
+    for family in ("verma", "dualverma", "simple"):
+        for k in range(0, 9, 2):
+            for val in range(-12, 13):
+                for unit in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)):
+                    psi = SmoothCharacter("chi", val, unit)
+                    r = assemble_les(OrlikStrauchSpec(family, k, psi))
+                    if r.connecting_map_forced_zero:
+                        for i in (0, 1):
+                            deg = r.degrees[i]
+                            assert deg.jh_factors == r.section[i] + r.stalk[i]
+                            assert deg.hecke_eigenvalues == tuple(c.z_eigenvalue(psi)
+                                                                  for c in deg.jh_factors)
+                        continue
+                    undetermined.append((family, k, val, unit))
+                    for i in (0, 1):
+                        deg = r.degrees[i]
+                        assert deg.extension.kind == "connecting-undetermined"
+                        assert (deg.extension.sub, deg.extension.quot) == (r.section[i], r.stalk[i])
+                        assert deg.jh_factors == () and deg.hecke_eigenvalues == ()
+    assert undetermined == [("simple", k, k + 2, u) for k in range(0, 9, 2)
+                            for u in (Fraction(1), Fraction(-1))]
+
+
 def test_hecke_eigenvalues_and_finite_slope():
     psi = SmoothCharacter("a", 1, Fraction(2, 3))
     r = assemble_les(OrlikStrauchSpec("verma", -4, psi))

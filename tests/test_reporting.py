@@ -1,16 +1,19 @@
 """reporting.serialize against json.dumps(doc, sort_keys=True, indent=2,
-ensure_ascii=True) + "\\n", byte for byte: on every corpus document and on
+ensure_ascii=True) + "\\n", byte for byte: on every corpus document, on
 seeded random documents that reach every branch of the layout and of
-json's ASCII escaping.  The command line's --json output is checked the same
-way in test_fuzz_cli."""
+json's ASCII escaping, on subclasses of dict, str, int and tuple, on deep
+nesting and on empty containers at every level.  The command line's
+--json output is checked the same way in test_fuzz_cli."""
 
+import enum
 import json
 import random
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 
 import pytest
 
-from djem.cli import _parser, _run_handler, corpus_manifest
+from djem.cli import _parse_args, _run_handler, corpus_manifest
 from djem.reporting import make_document, serialize
 
 SEED = 20261018
@@ -30,7 +33,7 @@ def _dumps(doc):
 
 def test_serialize_matches_json_on_every_corpus_document():
     for name, argv in corpus_manifest():
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
         config, result = _run_handler(args)[0]()
         doc = make_document(args.command, config, result)
         assert serialize(doc) == _dumps(doc), name
@@ -68,6 +71,58 @@ def test_serialize_matches_json_on_random_documents():
     rng = random.Random(SEED)
     for _ in range(DOCUMENTS):
         doc = _value(rng, 0)
+        assert serialize(doc) == _dumps(doc), doc
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not what json writes"
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+_Pair = namedtuple("_Pair", "a b")
+
+
+def _nested(depth):
+    """depth levels of lists and dicts in turn, each also holding an empty
+    container of the other kind, around one leaf."""
+    doc = "leaf"
+    for level in range(depth):
+        doc = [doc, {}] if level % 2 else {"inner": doc, "empty": []}
+    return doc
+
+
+def _empty_at_every_level(depth):
+    for level in range(depth + 1):
+        for empty in ([], {}, ()):
+            doc = empty
+            for wrap in range(level):
+                doc = {"k": doc} if wrap % 2 else [doc]
+            yield doc
+
+
+@pytest.mark.parametrize("doc", [
+    OrderedDict([("b", 1), ("a", [OrderedDict()]), ("c", OrderedDict([("z", None), ("y", True)]))]),
+    _Str("plain"), _Str('esc"aped\n\u00e9'), {_Str("key"): _Str("value"), "list": [_Str("")]},
+    _Int(7), [_Int(-3), {"n": _Int(2 ** 70)}], {"level": _Level.LOW}, [_Level.LOW],
+    _Pair(1, [_Pair("x", None)]), {"t": (1, (2, ()), [])},
+    _nested(40), _nested(41),
+], ids=lambda doc: type(doc).__name__)
+def test_serialize_matches_json_on_subclasses_and_deep_nesting(doc):
+    assert serialize(doc) == _dumps(doc)
+
+
+def test_serialize_matches_json_on_empty_containers_at_every_level():
+    docs = list(_empty_at_every_level(6))
+    assert len(docs) == 21
+    for doc in docs:
         assert serialize(doc) == _dumps(doc), doc
 
 

@@ -30,7 +30,7 @@ def test_verma_lowering_matches_closed_form():
 def test_verma_generating_vector():
     m = verma(6, 8)
     assert block(m, 6, "y") == ([], 1)  # Y kills e_0
-    assert m.dims[6] == 1 and m.basis_labels[6] == ("e_0",)
+    assert m.dim_at(6) == 1 and m.basis_labels[6] == ("e_0",)
 
 
 def test_verma_coefficient_root_and_bracket_by_matrices():
@@ -87,7 +87,7 @@ def test_simple_weight_multiset():
     for k in (0, 2, 4, 8):
         s = simple(-k)
         assert tuple(s.weights) == tuple(range(-k, k + 1, 2))
-        assert all(s.dims[w] == 1 for w in s.weights)
+        assert all(s.dim_at(w) == 1 for w in s.weights)
 
 
 def test_simple_rejects_positive_argument():
@@ -262,7 +262,7 @@ def test_weight_module_rejects_other_than_one_dimensional_weight_spaces():
         with pytest.raises(ValidationError, match="LadderInfo of step 2 or -2"):
             WeightModule("generic", bad, 0, 3, True, True, None)
     m = WeightModule("generic", ladder, 0, 3, True, True, None)
-    assert m.dims == {0: 1, 2: 1, 4: 1}
+    assert tuple(m.weights) == (0, 2, 4)
     assert [m.dim_at(mu) for mu in range(-2, 7)] == [0, 0, 1, 0, 1, 0, 1, 0, 0]
 
 
@@ -390,6 +390,24 @@ def test_ladder_shift_agrees_with_per_weight_blocks():
         assert qmap.cokernel_dims() == cokernel
         verdicts[equivariant] = verdicts.get(equivariant, 0) + 1
     assert verdicts.get(True, 0) >= 200 and verdicts.get(False, 0) >= 200, verdicts
+
+
+def test_cokernel_ranges_are_the_missed_target_weights():
+    rng = random.Random(20261022)
+    maps = [_shifted_ladders(rng) for _ in range(500)]
+    maps += [bgg_morphism(k, trunc) for k in range(0, 41, 2) for trunc in (k + 2, 3 * k + 7)]
+    for qmap in maps:
+        below, above = qmap.cokernel_ranges()
+        assert [*below, *above] == sorted(_per_weight_map(qmap)[1])
+        s = qmap.source
+        assert all(mu < s.min_weight for mu in below) and all(mu > s.max_weight for mu in above)
+    # The embedding misses exactly the window of simple(-k), below its source.
+    for k in range(0, 41, 2):
+        for trunc in (k + 2, default_truncation(k), 3 * k + 7):
+            assert bgg_morphism(k, trunc).cokernel_ranges() == (simple(-k).weights, range(0))
+    # A source inside the target leaves a cokernel on both sides.
+    below, above = ModuleMap(verma(4, 2), verma(-2, 10), 3).cokernel_ranges()
+    assert (tuple(below), tuple(above)) == ((-2, 0, 2), (10, 12, 14, 16, 18))
 
 
 def _generic(ladder, lowest, length, bottom_exact, top_exact):

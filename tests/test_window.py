@@ -8,12 +8,13 @@ on hand-computed cases, and against the per-weight blocks of ladder_blocks
 on the family grid and on seeded hand-made ladders.
 """
 
+import argparse
 import random
 import tracemalloc
 
 import pytest
 
-from djem.cli import SIZE_LIMIT
+from djem.cli import SIZE_LIMIT, TRUNC_ENV_VAR, _cmd_bgg_check
 from djem.sl2 import WeightModule, dual_verma, n_finite_dual, simple, verma
 from ladder_blocks import SHIFT, block
 from test_cohomology import _family_grid, _hand_made_ladder
@@ -132,3 +133,20 @@ def test_window_at_the_size_limit_is_constant_size():
     assert (m.min_weight, m.max_weight, len(m.weights)) == (-SIZE_LIMIT, SIZE_LIMIT,
                                                             SIZE_LIMIT + 1)
     assert m.line_coefficient("x", SIZE_LIMIT) == 0 and m.line_coefficient("y", -SIZE_LIMIT) is None
+
+
+def test_bgg_check_at_the_size_limit_builds_no_weight_table(monkeypatch):
+    # The cokernel of the embedding is two ranges, compared with simple(-k)'s
+    # window by range equality, so the decision costs what it does at k = 0.
+    monkeypatch.delenv(TRUNC_ENV_VAR, raising=False)
+    args = argparse.Namespace(command="bgg-check", k=SIZE_LIMIT, trunc=None, p=None, json=True)
+    tracemalloc.start()
+    try:
+        as_json, _ = _cmd_bgg_check(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert as_json() == ({"k": SIZE_LIMIT, "truncation": SIZE_LIMIT + 16},
+                         {"k": SIZE_LIMIT, "passed": True, "equivariant": True,
+                          "cokernel_matches_simple": True})

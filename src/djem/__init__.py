@@ -6,10 +6,11 @@ ladders, with stabilization certificates discharging the truncation.
 
 __version__ = "0.1.0"
 
+from fractions import Fraction as Rational
+
 from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI
 from djem.cohomology import CohomologyResult, StabilizationCertificate, cohomology, kostant_check
 from djem.jacquet import JacquetReport, OrlikStrauchSpec, assemble_les, les_consistency_check
-from djem.linalg import Rational
 from djem.sl2 import WeightModule, dual_verma, n_finite_dual, simple, verma
 
 __all__ = [

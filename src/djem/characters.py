@@ -16,11 +16,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 from djem.errors import ParityError, ValidationError
-from djem.linalg import as_rational
 from djem.value import Value
 
 # z N_0 z^{-1} has index p^2 in N_0.
 DELTA_P_Z_EXPONENT = -2
+
+
+def as_rational(value) -> Fraction:
+    """Coerce ints and "num/den" strings to Fraction; floats are rejected."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, str)):
+        return Fraction(value)
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 class SmoothCharacter(Value):

@@ -26,12 +26,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from djem.characters import SmoothCharacter
+from djem.characters import SmoothCharacter, as_rational
 from djem.cohomology import cohomology, kostant_check
 from djem.errors import (DjemError, TruncationError, UndecidableRelationError,
                          ValidationError)
 from djem.jacquet import OrlikStrauchSpec, assemble_les, build_module, les_consistency_check
-from djem.linalg import as_rational
 from djem.reporting import (check_result_json, cohomology_result_json, cohomology_text,
                             ext_case_json, ext_case_text, jacquet_result_json, jacquet_text,
                             make_document, serialize, smooth_character_json)

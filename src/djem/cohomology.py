@@ -17,13 +17,25 @@ as non-certified.
 from __future__ import annotations
 
 from djem.errors import CertificateError, UnsupportedFamilyError, ValidationError
-from djem.linalg import cokernel_basis, kernel
 from djem.sl2 import IndexPoly, WeightModule, check_bracket_relations, n_finite_dual, simple
 from djem.value import Value
 
 # direction -> (operator, weight shift of the operator); degree 1 is reported
 # shifted by minus the operator's shift
 _DIRECTIONS = {"n": ("x", 2), "nbar": ("y", -2)}
+
+
+# On a ladder every weight space is a line, so the operator between two
+# weight spaces is a single coefficient: its kernel and its cokernel are the
+# full line when the coefficient is zero and nothing otherwise.
+def kernel(coefficient) -> int:
+    """Dimension of the kernel of the line map with this coefficient: 1 or 0."""
+    return int(coefficient == 0)
+
+
+def cokernel_basis(coefficient) -> int:
+    """Dimension of the cokernel of the line map with this coefficient: 1 or 0."""
+    return int(coefficient == 0)
 
 
 class StabilizationCertificate(Value):
@@ -107,16 +119,21 @@ def stabilization_certificate(m: WeightModule, direction: str) -> StabilizationC
     return StabilizationCertificate(op.upper(), coeff, tuple(roots), max(bound, 0), False)
 
 
-def _candidate_weights(m: WeightModule, roots, shift: int):
+def _candidate_weights(m: WeightModule, certificate, shift: int):
     """Window weights, highest first, where a kernel (shift 0) or cokernel
     (shift = the operator's weight shift) line can sit: the line map is
     nonzero except where the coefficient vanishes or the operator leaves the
-    window, so the two window ends and the in-window integer roots of the
-    coefficient, moved by shift.  Every weight when roots is None (they
-    cannot be listed: an identically zero coefficient, or degree > 2)."""
-    if roots is None:
+    window, so the two window ends and the in-window certificate roots of the
+    coefficient, moved by shift.  A finite window's certificate lists no
+    roots, and needs none: exact at both edges and passing the bracket check,
+    a window of L weights has X.Y = i(L - i) != 0 on its interior link i
+    (between the i-th and (i+1)-th weight from the bottom, 0 < i < L), so
+    neither coefficient vanishes inside it.  Every weight when there is no
+    certificate (a cut window whose roots cannot be listed)."""
+    if certificate is None:
         return reversed(m.weights)
-    moved = (m.lowest_label_weight + m.ladder.step * i + shift for i in roots if 0 <= i < m.length)
+    moved = (m.lowest_label_weight + m.ladder.step * i + shift
+             for i in certificate.roots if 0 <= i < m.length)
     return sorted({m.min_weight, m.max_weight, *filter(m.dim_at, moved)}, reverse=True)
 
 
@@ -149,12 +166,6 @@ def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False)
                 f"{certificate.bound}; increase truncation")
         certified = False
 
-    coeff = m.ladder.coeff_x if op == "x" else m.ladder.coeff_y
-    try:
-        roots = coeff.integer_roots()
-    except ValueError:
-        roots = None
-
     def line(src):
         # Past a certified cut the coefficient is nonzero, so the true module
         # has no line there; a window-only answer reads the cut as an edge.
@@ -162,13 +173,13 @@ def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False)
         return 0 if c is None and not certified else c
 
     h0 = []
-    for mu in _candidate_weights(m, roots, 0):
+    for mu in _candidate_weights(m, certificate, 0):
         c = line(mu)
         if c is not None and kernel(c):
             h0.append(WeightLines(mu, m.labels_at(mu)))
 
     h1 = []
-    for nu in _candidate_weights(m, roots, shift):
+    for nu in _candidate_weights(m, certificate, shift):
         c = line(nu - shift)
         if c is not None and cokernel_basis(c):
             h1.append(WeightLines(nu - shift, m.labels_at(nu)))

@@ -73,33 +73,25 @@ def _characters(res, make):
             for degree, lines in ((0, res.h0), (1, res.h1))}
 
 
-def _section_characters(dual):
-    res = cohomology(dual, "n")
-    return _characters(res, lambda w: TorusCharacter(w, psi_exp=1, delta_exp=1))
-
-
-def _stalk_characters(dual):
-    res = cohomology(dual, "nbar")
-    chars = _characters(res, lambda w: TorusCharacter(w, psi_exp=1))
-    return {degree: w_twist_characters(c) for degree, c in chars.items()}
-
-
-def section_cohomology_characters(spec: OrlikStrauchSpec, trunc=None):
+def section_cohomology_characters(dual: WeightModule):
     """Per-degree torus characters of the open-cell section contribution.
 
     X-cohomology of the n-finite dual ladder; every line lands in
     chi_weight psi delta_P.
     """
-    return _section_characters(n_finite_dual(build_module(spec, trunc)))
+    res = cohomology(dual, "n")
+    return _characters(res, lambda w: TorusCharacter(w, psi_exp=1, delta_exp=1))
 
 
-def stalk_cohomology_characters(spec: OrlikStrauchSpec, trunc=None):
+def stalk_cohomology_characters(dual: WeightModule):
     """Per-degree torus characters of the Weyl-point stalk contribution.
 
-    Y-cohomology of the dual ladder tensored by psi, then interpolated
-    through w: weights negate and psi becomes psi^w.
+    Y-cohomology of the n-finite dual ladder tensored by psi, then
+    interpolated through w: weights negate and psi becomes psi^w.
     """
-    return _stalk_characters(n_finite_dual(build_module(spec, trunc)))
+    res = cohomology(dual, "nbar")
+    chars = _characters(res, lambda w: TorusCharacter(w, psi_exp=1))
+    return {degree: w_twist_characters(c) for degree, c in chars.items()}
 
 
 class ExtensionFlag(Value):
@@ -183,8 +175,8 @@ def assemble_les(spec: OrlikStrauchSpec, trunc=None) -> JacquetReport:
     if trunc is None:
         trunc = default_truncation(spec.k)
     dual = n_finite_dual(build_module(spec, trunc))
-    section = _section_characters(dual)
-    stalk = _stalk_characters(dual)
+    section = section_cohomology_characters(dual)
+    stalk = stalk_cohomology_characters(dual)
     # Each distinct character's z-eigenvalue, once: the splice decision and
     # the Hecke lists both read it.
     characters = dict.fromkeys(c for part in (section, stalk) for i in (0, 1) for c in part[i])

@@ -142,15 +142,15 @@ class WeightModule:
 
     The module is its ladder and its window: e_i (ê_i when hatted) spans the
     weight lowest_label_weight + step*i for i = 0 .. length-1, and X and Y
-    act on it by the ladder polynomials at i.
+    act on it by the ladder polynomials at i.  Whether it is finite, and where
+    it is cut, follow from the two edge kinds.
     """
 
     __slots__ = ("family", "ladder", "lowest_label_weight", "length", "bottom_exact",
-                 "top_exact", "truncation", "hatted", "min_weight", "max_weight",
-                 "bracket_verdict")
+                 "top_exact", "hatted", "min_weight", "max_weight", "bracket_verdict")
 
     def __init__(self, family, ladder, lowest_label_weight, length, bottom_exact, top_exact,
-                 truncation, hatted=False):
+                 hatted=False):
         if not isinstance(ladder, LadderInfo) or ladder.step not in (2, -2):
             raise ValidationError("a weight module needs a LadderInfo of step 2 or -2")
         length = int(length)
@@ -162,7 +162,6 @@ class WeightModule:
         self.length = length
         self.bottom_exact = bool(bottom_exact)
         self.top_exact = bool(top_exact)
-        self.truncation = None if truncation is None else int(truncation)
         self.hatted = bool(hatted)
         self.min_weight = self.lowest_label_weight + min(0, ladder.step * (length - 1))
         self.max_weight = self.min_weight + 2 * (length - 1)
@@ -174,7 +173,13 @@ class WeightModule:
 
     @property
     def is_finite(self):
-        return self.truncation is None
+        return self.bottom_exact and self.top_exact
+
+    @property
+    def truncation(self):
+        """The last ladder index kept, length - 1, on a cut window; None when
+        the module is finite."""
+        return None if self.is_finite else self.length - 1
 
     @property
     def weights(self):
@@ -183,9 +188,6 @@ class WeightModule:
 
     def dim_at(self, mu):
         return int(self.min_weight <= mu <= self.max_weight and mu % 2 == 0)
-
-    def total_dim(self):
-        return self.length
 
     def index_of_weight(self, mu):
         q, r = divmod(mu - self.lowest_label_weight, self.ladder.step)
@@ -210,11 +212,6 @@ class WeightModule:
     def labels_at(self, mu):
         """The basis label of the mu weight space: (e_i,), or (ê_i,) when hatted."""
         return (f"{'ê' if self.hatted else 'e'}_{self.index_of_weight(mu)}",)
-
-    @property
-    def basis_labels(self):
-        """{weight: labels_at(weight)} over the window, built on each access."""
-        return {mu: self.labels_at(mu) for mu in self.weights}
 
     def __repr__(self):
         return (f"WeightModule({self.family}, weights [{self.min_weight}, {self.max_weight}], "
@@ -242,8 +239,7 @@ def verma(lam, trunc=None) -> WeightModule:
     """
     lam, trunc = _lowest_weight_and_truncation(lam, trunc)
     ladder = LadderInfo(step=2, coeff_x=IndexPoly((1,)), coeff_y=IndexPoly((0, 1 - lam, -1)))
-    return WeightModule("verma", ladder, lam, trunc + 1, bottom_exact=True, top_exact=False,
-                        truncation=trunc)
+    return WeightModule("verma", ladder, lam, trunc + 1, bottom_exact=True, top_exact=False)
 
 
 def dual_verma(lam, trunc=None) -> WeightModule:
@@ -256,8 +252,7 @@ def dual_verma(lam, trunc=None) -> WeightModule:
     lam, trunc = _lowest_weight_and_truncation(lam, trunc)
     ladder = LadderInfo(step=2, coeff_x=IndexPoly((-lam, -(lam + 1), -1)),
                         coeff_y=IndexPoly((1,)))
-    return WeightModule("dual-verma", ladder, lam, trunc + 1, bottom_exact=True,
-                        top_exact=False, truncation=trunc)
+    return WeightModule("dual-verma", ladder, lam, trunc + 1, bottom_exact=True, top_exact=False)
 
 
 def simple(minus_k) -> WeightModule:
@@ -272,8 +267,7 @@ def simple(minus_k) -> WeightModule:
             f"simple() expects a non-positive lowest weight, got {minus_k}")
     k = -minus_k
     ladder = LadderInfo(step=2, coeff_x=IndexPoly((1,)), coeff_y=IndexPoly((0, k + 1, -1)))
-    return WeightModule("simple", ladder, -k, k + 1, bottom_exact=True, top_exact=True,
-                        truncation=None)
+    return WeightModule("simple", ladder, -k, k + 1, bottom_exact=True, top_exact=True)
 
 
 def n_finite_dual(m: WeightModule) -> WeightModule:
@@ -295,8 +289,7 @@ def n_finite_dual(m: WeightModule) -> WeightModule:
                           coeff_x=-(m.ladder.coeff_x.shifted(-sigma)),
                           coeff_y=-(m.ladder.coeff_y.shifted(sigma)))
     return WeightModule(family_d, ladder_d, -m.lowest_label_weight, m.length,
-                        bottom_exact=m.top_exact, top_exact=m.bottom_exact,
-                        truncation=m.truncation, hatted=not m.hatted)
+                        bottom_exact=m.top_exact, top_exact=m.bottom_exact, hatted=not m.hatted)
 
 
 def check_bracket_relations(m: WeightModule) -> bool:

@@ -7,7 +7,7 @@ rows and a column count, the form `rref_oracle` takes, and read djem's
 answer for the same block off its line maps.
 """
 
-from djem.linalg import cokernel_basis, kernel
+from djem.cohomology import cokernel_basis, kernel
 
 SHIFT = {"x": 2, "y": -2}
 

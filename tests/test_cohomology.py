@@ -104,7 +104,7 @@ def test_unrecognized_family_refuses_by_default():
     # A hand-made ladder whose X coefficient vanishes identically: its
     # one-weight window passes the bracket check, but nothing certifies the cut.
     stripped = WeightModule("generic", LadderInfo(2, IndexPoly(()), IndexPoly((1,))), 0, 1,
-                            bottom_exact=True, top_exact=False, truncation=0)
+                            bottom_exact=True, top_exact=False)
     with pytest.raises(UnsupportedFamilyError, match="vanishes identically"):
         cohomology(stripped, "n")
     res = cohomology(stripped, "n", allow_uncertified=True)
@@ -118,9 +118,39 @@ def test_bracket_precondition_enforced():
     # A wrong Y polynomial: Y e_1 = 7 where verma(-2) has Y e_1 = 1(2 - 0) = 2.
     bad_y = IndexPoly((7,))
     bad = WeightModule("verma", LadderInfo(2, m.ladder.coeff_x, bad_y), m.lowest_label_weight,
-                       m.length, m.bottom_exact, m.top_exact, m.truncation)
+                       m.length, m.bottom_exact, m.top_exact)
     with pytest.raises(ValidationError, match="bracket"):
         cohomology(bad, "n")
+
+
+def test_window_is_cut_or_finite_by_its_edge_kinds():
+    # A module's truncation and finiteness follow from its window, so a cut
+    # window can neither claim a deeper truncation nor pass as finite: the
+    # four weights of verma(-6, 3), exact below and cut above, are cut at 3.
+    v = verma(-6, 3)
+    cut = WeightModule("verma", v.ladder, -6, 4, True, False)
+    assert not cut.is_finite and cut.truncation == 3
+    # Y = i(7 - i) vanishes at index 7, past the window: refused, where the
+    # true module has H^0 = {8, -6} and H^1 = {8}.
+    with pytest.raises(CertificateError, match="truncation 3 is below the certificate bound 8"):
+        cohomology(cut, "nbar")
+    true = cohomology(verma(-6, 50), "nbar")
+    assert true.certified and true.h0_dims() == {8: 1, -6: 1} and true.h1_dims() == {8: 1}
+    # Exact at both edges, the window of simple(-4) is finite and certified.
+    finite = WeightModule("simple", simple(-4).ladder, -4, 5, True, True)
+    assert finite.is_finite and finite.truncation is None
+    res = cohomology(finite, "nbar")
+    assert res.certified and res.h0_dims() == {-4: 1} and res.h1_dims() == {6: 1}
+
+
+def test_truncation_is_the_cut_index():
+    checked = 0
+    for base in _family_grid():
+        for m in (base, n_finite_dual(base)):
+            assert m.is_finite == (m.bottom_exact and m.top_exact)
+            assert m.truncation == (None if m.is_finite else m.length - 1), m
+            checked += 1
+    assert checked == 2 * (41 * 7 * 2 + 21)
 
 
 def test_invalid_direction():
@@ -353,13 +383,12 @@ def _hand_made_ladder(rng):
             cx = [c + d for c, d in zip_longest(cx.coeffs, vanishing.coeffs, fillvalue=0)]
             ladder = LadderInfo(2, IndexPoly(cx), ladder.coeff_y)
         m = WeightModule("hand-made", ladder, w0, length, bottom_exact,
-                         top_exact != (rng.random() < 0.1),
-                         rng.choice((None, rng.randint(0, 40))))
+                         top_exact != (rng.random() < 0.1))
         return n_finite_dual(m) if rng.random() < 0.5 else m
     poly = lambda: IndexPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 4))])
     return WeightModule("hand-made", LadderInfo(rng.choice((2, -2)), poly(), poly()),
                         rng.choice((-2, 0, 2, w0)), rng.randint(1, 3), rng.random() < 0.5,
-                        rng.random() < 0.5, rng.choice((None, rng.randint(0, 5))))
+                        rng.random() < 0.5)
 
 
 def test_root_candidates_agree_with_every_weight():
@@ -393,12 +422,34 @@ def test_root_candidates_agree_with_every_weight():
     assert unlisted_roots >= 20, unlisted_roots
 
 
+def test_coefficient_roots_are_listed_at_most_once_per_call(monkeypatch):
+    calls = []
+    listed = IndexPoly.integer_roots
+
+    def counted(poly):
+        calls.append(poly)
+        return listed(poly)
+
+    monkeypatch.setattr(IndexPoly, "integer_roots", counted)
+    rng = random.Random(20261023)
+    family = [m for base in _family_grid() for m in (base, n_finite_dual(base))]
+    most = 0
+    for m in family + [_hand_made_ladder(rng) for _ in range(300)]:
+        for direction in ("n", "nbar"):
+            for allow in (False, True):
+                calls.clear()
+                _outcome(cohomology, m, direction, allow)
+                assert len(calls) <= 1, (m, direction, allow, calls)
+                most = max(most, len(calls))
+    assert most == 1
+
+
 def test_unlisted_roots_refuse_by_default_and_flag_window_only():
     # With Y coefficient -1, X coefficient (i+1)(i+2) satisfies the bracket
     # from weight 2 up; (i+1)(i+2) + i(i-1)(i-2) agrees with it on the ladder
     # indices {0, 1, 2} of the window, but has degree 3.
     cx = IndexPoly((2, 5, -2, 1))
-    m = WeightModule("hand-made", LadderInfo(2, cx, IndexPoly((-1,))), 2, 3, True, False, 5)
+    m = WeightModule("hand-made", LadderInfo(2, cx, IndexPoly((-1,))), 2, 3, True, False)
     assert check_bracket_relations(m)
     with pytest.raises(UnsupportedFamilyError, match="cannot be listed"):
         stabilization_certificate(m, "n")

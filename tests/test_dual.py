@@ -55,7 +55,8 @@ def test_dual_blocks_are_the_negated_paired_blocks():
 def test_double_dual_gives_the_module_back():
     for m in _grid():
         dd = n_finite_dual(n_finite_dual(m))
-        for attr in ("family", "weights", "basis_labels", "bottom_exact", "top_exact",
+        for attr in ("family", "weights", "length", "bottom_exact", "top_exact",
                      "truncation", "ladder", "hatted"):
             assert getattr(dd, attr) == getattr(m, attr), (m, attr)
+        assert [dd.labels_at(mu) for mu in dd.weights] == [m.labels_at(mu) for mu in m.weights]
         assert _views(dd) == _views(m), m

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 import rref_oracle as oracle
-from djem.linalg import as_rational, cokernel_basis, kernel
+from djem.characters import as_rational
+from djem.cohomology import cokernel_basis, kernel
 from ladder_blocks import line_answer
 
 

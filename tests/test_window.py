@@ -21,8 +21,7 @@ from test_cohomology import _family_grid, _hand_made_ladder
 
 
 def _one_weight(bottom_exact, top_exact):
-    return WeightModule("generic", verma(0, 4).ladder, 0, 1, bottom_exact, top_exact,
-                        None if bottom_exact and top_exact else 0)
+    return WeightModule("generic", verma(0, 4).ladder, 0, 1, bottom_exact, top_exact)
 
 
 # (module, op, src, expected).  verma(-4, 3) has weights -4..2, exact below and

@@ -266,12 +266,11 @@ def _is_prime(n) -> bool:
 
 def _validate_p(p):
     if p is None:
-        return None
+        return
     if p >= P_LIMIT:
         raise ValidationError(f"--p must be below {P_LIMIT}, got a {len(str(p))}-digit value")
     if not _is_prime(p):
         raise ValidationError(f"--p must be prime, got {p}")
-    return p
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -283,15 +282,14 @@ def _validate_p(p):
 def _cmd_jacquet(args):
     psi = _character_from_args(args, "psi")
     trunc = _resolve_trunc(args, args.k)
-    p = _validate_p(args.p)
     report = assemble_les(OrlikStrauchSpec(args.family, args.k, psi), trunc)
 
     def as_json():
         config = {"family": args.family, "k": args.k, "psi": smooth_character_json(psi),
-                  "truncation": trunc, "p": p}
-        return config, jacquet_result_json(report, p)
+                  "truncation": trunc, "p": args.p}
+        return config, jacquet_result_json(report, args.p)
 
-    return as_json, lambda: jacquet_text(report, p)
+    return as_json, lambda: jacquet_text(report, args.p)
 
 
 def _cmd_cohomology(args):
@@ -345,15 +343,14 @@ def _cmd_ext_bound(args):
     phi = _character_from_args(args, "phi")
     relations = _relations_from_args(args.relation)
     trunc = _resolve_trunc(args, max(abs(args.k), abs(args.ell)))
-    p = _validate_p(args.p)
     case = classify_ext(args.k, args.ell, psi, phi, relations, trunc)
 
     def as_json():
         config = {"k": args.k, "ell": args.ell,
                   "psi": smooth_character_json(psi), "phi": smooth_character_json(phi),
                   "declared_relations": sorted(args.relation or []),
-                  "truncation": trunc, "p": p}
-        return config, ext_case_json(case, p)
+                  "truncation": trunc, "p": args.p}
+        return config, ext_case_json(case, args.p)
 
     return as_json, lambda: ext_case_text(case)
 
@@ -382,12 +379,14 @@ _HANDLERS = {
 
 def _run_handler(args):
     """(as_json, as_text) of one subcommand run; a --k or --ell past
-    SIZE_LIMIT is refused before anything is built."""
+    SIZE_LIMIT, or a --p that is not a prime below P_LIMIT, is refused
+    before anything is built, whichever subcommand is run."""
     for flag in ("k", "ell"):
         value = getattr(args, flag, None)
         if value is not None and abs(value) > SIZE_LIMIT:
             raise ValidationError(f"--{flag} must be at most {SIZE_LIMIT} in absolute value, "
                                   f"got {value}")
+    _validate_p(args.p)
     return _HANDLERS[args.command](args)
 
 

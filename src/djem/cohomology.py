@@ -9,14 +9,15 @@ direction "nbar" uses Y and twists by +2.
 Truncated windows are discharged by a stabilization certificate: the closed
 form ladder coefficient together with its integer roots proves that neither
 kernel nor cokernel receives contributions past the certified bound, so the
-window answer is the exact answer.  Without a certificate the computation
-refuses by default; callers may opt into a window-only answer that is flagged
-as non-certified.
+window answer is the exact answer.  A module that passes the bracket check
+has nonzero coefficients of degree at most 2, so it always has a certificate;
+a window cut below the certificate bound is refused by default, and callers
+may opt into a window-only answer that is flagged as non-certified.
 """
 
 from __future__ import annotations
 
-from djem.errors import CertificateError, UnsupportedFamilyError, ValidationError
+from djem.errors import CertificateError, ValidationError
 from djem.sl2 import IndexPoly, WeightModule, check_bracket_relations, n_finite_dual, simple
 from djem.value import Value
 
@@ -76,7 +77,7 @@ class CohomologyResult(Value):
     __slots__ = ("direction", "h0", "h1", "weight_shift_applied", "certificate", "certified")
 
     def __init__(self, direction: str, h0: tuple[WeightLines, ...], h1: tuple[WeightLines, ...],
-                 weight_shift_applied: int, certificate: StabilizationCertificate | None,
+                 weight_shift_applied: int, certificate: StabilizationCertificate,
                  certified: bool = True):
         self.direction = direction
         self.h0 = h0
@@ -96,9 +97,9 @@ def stabilization_certificate(m: WeightModule, direction: str) -> StabilizationC
     """Certificate for the operator of the given direction on a ladder module.
 
     Finite modules get the empty certificate; a truncated module's
-    certificate is read off its ladder polynomial for that operator.  A
-    truncated module whose polynomial is zero, or has roots that cannot be
-    listed (degree > 2), raises UnsupportedFamilyError.
+    certificate is read off its ladder polynomial for that operator, which
+    check_bracket_relations has proved nonzero and of degree at most 2, so
+    its integer roots can be listed.
     """
     if direction not in _DIRECTIONS:
         raise ValidationError(f"direction must be one of {sorted(_DIRECTIONS)}, got {direction!r}")
@@ -106,15 +107,7 @@ def stabilization_certificate(m: WeightModule, direction: str) -> StabilizationC
     if m.is_finite:
         return StabilizationCertificate(op.upper(), None, (), 0, True)
     coeff = m.ladder.coeff_x if op == "x" else m.ladder.coeff_y
-    if coeff.is_zero():
-        raise UnsupportedFamilyError(
-            "ladder coefficient vanishes identically; a truncated window cannot be certified")
-    try:
-        roots = coeff.integer_roots()
-    except ValueError as err:
-        raise UnsupportedFamilyError(
-            f"the integer roots of the ladder coefficient {coeff.text()} cannot be listed "
-            f"({err}); a truncated window cannot be certified") from None
+    roots = coeff.integer_roots()
     bound = max(roots) + 1 if roots else 0
     return StabilizationCertificate(op.upper(), coeff, tuple(roots), max(bound, 0), False)
 
@@ -128,10 +121,7 @@ def _candidate_weights(m: WeightModule, certificate, shift: int):
     roots, and needs none: exact at both edges and passing the bracket check,
     a window of L weights has X.Y = i(L - i) != 0 on its interior link i
     (between the i-th and (i+1)-th weight from the bottom, 0 < i < L), so
-    neither coefficient vanishes inside it.  Every weight when there is no
-    certificate (a cut window whose roots cannot be listed)."""
-    if certificate is None:
-        return reversed(m.weights)
+    neither coefficient vanishes inside it."""
     moved = (m.lowest_label_weight + m.ladder.step * i + shift
              for i in certificate.roots if 0 <= i < m.length)
     return sorted({m.min_weight, m.max_weight, *filter(m.dim_at, moved)}, reverse=True)
@@ -141,30 +131,22 @@ def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False)
     """Kernel (degree 0) and twisted cokernel (degree 1) of X or Y on m.
 
     Certified results are exact for the untruncated module.  If the window
-    cannot be certified, raises CertificateError / UnsupportedFamilyError
-    unless allow_uncertified is set, in which case the window-only answer is
+    is cut below the certificate bound, raises CertificateError unless
+    allow_uncertified is set, in which case the window-only answer is
     returned with certified=False.
     """
     if direction not in _DIRECTIONS:
         raise ValidationError(f"direction must be one of {sorted(_DIRECTIONS)}, got {direction!r}")
     if not check_bracket_relations(m):
-        raise ValidationError("module fails the bracket identity [X, Y] = H on its window")
+        raise ValidationError("module fails the bracket identity [X, Y] = H")
     op, shift = _DIRECTIONS[direction]
 
-    certificate = None
-    certified = True
-    try:
-        certificate = stabilization_certificate(m, direction)
-    except UnsupportedFamilyError:
-        if not allow_uncertified:
-            raise
-        certified = False
-    if certificate is not None and not certificate.finite and m.truncation < certificate.bound:
-        if not allow_uncertified:
-            raise CertificateError(
-                f"truncation {m.truncation} is below the certificate bound "
-                f"{certificate.bound}; increase truncation")
-        certified = False
+    certificate = stabilization_certificate(m, direction)
+    certified = certificate.finite or m.truncation >= certificate.bound
+    if not certified and not allow_uncertified:
+        raise CertificateError(
+            f"truncation {m.truncation} is below the certificate bound "
+            f"{certificate.bound}; increase truncation")
 
     def line(src):
         # Past a certified cut the coefficient is nonzero, so the true module

@@ -21,9 +21,5 @@ class CertificateError(TruncationError):
     """A truncated computation whose completeness cannot be certified."""
 
 
-class UnsupportedFamilyError(CertificateError):
-    """No ladder certificate is available for this module family."""
-
-
 class UndecidableRelationError(DjemError):
     """A character relation that is neither declared nor refutable from z-values."""

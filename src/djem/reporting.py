@@ -158,9 +158,7 @@ def jacquet_text(report: JacquetReport, p=None):
     return lines
 
 
-def certificate_json(cert: StabilizationCertificate | None):
-    if cert is None:
-        return None
+def certificate_json(cert: StabilizationCertificate):
     return {
         "operator": cert.operator,
         "coefficient": None if cert.coefficient is None else cert.coefficient.text(),
@@ -194,12 +192,11 @@ def cohomology_text(res: CohomologyResult):
         for g in groups:
             lines.append(f"{name}: weight {g.weight}  dim {g.dim}  [{', '.join(g.labels)}]")
     cert = res.certificate
-    if cert is not None:
-        if cert.finite:
-            lines.append("certificate: finite module, nothing truncated")
-        else:
-            lines.append(f"certificate: operator {cert.operator}, coefficient {cert.coefficient.text()}, "
-                         f"roots {list(cert.roots)}, bound {cert.bound}")
+    if cert.finite:
+        lines.append("certificate: finite module, nothing truncated")
+    else:
+        lines.append(f"certificate: operator {cert.operator}, coefficient {cert.coefficient.text()}, "
+                     f"roots {list(cert.roots)}, bound {cert.bound}")
     return lines
 
 

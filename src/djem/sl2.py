@@ -147,7 +147,7 @@ class WeightModule:
     """
 
     __slots__ = ("family", "ladder", "lowest_label_weight", "length", "bottom_exact",
-                 "top_exact", "hatted", "min_weight", "max_weight", "bracket_verdict")
+                 "top_exact", "hatted", "min_weight", "max_weight")
 
     def __init__(self, family, ladder, lowest_label_weight, length, bottom_exact, top_exact,
                  hatted=False):
@@ -165,9 +165,6 @@ class WeightModule:
         self.hatted = bool(hatted)
         self.min_weight = self.lowest_label_weight + min(0, ladder.step * (length - 1))
         self.max_weight = self.min_weight + 2 * (length - 1)
-        # check_bracket_relations' answer, stored by its first call: the
-        # module never changes, so neither does the answer.
-        self.bracket_verdict = None
 
     # -- window geometry ---------------------------------------------------
 
@@ -293,32 +290,36 @@ def n_finite_dual(m: WeightModule) -> WeightModule:
 
 
 def check_bracket_relations(m: WeightModule) -> bool:
-    """True iff X.Y - Y.X acts by the scalar mu on every weight space where
-    all four coefficients are knowable from the window.
+    """True iff X.Y - Y.X acts by the scalar mu on every weight space of the
+    module the ladder defines, at every ladder index, not only in the window.
 
-    On a weight with both neighbours in the window the bracket reads
-    cx(i - s) cy(i) - cy(i + s) cx(i) = weight(i), with s = 2 // step: a
-    polynomial identity in i of degree at most d = max(deg cx + deg cy, 1).
-    A nonzero polynomial of degree <= d has at most d roots, so the lowest
-    d + 2 weights (d + 1 of them interior) and the top weight decide it.
-    The verdict is stored on the module, so a module is checked once.
+    With s = 2 // step the bracket on e_i reads B(i) = weight(i), where
+    B(i) = cx(i - s) cy(i) - cy(i + s) cx(i) and weight(i) = w0 + step*i.
+    For nonzero cx and cy of degrees p and q the two products share their
+    leading term, and the i^(p+q-1) coefficient of B is
+    -s (p + q) lead(cx) lead(cy), never zero; B is 0 when either coefficient
+    is.  So B can equal the linear weight(i) only when p + q = 2, and then
+    B - weight has degree at most 1, decided by its values at i = 0 and 1.
+    At an exact edge the line past it is missing, so the product through it
+    must vanish on its own: cx(lo - s) cy(lo) at the bottom and
+    cy(hi + s) cx(hi) at the top, lo and hi the indices of min_weight and
+    max_weight.  A cut edge asks nothing more: the module goes on past it.
     """
-    if m.bracket_verdict is None:
-        d = max(m.ladder.coeff_x.degree + m.ladder.coeff_y.degree, 1)
-        m.bracket_verdict = all(_bracket_holds_at(m, mu)
-                                for mu in (*m.weights[:d + 2], m.max_weight))
-    return m.bracket_verdict
-
-
-def _bracket_holds_at(m: WeightModule, mu) -> bool:
-    """The bracket on the mu weight space, read off the line coefficients,
-    or True when a coefficient it needs points past a truncation cut."""
-    x_up, y_down = m.line_coefficient("x", mu), m.line_coefficient("y", mu)
-    if x_up is None or y_down is None:
-        return True
-    xy = m.line_coefficient("x", mu - 2) * y_down
-    yx = m.line_coefficient("y", mu + 2) * x_up
-    return xy - yx == mu
+    cx, cy = m.ladder.coeff_x, m.ladder.coeff_y
+    if cx.is_zero() or cy.is_zero() or cx.degree + cy.degree != 2:
+        return False
+    step = m.ladder.step
+    s = 2 // step
+    w0 = m.lowest_label_weight
+    for i in (0, 1):
+        if cx(i - s) * cy(i) - cy(i + s) * cx(i) != w0 + step * i:
+            return False
+    lo, hi = (0, m.length - 1) if step > 0 else (m.length - 1, 0)
+    if m.bottom_exact and cx(lo - s) * cy(lo) != 0:
+        return False
+    if m.top_exact and cy(hi + s) * cx(hi) != 0:
+        return False
+    return True
 
 
 class ModuleMap:

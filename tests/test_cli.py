@@ -140,6 +140,33 @@ def test_p_refusals_exit_2_without_traceback(capsys, p, fragment):
     assert fragment in err and "Traceback" not in err
 
 
+_P_ARGV = {
+    "jacquet": ("jacquet", "--family", "verma", "--k", "-4"),
+    "cohomology": ("cohomology", "--family", "verma", "--k", "4", "--direction", "nbar"),
+    "bgg-check": ("bgg-check", "--k", "2"),
+    "kostant": ("kostant", "--k", "2"),
+    "ext-bound": ("ext-bound", "--k", "-4", "--ell", "2"),
+    "les-check": ("les-check", "--k", "2"),
+}
+
+
+@pytest.mark.parametrize("p", ["4", "1", str(P_LIMIT)])
+@pytest.mark.parametrize("command", sorted(_P_ARGV))
+def test_every_subcommand_refuses_an_invalid_p(capsys, command, p):
+    code, out, err = run(capsys, *_P_ARGV[command], "--p", p)
+    assert code == EXIT_VALIDATION and out == ""
+    assert "--p must be" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["cohomology", "bgg-check", "kostant", "les-check"])
+def test_prime_p_leaves_reports_without_eigenvalues_unchanged(capsys, command):
+    for mode in ((), ("--json",)):
+        argv = _P_ARGV[command] + mode
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        assert run(capsys, *argv, "--p", "5") == plain
+
+
 def test_large_prime_p_is_accepted_promptly():
     # A fresh process with a timeout, so that a slow primality test fails here
     # instead of stalling the suite.

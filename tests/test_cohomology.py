@@ -6,7 +6,7 @@ import pytest
 import rref_oracle as oracle
 from djem.cohomology import (CohomologyResult, WeightLines, cohomology, kostant_check,
                              stabilization_certificate)
-from djem.errors import CertificateError, UnsupportedFamilyError, ValidationError
+from djem.errors import CertificateError, ValidationError
 from djem.sl2 import (IndexPoly, LadderInfo, WeightModule, check_bracket_relations, dual_verma,
                       n_finite_dual, simple, verma)
 from ladder_blocks import SHIFT, coefficient, line_answer, window_blocks
@@ -101,16 +101,28 @@ def test_uncertifiable_truncation_refuses_by_default():
 
 
 def test_unrecognized_family_refuses_by_default():
-    # A hand-made ladder whose X coefficient vanishes identically: its
-    # one-weight window passes the bracket check, but nothing certifies the cut.
+    # A hand-made ladder whose X coefficient vanishes identically: the
+    # bracket X.Y - Y.X is then 0, never the weight, so the module is refused
+    # whether or not a window-only answer is asked for.
     stripped = WeightModule("generic", LadderInfo(2, IndexPoly(()), IndexPoly((1,))), 0, 1,
                             bottom_exact=True, top_exact=False)
-    with pytest.raises(UnsupportedFamilyError, match="vanishes identically"):
-        cohomology(stripped, "n")
-    res = cohomology(stripped, "n", allow_uncertified=True)
-    assert not res.certified
-    # window-only answers keep the cut artifact at the top weight
-    assert res.h0_dims() == {stripped.max_weight: 1}
+    assert not check_bracket_relations(stripped)
+    for allow in (False, True):
+        with pytest.raises(ValidationError, match="bracket"):
+            cohomology(stripped, "n", allow_uncertified=allow)
+
+
+def test_bracket_failing_outside_a_one_weight_window_is_refused():
+    # X = i^2 + 1 and Y = 1 at weight 0, exact below and cut above: the one
+    # weight of the window holds no bracket to probe, but on the ladder the
+    # bracket is 1 - 2i where it must be 2i.
+    m = WeightModule("hand-made", LadderInfo(2, IndexPoly((1, 0, 1)), IndexPoly((1,))), 0, 1,
+                     True, False)
+    assert not check_bracket_relations(m)
+    for direction in ("n", "nbar"):
+        for allow in (False, True):
+            with pytest.raises(ValidationError, match="bracket"):
+                cohomology(m, direction, allow_uncertified=allow)
 
 
 def test_bracket_precondition_enforced():
@@ -255,13 +267,11 @@ def test_two_line_pattern_against_global_matrix():
         assert res.h0[0].weight == k
         assert res.h1[0].weight == -(k + 2)
     # Weight by weight: the oracle's kernel and cokernel of the whole
-    # operator sit at the H^0 and H^1 weights, before the report shift.  A
-    # truncated module whose X coefficient has degree 3 cannot be
-    # certified, so it is compared through its window-only answer.
+    # operator sit at the H^0 and H^1 weights, before the report shift.
     compared = 0
     for m in _exact_at_both_ends():
         for direction, op in (("n", "x"), ("nbar", "y")):
-            res = cohomology(m, direction, allow_uncertified=True)
+            res = cohomology(m, direction)
             g = _global_operator(m, op)
             assert _basis_weights(m, oracle.kernel(*g)) == sorted(
                 line.weight for line in res.h0), (m, direction)
@@ -293,17 +303,10 @@ def _per_weight_cohomology(m, direction, allow_uncertified=False):
     if not check_bracket_relations(m):
         raise ValidationError("bracket")
     op_shift, report_shift = {"n": (2, -2), "nbar": (-2, 2)}[direction]
-    certificate, certified = None, True
-    try:
-        certificate = stabilization_certificate(m, direction)
-    except UnsupportedFamilyError:
-        if not allow_uncertified:
-            raise
-        certified = False
-    if certificate is not None and not certificate.finite and m.truncation < certificate.bound:
-        if not allow_uncertified:
-            raise CertificateError("bound")
-        certified = False
+    certificate = stabilization_certificate(m, direction)
+    certified = certificate.finite or m.truncation >= certificate.bound
+    if not certified and not allow_uncertified:
+        raise CertificateError("bound")
     if direction == "n":
         coeff, leaves, enters = m.ladder.coeff_x, m.top_exact, m.bottom_exact
     else:
@@ -327,7 +330,7 @@ def _per_weight_cohomology(m, direction, allow_uncertified=False):
 def _outcome(compute, m, direction, allow):
     try:
         return compute(m, direction, allow)
-    except (ValidationError, UnsupportedFamilyError, CertificateError) as err:
+    except (ValidationError, CertificateError) as err:
         return type(err)
 
 
@@ -375,8 +378,9 @@ def _hand_made_ladder(rng):
         length = rng.choice(ends) if top_exact else rng.randint(1, 30)
         bottom_exact = 1 in (a, b) or rng.random() < 0.2
         if 3 <= length <= 8 and rng.random() < 0.3:
-            # Add a polynomial that vanishes on the window: the same module
-            # with an X coefficient of degree > 2, whose roots go unlisted.
+            # Add a polynomial that vanishes on the window: the same window
+            # coefficients from an X coefficient of degree > 2, on which the
+            # bracket fails at every index past the window.
             vanishing = IndexPoly((1,))
             for j in range(length):
                 vanishing = _times(vanishing, IndexPoly((-j, 1)))
@@ -396,7 +400,6 @@ def test_root_candidates_agree_with_every_weight():
     family = [m for base in _family_grid() for m in (base, n_finite_dual(base))]
     modules = family + [_hand_made_ladder(rng) for _ in range(1200)]
     kinds = {}
-    unlisted_roots = 0
     for m in modules:
         for direction in ("n", "nbar"):
             want = None
@@ -408,18 +411,24 @@ def test_root_candidates_agree_with_every_weight():
                 kind = want.__name__ if isinstance(want, type) else (
                     "certified" if want.certified else "window-only")
                 kinds[kind] = kinds.get(kind, 0) + 1
-            coeff = m.ladder.coeff_x if direction == "n" else m.ladder.coeff_y
-            if not m.is_finite and coeff.degree > 2 and check_bracket_relations(m):
-                # Roots of degree > 2 go unlisted: refused by default, flagged
-                # window-only on request.
-                assert _outcome(cohomology, m, direction, False) is UnsupportedFamilyError
-                assert cohomology(m, direction, allow_uncertified=True).certified is False
-                unlisted_roots += 1
     # Answers of both kinds and every refusal are exercised.
-    for kind in ("certified", "window-only", "ValidationError", "CertificateError",
-                 "UnsupportedFamilyError"):
+    for kind in ("certified", "window-only", "ValidationError", "CertificateError"):
         assert kinds.get(kind, 0) >= 20, kinds
-    assert unlisted_roots >= 20, unlisted_roots
+
+
+def test_every_module_passing_the_bracket_has_a_certificate():
+    # A module that passes has nonzero coefficients of degree at most 2, so
+    # their integer roots can always be listed.
+    rng = random.Random(20261024)
+    family = [m for base in _family_grid() for m in (base, n_finite_dual(base))]
+    passing = [m for m in family + [_hand_made_ladder(rng) for _ in range(1200)]
+               if check_bracket_relations(m)]
+    for m in passing:
+        for direction in ("n", "nbar"):
+            cert = stabilization_certificate(m, direction)
+            assert cert.finite == m.is_finite
+            assert cert.finite or cert.coefficient.degree <= 2
+    assert len(passing) >= len(family) + 500, len(passing)
 
 
 def test_coefficient_roots_are_listed_at_most_once_per_call(monkeypatch):
@@ -447,14 +456,11 @@ def test_coefficient_roots_are_listed_at_most_once_per_call(monkeypatch):
 def test_unlisted_roots_refuse_by_default_and_flag_window_only():
     # With Y coefficient -1, X coefficient (i+1)(i+2) satisfies the bracket
     # from weight 2 up; (i+1)(i+2) + i(i-1)(i-2) agrees with it on the ladder
-    # indices {0, 1, 2} of the window, but has degree 3.
+    # indices {0, 1, 2} of the window, but has degree 3, so the bracket fails
+    # at every index past the window and the module is refused either way.
     cx = IndexPoly((2, 5, -2, 1))
     m = WeightModule("hand-made", LadderInfo(2, cx, IndexPoly((-1,))), 2, 3, True, False)
-    assert check_bracket_relations(m)
-    with pytest.raises(UnsupportedFamilyError, match="cannot be listed"):
-        stabilization_certificate(m, "n")
-    with pytest.raises(UnsupportedFamilyError):
-        cohomology(m, "n")
-    res = cohomology(m, "n", allow_uncertified=True)
-    assert res.certified is False and res.certificate is None
-    assert res == _per_weight_cohomology(m, "n", allow_uncertified=True)
+    assert not check_bracket_relations(m)
+    for allow in (False, True):
+        with pytest.raises(ValidationError, match="bracket"):
+            cohomology(m, "n", allow_uncertified=allow)

@@ -1,14 +1,16 @@
 import functools
 import random
+from itertools import zip_longest
 
 import pytest
 
 import rref_oracle as oracle
 from djem.errors import ParityError, TruncationError, ValidationError
-from djem.sl2 import (IndexPoly, LadderInfo, ModuleMap, WeightModule, _bracket_holds_at,
-                      bgg_morphism, check_bracket_relations, default_truncation, dual_verma,
-                      n_finite_dual, simple, verma)
+from djem.sl2 import (IndexPoly, LadderInfo, ModuleMap, WeightModule, bgg_morphism,
+                      check_bracket_relations, default_truncation, dual_verma, n_finite_dual,
+                      simple, verma)
 from ladder_blocks import block, value
+from test_cohomology import _hand_made_ladder, _times
 
 
 def entry(m, mu, op):
@@ -230,26 +232,83 @@ def _random_module(rng):
     return how, m
 
 
+def _edge_windows(m):
+    """The ladder of m on two 40-index windows, one starting at m's first
+    ladder index and one ending at its last, each keeping m's edge kind at
+    that end and cut at the other: each reads the identity at 38 interior
+    indices and decides the edge it keeps with both neighbours known."""
+    step, (cx, cy) = m.ladder.step, (m.ladder.coeff_x, m.ladder.coeff_y)
+    first_exact, last_exact = ((m.bottom_exact, m.top_exact) if step > 0
+                               else (m.top_exact, m.bottom_exact))
+    for first, exact_ends in ((0, (first_exact, False)), (m.length - 40, (False, last_exact))):
+        low, high = exact_ends if step > 0 else exact_ends[::-1]
+        yield WeightModule(m.family, LadderInfo(step, cx.shifted(first), cy.shifted(first)),
+                           m.lowest_label_weight + step * first, 40, low, high, m.hatted)
+
+
 def test_ladder_bracket_agrees_with_matrix_check():
+    # The bracket is an identity in the ladder index, a polynomial of degree
+    # far below 38.  The matrices of the module as given decide its exact
+    # edges only where the window holds the other neighbour; a window of one
+    # weight cut on one side cannot, so each edge is also read on a 40-index
+    # window of the same ladder that ends there.
     rng = random.Random(20260411)
     seen = {}
     for _ in range(2000):
         how, m = _random_module(rng)
         verdict = check_bracket_relations(m)
-        assert verdict == _bracket_by_matrices(m), (how, m)
+        reference = all(map(_bracket_by_matrices, (m, *_edge_windows(m))))
+        assert verdict == reference, (how, m)
         seen[how, verdict] = seen.get((how, verdict), 0) + 1
     # Both verdicts are exercised where they can occur.
     for key in (("as-built", True), ("edges", True), ("edges", False), ("wrong-ladder", False)):
         assert seen.get(key, 0) >= 20, (key, seen)
 
 
+def _bracket_identity(m):
+    """The bracket as one polynomial identity, products multiplied out:
+    cx(i - s) cy(i) - cy(i + s) cx(i) - (w0 + step i) is the zero polynomial,
+    and at each exact edge the product through the missing line is 0."""
+    step, cx, cy = m.ladder.step, m.ladder.coeff_x, m.ladder.coeff_y
+    s = 2 // step
+    terms = (_times(cx.shifted(-s), cy), -_times(cy.shifted(s), cx),
+             IndexPoly((-m.lowest_label_weight, -step)))
+    total = [sum(c) for c in zip_longest(*(t.coeffs for t in terms), fillvalue=0)]
+    lo, hi = (0, m.length - 1) if step > 0 else (m.length - 1, 0)
+    return (IndexPoly(total).is_zero()
+            and not (m.bottom_exact and cx(lo - s) * cy(lo))
+            and not (m.top_exact and cy(hi + s) * cx(hi)))
+
+
+def test_bracket_check_is_the_polynomial_identity():
+    # Seeded ladders of step 2 and -2, most built to satisfy the identity,
+    # a third of them with one coefficient then moved by one.
+    rng = random.Random(20261025)
+    verdicts = {}
+    for _ in range(10000):
+        m = _hand_made_ladder(rng)
+        if rng.random() < 0.3:
+            which = rng.choice(("coeff_x", "coeff_y"))
+            coeffs = list(getattr(m.ladder, which).coeffs) + [0]
+            coeffs[rng.randrange(len(coeffs))] += rng.choice((1, -1))
+            polys = {"coeff_x": m.ladder.coeff_x, "coeff_y": m.ladder.coeff_y,
+                     which: IndexPoly(coeffs)}
+            m = WeightModule(m.family, LadderInfo(m.ladder.step, **polys),
+                             m.lowest_label_weight, m.length, m.bottom_exact, m.top_exact,
+                             m.hatted)
+        verdict = check_bracket_relations(m)
+        assert verdict == _bracket_identity(m), m
+        verdicts[m.ladder.step, verdict] = verdicts.get((m.ladder.step, verdict), 0) + 1
+    for key in ((2, True), (2, False), (-2, True), (-2, False)):
+        assert verdicts.get(key, 0) >= 200, verdicts
+
+
 def test_bracket_failing_only_above_the_lowest_interior_weight():
     # verma(0) with (i-1)(i-2) added to Y: Y e_i = (2 - 2i) e_{i-1}.  On an
     # interior weight the bracket reads 2 - 2i = 2i, true at i = 1 only, and
-    # it holds at the exact bottom end; d = 1, so the weight at i = 2 decides.
+    # it holds at the exact bottom end; the identity fails at every other index.
     m = verma(0, 40)
     bent = _variant(m, IndexPoly([2, -2]))
-    assert [_bracket_holds_at(bent, 2 * i) for i in range(4)] == [True, True, False, False]
     for edges in ((True, False), (True, True)):
         assert not check_bracket_relations(_variant(bent, edges=edges)), edges
 

@@ -21,6 +21,8 @@ from djem.value import Value
 # z N_0 z^{-1} has index p^2 in N_0.
 DELTA_P_Z_EXPONENT = -2
 
+_ONE = Fraction(1)
+
 
 def as_rational(value) -> Fraction:
     """Coerce ints and "num/den" strings to Fraction; floats are rejected."""
@@ -77,6 +79,17 @@ class TorusCharacter(Value):
         self.psiw_exp = psiw_exp
         self.delta_exp = delta_exp
 
+    # Value's equality and hash, written out over the four fields: a report
+    # hashes and compares its characters about twenty times.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.weight == other.weight and self.psi_exp == other.psi_exp
+                and self.psiw_exp == other.psiw_exp and self.delta_exp == other.delta_exp)
+
+    def __hash__(self):
+        return hash((self.weight, self.psi_exp, self.psiw_exp, self.delta_exp))
+
     def w_twist(self) -> "TorusCharacter":
         """Conjugation by w: negates the algebraic weight, swaps psi with psi^w
         and inverts the modulus twist.  An involution."""
@@ -90,12 +103,12 @@ class TorusCharacter(Value):
 
     def z_eigenvalue(self, psi: SmoothCharacter) -> tuple[int, Fraction]:
         """Eigenvalue of z = diag(p, p^{-1}) as (p-exponent, unit)."""
-        exponent = (self.weight
-                    + self.psi_exp * psi.z_valuation
-                    - self.psiw_exp * psi.z_valuation
-                    + self.delta_exp * DELTA_P_Z_EXPONENT)
-        # psi^w(z) has unit 1 / z_unit, so the two powers combine into one.
-        return (exponent, psi.z_unit ** (self.psi_exp - self.psiw_exp))
+        # psi^w(z) = psi(z)^{-1}, so psi and psi^w combine into one power of psi(z).
+        e = self.psi_exp - self.psiw_exp
+        exponent = self.weight + e * psi.z_valuation + self.delta_exp * DELTA_P_Z_EXPONENT
+        if e == 1:
+            return (exponent, psi.z_unit)
+        return (exponent, _ONE if e == 0 else psi.z_unit ** e)
 
     def text(self) -> str:
         parts = [f"chi_{{{self.weight}}}"]
@@ -106,8 +119,3 @@ class TorusCharacter(Value):
         if self.delta_exp:
             parts.append("delta_P" if self.delta_exp == 1 else f"delta_P^{self.delta_exp}")
         return " ".join(parts)
-
-
-def w_twist_characters(chars) -> tuple[TorusCharacter, ...]:
-    """Entrywise w-twist of a character list, preserving order."""
-    return tuple(c.w_twist() for c in chars)

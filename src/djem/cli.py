@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from djem.characters import SmoothCharacter, as_rational
+from djem.characters import TRIVIAL_PSI, SmoothCharacter, as_rational
 from djem.cohomology import cohomology, kostant_check
 from djem.errors import (DjemError, TruncationError, UndecidableRelationError,
                          ValidationError)
@@ -181,11 +181,11 @@ def _rational_arg(text, flag) -> Fraction:
 
 
 def _character_from_args(args, name) -> SmoothCharacter:
-    label = getattr(args, name.replace("-", "_"))
-    val = getattr(args, f"{name}_val".replace("-", "_"))
-    unit = _rational_arg(getattr(args, f"{name}_unit".replace("-", "_")), f"{name}-unit")
-    selfdual = getattr(args, f"{name}_w_selfdual".replace("-", "_"))
-    torus = getattr(args, f"{name}_torus_unit".replace("-", "_")) or ""
+    label = getattr(args, name)
+    val = getattr(args, f"{name}_val")
+    unit = _rational_arg(getattr(args, f"{name}_unit"), f"{name}-unit")
+    selfdual = getattr(args, f"{name}_w_selfdual")
+    torus = getattr(args, f"{name}_torus_unit") or ""
     if label == "trivial":
         if val != 0 or unit != 1:
             raise ValidationError("the label 'trivial' is reserved for the character with "
@@ -193,7 +193,7 @@ def _character_from_args(args, name) -> SmoothCharacter:
         if torus not in ("", "trivial"):
             raise ValidationError(f"the label 'trivial' is reserved for the character with "
                                   f"torus unit 'trivial', got --{name}-torus-unit {torus!r}")
-        selfdual = True
+        return TRIVIAL_PSI
     return SmoothCharacter(label, val, unit, w_selfdual=selfdual, torus_unit_label=torus)
 
 

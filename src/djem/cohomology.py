@@ -97,19 +97,25 @@ def stabilization_certificate(m: WeightModule, direction: str) -> StabilizationC
     """Certificate for the operator of the given direction on a ladder module.
 
     Finite modules get the empty certificate; a truncated module's
-    certificate is read off its ladder polynomial for that operator, which
-    check_bracket_relations has proved nonzero and of degree at most 2, so
-    its integer roots can be listed.
+    certificate is read off its ladder polynomial for that operator, whose
+    integer roots can be listed when it is nonzero of degree at most 2, as
+    check_bracket_relations proves for every module it passes.  Any other
+    coefficient is refused with ValidationError.
     """
     if direction not in _DIRECTIONS:
         raise ValidationError(f"direction must be one of {sorted(_DIRECTIONS)}, got {direction!r}")
-    op, _ = _DIRECTIONS[direction]
+    op = _DIRECTIONS[direction][0].upper()
     if m.is_finite:
-        return StabilizationCertificate(op.upper(), None, (), 0, True)
-    coeff = m.ladder.coeff_x if op == "x" else m.ladder.coeff_y
+        return StabilizationCertificate(op, None, (), 0, True)
+    coeff = m.ladder.coeff_x if op == "X" else m.ladder.coeff_y
+    if not 0 <= coeff.degree <= 2:
+        raise ValidationError(
+            f"operator {op} has coefficient {coeff.text()}, which is not a nonzero polynomial "
+            f"of degree at most 2, so its roots cannot be listed; the module fails the "
+            f"bracket identity [X, Y] = H")
     roots = coeff.integer_roots()
     bound = max(roots) + 1 if roots else 0
-    return StabilizationCertificate(op.upper(), coeff, tuple(roots), max(bound, 0), False)
+    return StabilizationCertificate(op, coeff, tuple(roots), max(bound, 0), False)
 
 
 def _candidate_weights(m: WeightModule, certificate, shift: int):
@@ -122,9 +128,14 @@ def _candidate_weights(m: WeightModule, certificate, shift: int):
     a window of L weights has X.Y = i(L - i) != 0 on its interior link i
     (between the i-th and (i+1)-th weight from the bottom, 0 < i < L), so
     neither coefficient vanishes inside it."""
-    moved = (m.lowest_label_weight + m.ladder.step * i + shift
-             for i in certificate.roots if 0 <= i < m.length)
-    return sorted({m.min_weight, m.max_weight, *filter(m.dim_at, moved)}, reverse=True)
+    lo, hi = m.min_weight, m.max_weight
+    weights = {lo, hi}
+    base, step, length = m.lowest_label_weight + shift, m.ladder.step, m.length
+    for i in certificate.roots:
+        mu = base + step * i
+        if 0 <= i < length and lo <= mu <= hi:
+            weights.add(mu)
+    return sorted(weights, reverse=True)
 
 
 def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False) -> CohomologyResult:
@@ -148,21 +159,23 @@ def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False)
             f"truncation {m.truncation} is below the certificate bound "
             f"{certificate.bound}; increase truncation")
 
-    def line(src):
-        # Past a certified cut the coefficient is nonzero, so the true module
-        # has no line there; a window-only answer reads the cut as an edge.
-        c = m.line_coefficient(op, src)
-        return 0 if c is None and not certified else c
-
+    # Past a certified cut the coefficient is nonzero, so the true module has
+    # no line there (None: skipped); a window-only answer reads the cut as an
+    # edge (0).
+    past_cut = None if certified else 0
     h0 = []
     for mu in _candidate_weights(m, certificate, 0):
-        c = line(mu)
+        c = m.line_coefficient(op, mu)
+        if c is None:
+            c = past_cut
         if c is not None and kernel(c):
             h0.append(WeightLines(mu, m.labels_at(mu)))
 
     h1 = []
     for nu in _candidate_weights(m, certificate, shift):
-        c = line(nu - shift)
+        c = m.line_coefficient(op, nu - shift)
+        if c is None:
+            c = past_cut
         if c is not None and cokernel_basis(c):
             h1.append(WeightLines(nu - shift, m.labels_at(nu)))
 

@@ -67,67 +67,61 @@ def smooth_character_json(psi: SmoothCharacter):
     }
 
 
-class _Characters:
-    """The JSON objects of the characters of one report over one psi: each
-    distinct character, and each distinct eigenvalue, is rendered once, and
-    every list that names it shares its object."""
-
-    __slots__ = ("psi", "p", "characters", "eigenvalues")
-
-    def __init__(self, psi: SmoothCharacter, p=None):
-        self.psi = psi
-        self.p = p
-        self.characters = {}
-        self.eigenvalues = {}
-
-    def eigenvalue(self, pair):
-        out = self.eigenvalues.get(pair)
-        if out is None:
-            out = self.eigenvalues[pair] = eigenvalue_json(pair, self.p)
-        return out
-
-    def character(self, chi: TorusCharacter):
-        out = self.characters.get(chi)
-        if out is None:
-            out = self.characters[chi] = {
-                "weight": chi.weight,
-                "psi_exp": chi.psi_exp,
-                "psiw_exp": chi.psiw_exp,
-                "delta_exp": chi.delta_exp,
-                "text": chi.text(),
-                "eigenvalue": self.eigenvalue(chi.z_eigenvalue(self.psi)),
-            }
-        return out
-
-    def of(self, chars):
-        return [self.character(c) for c in chars]
+def character_json(chi: TorusCharacter, eigenvalue: dict):
+    """The JSON object of chi, given the JSON object of its eigenvalue."""
+    return {
+        "weight": chi.weight,
+        "psi_exp": chi.psi_exp,
+        "psiw_exp": chi.psiw_exp,
+        "delta_exp": chi.delta_exp,
+        "text": chi.text(),
+        "eigenvalue": eigenvalue,
+    }
 
 
-def extension_json(flag, chars: _Characters):
+def _rendered(eigenvalues: dict, p=None):
+    """{chi: JSON object} for a {chi: z-eigenvalue} table: each distinct
+    character is rendered once, and every list that names it shares its
+    object."""
+    return {chi: character_json(chi, eigenvalue_json(pair, p))
+            for chi, pair in eigenvalues.items()}
+
+
+def extension_json(flag, of):
+    """The extension flag; of maps a character list to its JSON list."""
     out = {"kind": flag.kind}
     if flag.kind == "ext-class-undetermined":
-        out["sub"] = chars.of(flag.sub)
-        out["quot"] = chars.of(flag.quot)
+        out["sub"] = of(flag.sub)
+        out["quot"] = of(flag.quot)
     elif flag.kind == "connecting-undetermined":
-        out["section"] = chars.of(flag.sub)
-        out["stalk"] = chars.of(flag.quot)
+        out["section"] = of(flag.sub)
+        out["stalk"] = of(flag.quot)
     return out
 
 
 def jacquet_result_json(report: JacquetReport, p=None):
-    chars = _Characters(report.spec.psi, p)
+    """The report's result object.  Characters and their eigenvalues come
+    from the report's eigenvalue table; the Hecke list of a degree is the
+    eigenvalue objects of its Jordan-Hoelder factors, in order."""
+    rendered = _rendered(report.eigenvalues, p)
+
+    def of(chars):
+        return [rendered[c] for c in chars]
+
     degrees = {}
     for i in (0, 1):
         deg = report.degrees[i]
+        jh = of(deg.jh_factors)
         degrees[str(i)] = {
-            "jh_factors": chars.of(deg.jh_factors),
-            "extension": extension_json(deg.extension, chars),
-            "hecke_eigenvalues": [chars.eigenvalue(e) for e in deg.hecke_eigenvalues],
+            "jh_factors": jh,
+            "extension": extension_json(deg.extension, of),
+            "hecke_eigenvalues": [c["eigenvalue"] for c in jh],
             "finite_slope_complete": deg.finite_slope_complete,
         }
+    section, stalk = report.section, report.stalk
     return {
-        "section": {"0": chars.of(report.section[0]), "1": chars.of(report.section[1])},
-        "stalk": {"0": chars.of(report.stalk[0]), "1": chars.of(report.stalk[1])},
+        "section": {"0": of(section[0]), "1": of(section[1])},
+        "stalk": {"0": of(stalk[0]), "1": of(stalk[1])},
         "degrees": degrees,
         "connecting_map_forced_zero": report.connecting_map_forced_zero,
         "finite_slope_complete": report.finite_slope_complete,
@@ -135,16 +129,16 @@ def jacquet_result_json(report: JacquetReport, p=None):
 
 
 def jacquet_text(report: JacquetReport, p=None):
-    psi = report.spec.psi
-    lines = [f"family={report.spec.family} k={report.spec.k} psi={psi.label}"]
+    eigenvalues = report.eigenvalues
+    lines = [f"family={report.spec.family} k={report.spec.k} psi={report.spec.psi.label}"]
     for i in (0, 1):
         deg = report.degrees[i]
         lines.append(f"H^{i} J_P  [{deg.extension.kind}]")
         if deg.extension.kind == "ext-class-undetermined":
             for c in deg.extension.sub:
-                lines.append(f"  sub:  {c.text()}  (z-eigenvalue {eigenvalue_text(c.z_eigenvalue(psi), p)})")
+                lines.append(f"  sub:  {c.text()}  (z-eigenvalue {eigenvalue_text(eigenvalues[c], p)})")
             for c in deg.extension.quot:
-                lines.append(f"  quot: {c.text()}  (z-eigenvalue {eigenvalue_text(c.z_eigenvalue(psi), p)})")
+                lines.append(f"  quot: {c.text()}  (z-eigenvalue {eigenvalue_text(eigenvalues[c], p)})")
         elif deg.extension.kind == "connecting-undetermined":
             for c in deg.extension.sub:
                 lines.append(f"  section candidate: {c.text()}")
@@ -152,7 +146,7 @@ def jacquet_text(report: JacquetReport, p=None):
                 lines.append(f"  stalk candidate:   {c.text()}")
         else:
             for c in deg.jh_factors:
-                lines.append(f"  {c.text()}  (z-eigenvalue {eigenvalue_text(c.z_eigenvalue(psi), p)})")
+                lines.append(f"  {c.text()}  (z-eigenvalue {eigenvalue_text(eigenvalues[c], p)})")
             if not deg.jh_factors:
                 lines.append("  0")
     return lines
@@ -201,16 +195,23 @@ def cohomology_text(res: CohomologyResult):
 
 
 def ext_case_json(case: ExtCase, p=None):
-    phi_chars = _Characters(case.phi, p)
+    phi_chars = _rendered({c: c.z_eigenvalue(case.phi)
+                           for c in case.h1_factors + case.matched_factors}, p)
+    source = case.source_character
+
+    def of(chars):
+        return [phi_chars[c] for c in chars]
+
     return {
         "k": case.k,
         "ell": case.ell,
         "verdict": case.verdict,
         "fired_bullets": list(case.fired_bullets),
         "relations": dict(sorted(case.relations.items())),
-        "source_character": _Characters(case.psi, p).character(case.source_character),
-        "h1_factors": phi_chars.of(case.h1_factors),
-        "matched_factors": phi_chars.of(case.matched_factors),
+        "source_character": character_json(
+            source, eigenvalue_json(source.z_eigenvalue(case.psi), p)),
+        "h1_factors": of(case.h1_factors),
+        "matched_factors": of(case.matched_factors),
         "hom_bound": None if case.hom_bound is None else
             {"min": case.hom_bound[0], "max": case.hom_bound[1]},
     }

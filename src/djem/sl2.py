@@ -46,10 +46,28 @@ class IndexPoly:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
+    @classmethod
+    def _of(cls, coeffs: tuple):
+        """The polynomial with these coefficients, already ints with a nonzero
+        last entry (or none), taken as they are."""
+        poly = object.__new__(cls)
+        poly.coeffs = coeffs
+        return poly
+
     def __call__(self, i):
+        # Closed forms up to degree 2, which every module that passes the
+        # bracket check has; Horner above.
+        c = self.coeffs
+        n = len(c)
+        if n == 3:
+            return c[0] + (c[1] + c[2] * i) * i
+        if n == 1:
+            return c[0]
+        if n == 2:
+            return c[0] + c[1] * i
         out = 0
-        for c in reversed(self.coeffs):
-            out = out * i + c
+        for a in reversed(c):
+            out = out * i + a
         return out
 
     @property
@@ -61,30 +79,41 @@ class IndexPoly:
 
     def shifted(self, s):
         """Coefficients of p(i + s)."""
+        c = self.coeffs
+        n = len(c)
+        # The leading coefficient is kept, so the closed forms stay normalized.
+        if n == 3:
+            c0, c1, c2 = c
+            return IndexPoly._of((c0 + (c1 + c2 * s) * s, c1 + 2 * c2 * s, c2))
+        if n == 2:
+            return IndexPoly._of((c[0] + c[1] * s, c[1]))
+        if n < 2:
+            return self
         # Horner in (i + s): repeatedly multiply by (i + s) and add.
         out = [0]
-        for c in reversed(self.coeffs):
+        for a in reversed(c):
             nxt = [0] * (len(out) + 1)
-            for j, a in enumerate(out):
-                nxt[j + 1] += a
-                nxt[j] += a * s
-            nxt[0] += c
+            for j, b in enumerate(out):
+                nxt[j + 1] += b
+                nxt[j] += b * s
+            nxt[0] += a
             out = nxt
         return IndexPoly(out)
 
     def __neg__(self):
-        return IndexPoly([-c for c in self.coeffs])
+        return IndexPoly._of(tuple([-c for c in self.coeffs]))
 
     def integer_roots(self):
-        if self.is_zero():
+        n = len(self.coeffs)
+        if not n:
             raise ValueError("the zero polynomial has every integer as a root")
-        if self.degree == 0:
+        if n == 1:
             return ()
-        if self.degree == 1:
+        if n == 2:
             c0, c1 = self.coeffs
             q, r = divmod(-c0, c1)
             return (q,) if r == 0 else ()
-        if self.degree == 2:
+        if n == 3:
             c0, c1, c2 = self.coeffs
             disc = c1 * c1 - 4 * c2 * c0
             if disc < 0:
@@ -217,6 +246,9 @@ class WeightModule:
 
 # -- constructors -----------------------------------------------------------
 
+# The constant coefficient 1, shared by the ladders that use it.
+_ONE = IndexPoly((1,))
+
 
 def _lowest_weight_and_truncation(lam, trunc):
     lam = _require_even(lam, "lowest weight")
@@ -235,7 +267,7 @@ def verma(lam, trunc=None) -> WeightModule:
     The window is exact below and cut above.
     """
     lam, trunc = _lowest_weight_and_truncation(lam, trunc)
-    ladder = LadderInfo(step=2, coeff_x=IndexPoly((1,)), coeff_y=IndexPoly((0, 1 - lam, -1)))
+    ladder = LadderInfo(step=2, coeff_x=_ONE, coeff_y=IndexPoly((0, 1 - lam, -1)))
     return WeightModule("verma", ladder, lam, trunc + 1, bottom_exact=True, top_exact=False)
 
 
@@ -248,7 +280,7 @@ def dual_verma(lam, trunc=None) -> WeightModule:
     """
     lam, trunc = _lowest_weight_and_truncation(lam, trunc)
     ladder = LadderInfo(step=2, coeff_x=IndexPoly((-lam, -(lam + 1), -1)),
-                        coeff_y=IndexPoly((1,)))
+                        coeff_y=_ONE)
     return WeightModule("dual-verma", ladder, lam, trunc + 1, bottom_exact=True, top_exact=False)
 
 
@@ -263,7 +295,7 @@ def simple(minus_k) -> WeightModule:
         raise ValidationError(
             f"simple() expects a non-positive lowest weight, got {minus_k}")
     k = -minus_k
-    ladder = LadderInfo(step=2, coeff_x=IndexPoly((1,)), coeff_y=IndexPoly((0, k + 1, -1)))
+    ladder = LadderInfo(step=2, coeff_x=_ONE, coeff_y=IndexPoly((0, k + 1, -1)))
     return WeightModule("simple", ladder, -k, k + 1, bottom_exact=True, top_exact=True)
 
 
@@ -306,14 +338,16 @@ def check_bracket_relations(m: WeightModule) -> bool:
     max_weight.  A cut edge asks nothing more: the module goes on past it.
     """
     cx, cy = m.ladder.coeff_x, m.ladder.coeff_y
-    if cx.is_zero() or cy.is_zero() or cx.degree + cy.degree != 2:
+    # Degrees p + q = 2 with both nonzero: p + 1 and q + 1 coefficients.
+    nx, ny = len(cx.coeffs), len(cy.coeffs)
+    if not nx or not ny or nx + ny != 4:
         return False
     step = m.ladder.step
     s = 2 // step
     w0 = m.lowest_label_weight
-    for i in (0, 1):
-        if cx(i - s) * cy(i) - cy(i + s) * cx(i) != w0 + step * i:
-            return False
+    if (cx(-s) * cy(0) - cy(s) * cx(0) != w0
+            or cx(1 - s) * cy(1) - cy(1 + s) * cx(1) != w0 + step):
+        return False
     lo, hi = (0, m.length - 1) if step > 0 else (m.length - 1, 0)
     if m.bottom_exact and cx(lo - s) * cy(lo) != 0:
         return False

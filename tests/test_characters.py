@@ -1,9 +1,10 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI, w_twist_characters
+from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI
 from djem.errors import ParityError, ValidationError
 
 
@@ -73,7 +74,7 @@ def test_w_twist_involution():
     chars = (TorusCharacter(4, psi_exp=1, delta_exp=1),
              TorusCharacter(-6, psiw_exp=1),
              TorusCharacter(2, psi_exp=2, psiw_exp=1, delta_exp=-1))
-    assert w_twist_characters(w_twist_characters(chars)) == chars
+    assert tuple(c.w_twist().w_twist() for c in chars) == chars
 
 
 def test_w_twist_swaps_and_negates():
@@ -109,6 +110,33 @@ def test_torus_characters_are_values():
     assert chi != (4, 1, 0, 1)
     assert Counter([chi, same, chi.w_twist()]) == Counter({chi: 2, chi.w_twist(): 1})
     assert repr(chi) == "TorusCharacter(weight=4, psi_exp=1, psiw_exp=0, delta_exp=1)"
+
+
+def test_torus_character_equality_and_hash_keep_value_semantics():
+    rng = random.Random(20261019)
+    for _ in range(200):
+        fields = (2 * rng.randint(-20, 20), rng.randint(-3, 3), rng.randint(-3, 3),
+                  rng.randint(-3, 3))
+        chi, same = TorusCharacter(*fields), TorusCharacter(*fields)
+        assert chi is not same and chi == same and not chi != same
+        assert hash(chi) == hash(same) == hash(fields)
+        for i in range(4):
+            moved = list(fields)
+            moved[i] += 2
+            assert chi != TorusCharacter(*moved)
+    chi = TorusCharacter(4, psi_exp=1, delta_exp=1)
+    # Another Value class with the same field values is never equal to it.
+    twin = SmoothCharacter("a", 1, 2)
+    assert chi.__eq__(twin) is NotImplemented and twin.__eq__(chi) is NotImplemented
+    assert chi != twin and chi.__eq__((4, 1, 0, 1)) is NotImplemented
+
+
+def test_z_eigenvalue_takes_no_power_for_exponent_zero_or_one():
+    psi = SmoothCharacter("a", 3, Fraction(-2, 5))
+    assert TorusCharacter(0, psi_exp=1).z_eigenvalue(psi) == (3, psi.z_unit)
+    assert TorusCharacter(0, psi_exp=1).z_eigenvalue(psi)[1] is psi.z_unit
+    assert TorusCharacter(2, psi_exp=2, psiw_exp=2).z_eigenvalue(psi) == (2, Fraction(1))
+    assert TorusCharacter(0, psiw_exp=1).z_eigenvalue(psi) == (-3, Fraction(-5, 2))
 
 
 def test_smooth_characters_are_values():

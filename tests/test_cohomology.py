@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import zip_longest
 
 import pytest
@@ -77,6 +78,24 @@ def test_certificate_finite_module_is_empty():
     cert = stabilization_certificate(simple(-4), "n")
     assert cert.finite
     assert cert.coefficient is None and cert.roots == () and cert.bound == 0
+
+
+def test_certificate_refuses_a_coefficient_it_cannot_list_the_roots_of():
+    # The X = 0 ladder and the degree-3 X ladder both fail the bracket check,
+    # so cohomology() never asks for their certificate; a direct call names
+    # the operator and its coefficient instead of leaking IndexPoly's error.
+    zero_x = WeightModule("generic", LadderInfo(2, IndexPoly(()), IndexPoly((1,))), 0, 1,
+                          bottom_exact=True, top_exact=False)
+    cubic_x = WeightModule("hand-made", LadderInfo(2, IndexPoly((2, 5, -2, 1)),
+                                                   IndexPoly((-1,))), 2, 3, True, False)
+    for m, text in ((zero_x, "0"), (cubic_x, "i^3-2*i^2+5*i+2")):
+        assert not check_bracket_relations(m)
+        with pytest.raises(ValidationError, match=rf"operator X has coefficient {re.escape(text)},"):
+            stabilization_certificate(m, "n")
+    # The other operator of each is a nonzero constant, which certifies.
+    for m in (zero_x, cubic_x):
+        cert = stabilization_certificate(m, "nbar")
+        assert (cert.operator, cert.roots, cert.bound, cert.finite) == ("Y", (), 0, False)
 
 
 def test_certificate_scan_at_four_times_bound():

@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 
 from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI
+from djem.cli import corpus_manifest, fixture_document
+from djem.cohomology import cohomology
 from djem.errors import ParityError, ValidationError
 from djem.jacquet import (OrlikStrauchSpec, assemble_les, build_module, hecke_eigenvalue,
                           les_consistency_check, section_cohomology_characters,
                           stalk_cohomology_characters)
+from djem.reporting import eigenvalue_json, jacquet_result_json
 from djem.sl2 import n_finite_dual
 
 
@@ -249,3 +252,81 @@ def test_degree_reports_are_values():
     other = assemble_les(OrlikStrauchSpec("verma", 6)).degrees
     assert a[0] != other[0]
     assert OrlikStrauchSpec("verma", 4) == OrlikStrauchSpec("verma", 4, TRIVIAL_PSI)
+
+
+# -- each piece of work once -------------------------------------------------
+
+
+def test_stalk_characters_are_the_w_twist_of_the_untwisted_lines():
+    # The stalk's line at weight w is built at chi_{-w} psi^w directly; it
+    # must be the w-twist of chi_w psi, the line before the interpolation.
+    for family in ("verma", "dualverma", "simple"):
+        for k in range(-12, 13, 2):
+            if k < 0 and family != "verma":
+                continue
+            d = dual(family, k)
+            res = cohomology(d, "nbar")
+            stalk = stalk_cohomology_characters(d)
+            for degree, lines in ((0, res.h0), (1, res.h1)):
+                untwisted = tuple(TorusCharacter(line.weight, psi_exp=1) for line in lines)
+                assert stalk[degree] == tuple(c.w_twist() for c in untwisted), (family, k)
+
+
+def test_les_check_agrees_with_normalizing_every_factor():
+    # The check folds characters only when the raw multisets differ; the
+    # answer is the one normalizing every factor gives, including the
+    # connecting-undetermined k where the lists are empty.
+    psis = (TRIVIAL_PSI, SmoothCharacter("a", 0, -1, w_selfdual=True), SmoothCharacter("b", 2, 3),
+            SmoothCharacter("c", 6, 1, w_selfdual=True), SmoothCharacter("d", 6, -1))
+    outcomes = Counter()
+    for psi in psis:
+        for k in range(0, 21, 2):
+            sub, mid, quot = (assemble_les(OrlikStrauchSpec(fam, kk, psi), k + 18)
+                              for fam, kk in (("simple", k), ("verma", k), ("verma", -(k + 2))))
+            norm = lambda *parts: Counter(c.normalized(psi) for r, i in parts
+                                          for c in r.degrees[i].jh_factors)
+            expected = norm((sub, 0), (quot, 0), (mid, 1)) == norm((mid, 0), (sub, 1), (quot, 1))
+            assert les_consistency_check(k, psi, k + 18) == expected, (psi, k)
+            outcomes[expected] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_a_corpus_report_takes_each_eigenvalue_once(monkeypatch):
+    calls = []
+    original = TorusCharacter.z_eigenvalue
+
+    def counted(chi, psi):
+        calls.append(chi)
+        return original(chi, psi)
+
+    monkeypatch.setattr(TorusCharacter, "z_eigenvalue", counted)
+    jobs = [(name, argv) for name, argv in corpus_manifest() if argv[0] == "jacquet"]
+    assert len(jobs) == 18
+    for name, argv in jobs:
+        calls.clear()
+        fixture_document(argv)
+        taken = list(calls)
+        report = assemble_les(OrlikStrauchSpec(argv[2], int(argv[4])), int(argv[8]))
+        assert sorted(taken, key=repr) == sorted(report.eigenvalues, key=repr), name
+    calls.clear()
+    fixture_document(dict(corpus_manifest())["jacquet-verma-k+04"])
+    assert len(calls) == 3
+
+
+def test_rendered_hecke_lists_are_the_degree_eigenvalues():
+    # The renderer reads each eigenvalue through the report's table; every
+    # Hecke list must still render its degree's hecke_eigenvalues, with and
+    # without a concrete prime.
+    for psi in (TRIVIAL_PSI, SmoothCharacter("b", 2, Fraction(-3, 7)),
+                SmoothCharacter("c", 6, 1, w_selfdual=True)):
+        for family, k in (("verma", 4), ("verma", -6), ("dualverma", 2), ("simple", 0),
+                          ("simple", 4)):
+            report = assemble_les(OrlikStrauchSpec(family, k, psi))
+            for p in (None, 5):
+                out = jacquet_result_json(report, p)
+                for i in (0, 1):
+                    deg = report.degrees[i]
+                    assert out["degrees"][str(i)]["hecke_eigenvalues"] == [
+                        eigenvalue_json(e, p) for e in deg.hecke_eigenvalues]
+                    for c, rendered in zip(deg.jh_factors, out["degrees"][str(i)]["jh_factors"]):
+                        assert rendered["eigenvalue"] == eigenvalue_json(c.z_eigenvalue(psi), p)

@@ -538,6 +538,44 @@ def test_index_poly_eval_shift_roots():
     assert (-p)(3) == -6
 
 
+def _horner(coeffs, i):
+    out = 0
+    for c in reversed(coeffs):
+        out = out * i + c
+    return out
+
+
+def _horner_shift(coeffs, s):
+    """Coefficients of p(i + s) by Horner in (i + s), trailing zeros kept."""
+    out = [0]
+    for c in reversed(coeffs):
+        nxt = [0] * (len(out) + 1)
+        for j, a in enumerate(out):
+            nxt[j + 1] += a
+            nxt[j] += a * s
+        nxt[0] += c
+        out = nxt
+    return out
+
+
+def test_index_poly_closed_forms_match_horner():
+    rng = random.Random(20261019)
+    for degree in range(5):
+        for _ in range(40):
+            coeffs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((-3, -1, 1, 2))]
+            p = IndexPoly(coeffs)
+            assert p.degree == degree
+            for i in range(-6, 7):
+                assert p(i) == _horner(coeffs, i), (coeffs, i)
+            for s in range(-3, 4):
+                q = p.shifted(s)
+                assert q == IndexPoly(_horner_shift(coeffs, s)), (coeffs, s)
+                assert q.degree == degree and q.coeffs[-1] == coeffs[-1]
+                assert (-q) == IndexPoly([-c for c in q.coeffs])
+    zero = IndexPoly(())
+    assert zero(5) == 0 and zero.shifted(3) == zero and (-zero) == zero
+
+
 def test_index_poly_no_integer_roots():
     assert IndexPoly((2, 0, 1)).integer_roots() == ()   # i^2 + 2
     assert IndexPoly((1, 2)).integer_roots() == ()      # 2i + 1

@@ -11,20 +11,24 @@ The truncation default is abs(k) + 16 and can be overridden per run with
 "key = value" config file, given once as --config PATH or --config=PATH,
 may supply any option; explicit flags win.
 
-Only the modules a subcommand needs are imported when it runs: ext-bound
-loads djem.extbound, and corpus --parallel loads concurrent.futures.
+Options are declared once, in _COMMANDS.  build_parser() builds argparse's
+tree from it, for help and usage errors; _table_args() reads a plain argv (a
+subcommand other than corpus, then exact long options with their values) from
+it without argparse, 0.23 ms for the 36 corpus argvs against 1.3-2.0 ms, and
+hands any other argv to build_parser().parse_args.  So `import djem.cli` and
+a call load neither argparse (gettext, locale) nor json; ext-bound loads
+djem.extbound, and corpus --parallel loads concurrent.futures.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import os
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from djem.characters import TRIVIAL_PSI, SmoothCharacter, as_rational
 from djem.cohomology import cohomology, kostant_check
@@ -55,121 +59,147 @@ _RELATION_NAMES = ("psi-eq-phi", "psi-delta-eq-phi-w", "phi-delta-eq-phi-w")
 _BOOL_KEYS = {"json", "window-only", "psi-w-selfdual", "phi-w-selfdual"}
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _NEGATIVE_FRACTION = re.compile(r"-[0-9]+/[0-9]+")
+# argparse takes a '-'-led token for a value when it looks like a negative
+# number: its pattern up to 3.11; later ones take more tokens, not fewer.
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
-def _add_character_args(sp, name):
-    sp.add_argument(f"--{name}", default="trivial", metavar="LABEL",
-                    help=f"label of the smooth character {name} (default: trivial)")
-    sp.add_argument(f"--{name}-val", type=int, default=0, metavar="V",
-                    help=f"valuation of {name}(z), i.e. {name}(z) = p^V * unit")
-    sp.add_argument(f"--{name}-unit", default="1", metavar="NUM/DEN",
-                    help=f"unit part of {name}(z) as an exact rational")
-    sp.add_argument(f"--{name}-w-selfdual", action="store_true",
-                    help=f"declare {name}^w = {name}")
-    sp.add_argument(f"--{name}-torus-unit", default=None, metavar="LABEL",
-                    help=f"label of the restriction of {name} to the compact torus")
+def _opt(flag, kind="str", help=None, *, choices=None, required=None, default=None,
+         metavar=None):
+    """One entry of the option table: (flag, dest, kind, choices, required,
+    default, metavar, help).  kind is "int", "str", "store-true" or "append";
+    a flag without dashes is a positional."""
+    default = False if kind == "store-true" else default
+    return (flag, flag.lstrip("-").replace("-", "_"), kind, choices, required, default,
+            metavar, help)
 
 
-def _add_common_args(sp, with_trunc=True):
-    sp.add_argument("--json", action="store_true", help="emit a JSON report document")
-    sp.add_argument("--p", type=int, default=None,
-                    help="substitute a concrete prime for readable eigenvalues")
-    if with_trunc:
-        sp.add_argument("--trunc", type=int, default=None,
-                        help="truncation window override (default abs(k)+16)")
+def _character_options(name):
+    return (
+        _opt(f"--{name}", default="trivial", metavar="LABEL",
+             help=f"label of the smooth character {name} (default: trivial)"),
+        _opt(f"--{name}-val", "int", default=0, metavar="V",
+             help=f"valuation of {name}(z), i.e. {name}(z) = p^V * unit"),
+        _opt(f"--{name}-unit", default="1", metavar="NUM/DEN",
+             help=f"unit part of {name}(z) as an exact rational"),
+        _opt(f"--{name}-w-selfdual", "store-true", help=f"declare {name}^w = {name}"),
+        _opt(f"--{name}-torus-unit", metavar="LABEL",
+             help=f"label of the restriction of {name} to the compact torus"))
 
 
-class _SubcommandParser(argparse.ArgumentParser):
-    """Takes a negative NUM/DEN token, such as -2/5, for a value: argparse
-    reads a token that starts with '-' as an option unless it is a negative
-    int or decimal, so `--psi-unit -2/5` would lack its argument."""
+def _common_options(with_trunc=True):
+    common = (_opt("--json", "store-true", help="emit a JSON report document"),
+              _opt("--p", "int", help="substitute a concrete prime for readable eigenvalues"))
+    trunc = _opt("--trunc", "int", help="truncation window override (default abs(k)+16)")
+    return common + ((trunc,) if with_trunc else ())
 
-    def _parse_optional(self, arg_string):
-        if _NEGATIVE_FRACTION.fullmatch(arg_string):
-            return None
-        return super()._parse_optional(arg_string)
+
+_FAMILY = _opt("--family", required=True, choices=("verma", "dualverma", "simple"))
+_K = _opt("--k", "int", required=True)
+
+# Every subcommand's help and options, in help order: the one definition that
+# build_parser() and _table_args() both read.
+_COMMANDS = {
+    "jacquet": ("derived Jacquet module report for one family",
+                (_FAMILY, _K, *_character_options("psi"), *_common_options())),
+    "cohomology": ("radical cohomology of the n-finite dual ladder of one family",
+                   (_FAMILY, _K, _opt("--direction", required=True, choices=("n", "nbar")),
+                    _opt("--window-only", "store-true",
+                         help="accept a non-certified window-only answer"),
+                    *_common_options())),
+    "bgg-check": ("equivariance and cokernel check of the ladder embedding",
+                  (_K, *_common_options())),
+    "kostant": ("two-line cohomology check for the simple module dual",
+                (_K, *_common_options(with_trunc=False))),
+    "ext-bound": ("extension-dimension verdict for a pair of characters",
+                  (_K, _opt("--ell", "int", required=True), *_character_options("psi"),
+                   *_character_options("phi"),
+                   _opt("--relation", "append", metavar="NAME",
+                        help="declare a relation true (or false with a 'not:' prefix); "
+                             f"names: {', '.join(_RELATION_NAMES)}"),
+                   *_common_options())),
+    "les-check": ("Euler-characteristic consistency across the ladder sequence",
+                  (_K, *_character_options("psi"), *_common_options())),
+    "corpus": ("golden-file regression corpus",
+               (_opt("action", choices=("run", "write")),
+                _opt("--fixtures", help="fixture directory override"),
+                _opt("--parallel", "int", default=0, metavar="N",
+                     help="compute fixtures on N worker threads"),
+                _opt("--json", "store-true"))),
+}
+_KIND_SETTINGS = {"int": {"type": int}, "str": {}, "store-true": {"action": "store_true"},
+                  "append": {"action": "append"}}
 
 
 def build_parser():
+    import argparse
+
+    class _SubcommandParser(argparse.ArgumentParser):
+        """Takes a negative NUM/DEN token, such as -2/5, for a value: argparse
+        reads a token that starts with '-' as an option unless it is a negative
+        int or decimal, so `--psi-unit -2/5` would lack its argument."""
+
+        def _parse_optional(self, arg_string):
+            if _NEGATIVE_FRACTION.fullmatch(arg_string):
+                return None
+            return super()._parse_optional(arg_string)
+
     parser = argparse.ArgumentParser(
         prog="djem",
         description="Exact derived Jacquet modules for SL2(Qp) "
                     "principal-series-type representations.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
-
-    jq = sub.add_parser("jacquet", help="derived Jacquet module report for one family")
-    jq.add_argument("--family", required=True, choices=["verma", "dualverma", "simple"])
-    jq.add_argument("--k", type=int, required=True)
-    _add_character_args(jq, "psi")
-    _add_common_args(jq)
-
-    co = sub.add_parser("cohomology",
-                        help="radical cohomology of the n-finite dual ladder of one family")
-    co.add_argument("--family", required=True, choices=["verma", "dualverma", "simple"])
-    co.add_argument("--k", type=int, required=True)
-    co.add_argument("--direction", required=True, choices=["n", "nbar"])
-    co.add_argument("--window-only", action="store_true",
-                    help="accept a non-certified window-only answer")
-    _add_common_args(co)
-
-    bg = sub.add_parser("bgg-check", help="equivariance and cokernel check of the ladder embedding")
-    bg.add_argument("--k", type=int, required=True)
-    _add_common_args(bg)
-
-    ko = sub.add_parser("kostant", help="two-line cohomology check for the simple module dual")
-    ko.add_argument("--k", type=int, required=True)
-    _add_common_args(ko, with_trunc=False)
-
-    eb = sub.add_parser("ext-bound", help="extension-dimension verdict for a pair of characters")
-    eb.add_argument("--k", type=int, required=True)
-    eb.add_argument("--ell", type=int, required=True)
-    _add_character_args(eb, "psi")
-    _add_character_args(eb, "phi")
-    eb.add_argument("--relation", action="append", default=None, metavar="NAME",
-                    help="declare a relation true (or false with a 'not:' prefix); "
-                         f"names: {', '.join(_RELATION_NAMES)}")
-    _add_common_args(eb)
-
-    lc = sub.add_parser("les-check", help="Euler-characteristic consistency across the ladder sequence")
-    lc.add_argument("--k", type=int, required=True)
-    _add_character_args(lc, "psi")
-    _add_common_args(lc)
-
-    cp = sub.add_parser("corpus", help="golden-file regression corpus")
-    cp.add_argument("action", choices=["run", "write"])
-    cp.add_argument("--fixtures", default=None, help="fixture directory override")
-    cp.add_argument("--parallel", type=int, default=0, metavar="N",
-                    help="compute fixtures on N worker threads")
-    cp.add_argument("--json", action="store_true")
-
+    for command, (help_text, options) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for flag, _, kind, *settings in options:
+            named = zip(("choices", "required", "default", "metavar", "help"), settings)
+            sp.add_argument(flag, **_KIND_SETTINGS[kind],
+                            **{key: value for key, value in named if value is not None})
     return parser
 
 
-@functools.cache
-def _parsers():
-    """The parser of this process and its subcommand parsers by name.
-    Parsing leaves a parser unchanged, so every call, corpus worker threads
-    included, may share them."""
-    parser = build_parser()
-    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return parser, sub.choices
+def _table_args(argv):
+    """What build_parser().parse_args(argv) gives, or None to decline.  It
+    takes argv[0] naming a subcommand without positionals, then exact long
+    options, each value one argparse takes for a value ('-'-led only as a
+    negative number) that int and the choices accept, all required present;
+    a repeated option keeps its last value, --relation appends."""
+    options = _COMMANDS[argv[0]][1] if argv and argv[0] in _COMMANDS else ()
+    if not options or any(not opt[0].startswith("--") for opt in options):
+        return None
+    by_flag = {opt[0]: opt for opt in options}
+    values = {opt[1]: opt[5] for opt in options}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in by_flag:
+            return None
+        _, dest, kind, choices, *_ = by_flag[token]
+        if kind == "store-true":
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or (value[:1] == "-" and not _NEGATIVE_NUMBER.fullmatch(value)
+                             and not _NEGATIVE_FRACTION.fullmatch(value)):
+            return None
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = [*(values[dest] or ()), value] if kind == "append" else value
+    if any(opt[4] and values[opt[1]] is None for opt in options):
+        return None
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def _parse_args(argv):
-    """What build_parser().parse_args(argv) gives, or the same usage error.
-
-    When argv[0] names a subcommand, the full parser would only hand argv[1:]
-    to that subcommand's parser after classifying every token itself, so the
-    subcommand's parser takes them directly; any other argv (empty, -h, an
-    unknown command) goes through the full parser."""
-    parser, subparsers = _parsers()
-    sub = subparsers.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    """What build_parser().parse_args(argv) gives, or the same usage error:
+    the table reading where it takes argv, argparse itself for the rest
+    (usage errors, -h, abbreviations, --opt=value, corpus)."""
+    args = _table_args(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def _rational_arg(text, flag) -> Fraction:
@@ -466,6 +496,8 @@ def _json_diff(golden, computed, pointer=""):
 
 def _diff_detail(golden_bytes, computed) -> str:
     """Where a golden file and the computed document part, for stderr."""
+    import json
+
     try:
         golden = json.loads(golden_bytes)
     except ValueError as err:

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
+try:  # json.encoder's own choice, without importing the json package
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import py_encode_basestring_ascii as _quote
 
 from djem import __version__
 from djem.errors import ValidationError

@@ -274,20 +274,45 @@ def test_sizes_at_the_limit_are_accepted(capsys):
         assert code == EXIT_VALIDATION and f"must be at most {SIZE_LIMIT}" in err
 
 
-def test_cli_import_path_stays_lean():
+_HEAVY = ("dataclasses", "inspect", "concurrent.futures", "logging", "djem.extbound",
+          "argparse", "gettext", "locale", "json")
+
+
+def _fresh_call(*argv):
+    """(exit code, stdout, stderr lines) of main(argv) in a fresh interpreter
+    whose last stderr line lists the heavy modules loaded by then."""
     # -S keeps site hooks from importing modules on their own behalf.
     script = ("import sys\n"
               "import djem.cli\n"
-              "djem.cli.main(['jacquet', '--family', 'verma', '--k', '4', '--json'])\n"
-              "heavy = ('dataclasses', 'inspect', 'concurrent.futures', 'logging',"
-              " 'djem.extbound')\n"
-              "print(sorted(m for m in heavy if m in sys.modules), file=sys.stderr)\n")
+              "try:\n"
+              "    code = djem.cli.main(sys.argv[1:])\n"
+              "except SystemExit as exc:\n"
+              "    code = exc.code\n"
+              f"print(sorted(m for m in {_HEAVY!r} if m in sys.modules), file=sys.stderr)\n"
+              "raise SystemExit(code)\n")
     src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
-                         timeout=20, env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout)["command"] == "jacquet"
-    assert out.stderr.strip() == "[]"
+    out = subprocess.run([sys.executable, "-S", "-c", script, *argv], capture_output=True,
+                         text=True, timeout=20, env={**os.environ, "PYTHONPATH": str(src)})
+    return out.returncode, out.stdout, out.stderr.splitlines()
+
+
+def test_cli_import_path_stays_lean():
+    # An answer and a validation refusal load none of the heavy modules:
+    # argparse and json among them, since the option table reads the argv.
+    code, out, err = _fresh_call("jacquet", "--family", "verma", "--k", "4", "--json")
+    assert code == 0, err
+    assert json.loads(out)["command"] == "jacquet"
+    assert err == ["[]"]
+    code, out, err = _fresh_call("jacquet", "--family", "verma", "--k", "3", "--json")
+    assert code == EXIT_VALIDATION and out == ""
+    assert err == ["validation error: k must be even, got 3", "[]"]
+    # A usage error still gets argparse's usage text, loading argparse to print it.
+    code, out, err = _fresh_call("jacquet", "--family", "verma")
+    assert code == 2 and out == ""
+    assert err[0].startswith("usage: djem jacquet") and "argparse" in err[-1]
+    # An abbreviation argparse accepts is still accepted, through argparse.
+    code, out, err = _fresh_call("jacquet", "--fam", "verma", "--k", "2", "--json")
+    assert code == 0 and json.loads(out)["config"]["family"] == "verma"
 
 
 def test_huge_concrete_value_refused_promptly():

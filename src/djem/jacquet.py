@@ -17,15 +17,12 @@ splice through the six-term sequence
 
   0 -> S0 -> H^0 -> T0 -> S1 -> H^1 -> T1 -> 0,
 
-whose connecting map T0 -> S1 the tool only ever resolves when it is forced
-to vanish (one side zero, or no z-eigenvalue match); otherwise the degree is
-reported as connecting-undetermined rather than guessed.
+whose connecting map T0 -> S1 is zero (see assemble_les).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 
 from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI
 from djem.cohomology import cohomology
@@ -101,8 +98,6 @@ class ExtensionFlag(Value):
     kind "zero": the degree vanishes.  kind "direct-sum-determined": the
     listed factors form an honest direct sum.  kind "ext-class-undetermined":
     a two-sided extension with sub and quot known but the class unresolved.
-    kind "connecting-undetermined": the six-term sequence could not be
-    spliced; section and stalk candidates are reported unmerged.
     """
 
     __slots__ = ("kind", "sub", "quot")
@@ -115,41 +110,28 @@ class ExtensionFlag(Value):
 
 
 class DegreeReport(Value):
-    """One degree: hecke_eigenvalues[i] is the z-eigenvalue of jh_factors[i]."""
+    __slots__ = ("jh_factors", "extension")
 
-    __slots__ = ("jh_factors", "extension", "hecke_eigenvalues", "finite_slope_complete")
-
-    def __init__(self, jh_factors: tuple[TorusCharacter, ...], extension: ExtensionFlag,
-                 hecke_eigenvalues: tuple[tuple[int, Fraction], ...],
-                 finite_slope_complete: bool):
+    def __init__(self, jh_factors: tuple[TorusCharacter, ...], extension: ExtensionFlag):
         self.jh_factors = jh_factors
         self.extension = extension
-        self.hecke_eigenvalues = hecke_eigenvalues
-        self.finite_slope_complete = finite_slope_complete
 
 
 class JacquetReport(Value):
     """The spliced report; eigenvalues maps each distinct character of the
-    section and stalk lists to its z-eigenvalue, taken once, for the
-    splice decision, the Hecke lists and the renderers alike."""
+    section and stalk lists to its z-eigenvalue, taken once, for the Hecke
+    lists and the renderers alike."""
 
-    __slots__ = ("spec", "truncation", "section", "stalk", "degrees",
-                 "connecting_map_forced_zero", "eigenvalues")
+    __slots__ = ("spec", "truncation", "section", "stalk", "degrees", "eigenvalues")
 
     def __init__(self, spec: OrlikStrauchSpec, truncation: int | None, section: dict,
-                 stalk: dict, degrees: dict, connecting_map_forced_zero: bool,
-                 eigenvalues: dict):
+                 stalk: dict, degrees: dict, eigenvalues: dict):
         self.spec = spec
         self.truncation = truncation
         self.section = section
         self.stalk = stalk
         self.degrees = degrees
-        self.connecting_map_forced_zero = connecting_map_forced_zero
         self.eigenvalues = eigenvalues
-
-    @property
-    def finite_slope_complete(self):
-        return all(d.finite_slope_complete for d in self.degrees.values())
 
 
 def hecke_eigenvalue(chi: TorusCharacter, psi: SmoothCharacter = TRIVIAL_PSI):
@@ -162,54 +144,41 @@ _ZERO = ExtensionFlag("zero")
 _DIRECT_SUM = ExtensionFlag("direct-sum-determined")
 
 
-def _degree_report(section_chars, stalk_chars, eigenvalues) -> DegreeReport:
-    """One degree of a spliced report; eigenvalues maps each character to
-    its Hecke eigenvalue."""
+def _degree_report(section_chars, stalk_chars) -> DegreeReport:
+    """One degree of a spliced report: the section part, then the stalk part."""
     if section_chars and stalk_chars:
         flag = ExtensionFlag("ext-class-undetermined", sub=section_chars, quot=stalk_chars)
     else:
         flag = _DIRECT_SUM if section_chars or stalk_chars else _ZERO
-    jh = section_chars + stalk_chars
-    hecke = tuple([eigenvalues[c] for c in jh])
-    return DegreeReport(jh, flag, hecke, all([u for _, u in hecke]))
+    return DegreeReport(section_chars + stalk_chars, flag)
 
 
 def assemble_les(spec: OrlikStrauchSpec, trunc=None) -> JacquetReport:
     """Splice section and stalk characters through the six-term sequence.
 
-    The connecting map T0 -> S1 is taken to vanish only when that is forced:
-    one of the two is zero, or no pair of lines shares a z-eigenvalue (a
-    torus-equivariant map between lines with distinct z-eigenvalues is zero).
-    When it cannot be forced, both degrees are flagged
-    connecting-undetermined and no Jordan-Hoelder list is emitted.
+    The connecting map T0 -> S1 is zero, so degree i is S_i followed by T_i.
+    H^*J_P is a delta-functor into locally analytic M-representations, so
+    the map is M-equivariant.  psi, psi^w and delta_P are smooth and chi_w is
+    algebraic of weight w, so two lines of different weight differ on any
+    open subgroup where psi is trivial, and an M-map between them is zero.
+    Every T0 line has weight k and every S1 line weight -(k+2), and these
+    never meet for even k.
     """
     if trunc is None:
         trunc = default_truncation(spec.k)
     dual = n_finite_dual(build_module(spec, trunc))
     section = section_cohomology_characters(dual)
     stalk = stalk_cohomology_characters(dual)
-    # Each distinct character's z-eigenvalue, once: the splice decision, the
-    # Hecke lists and the renderers all read it.
+    # Each distinct character's z-eigenvalue, once: the Hecke lists and the
+    # renderers read it.
     psi = spec.psi
     eigenvalues = {}
     for chars in (section[0], section[1], stalk[0], stalk[1]):
         for c in chars:
             if c not in eigenvalues:
                 eigenvalues[c] = hecke_eigenvalue(c, psi)
-    # A few lines a side, so compare pairs directly: the exponents settle
-    # almost every pair without touching the units.
-    s1_values = [eigenvalues[c] for c in section[1]]
-    forced_zero = not any(eigenvalues[c] in s1_values for c in stalk[0])
-    if forced_zero:
-        degrees = {i: _degree_report(section[i], stalk[i], eigenvalues) for i in (0, 1)}
-    else:
-        degrees = {
-            i: DegreeReport((), ExtensionFlag("connecting-undetermined",
-                                              sub=section[i], quot=stalk[i]),
-                            (), True)
-            for i in (0, 1)
-        }
-    return JacquetReport(spec, trunc, section, stalk, degrees, forced_zero, eigenvalues)
+    degrees = {i: _degree_report(section[i], stalk[i]) for i in (0, 1)}
+    return JacquetReport(spec, trunc, section, stalk, degrees, eigenvalues)
 
 
 def les_consistency_check(k, psi: SmoothCharacter = TRIVIAL_PSI, trunc=None) -> bool:
@@ -233,14 +202,4 @@ def les_consistency_check(k, psi: SmoothCharacter = TRIVIAL_PSI, trunc=None) -> 
     def jh(*parts):
         return Counter([c for report, degree in parts for c in report.degrees[degree].jh_factors])
 
-    lhs = jh((sub, 0), (quot, 0), (mid, 1))
-    rhs = jh((mid, 0), (sub, 1), (quot, 1))
-    if lhs == rhs:
-        # Equal multisets stay equal under normalization, so fold only when
-        # they differ.
-        return True
-
-    def folded(counts):
-        return Counter([c.normalized(psi) for c in counts.elements()])
-
-    return folded(lhs) == folded(rhs)
+    return jh((sub, 0), (quot, 0), (mid, 1)) == jh((mid, 0), (sub, 1), (quot, 1))

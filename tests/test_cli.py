@@ -474,33 +474,40 @@ def test_check_commands(capsys):
         assert "PASS" in out
 
 
-def test_connecting_undetermined_surfaced(capsys):
+def test_regime_report_is_spliced(capsys):
+    # psi(z) = p^4 at k = 2 gives the stalk H^0 line and the section H^1
+    # line one z-eigenvalue, but their weights 2 and -4 differ, so the
+    # connecting map is zero and the degree lists are spliced.
     code, out, _ = run(capsys, "jacquet", "--family", "simple", "--k", "2",
                        "--psi", "steep", "--psi-val", "4", "--json")
     assert code == 0
     result = json.loads(out)["result"]
-    assert result["connecting_map_forced_zero"] is False
-    assert result["degrees"]["0"]["extension"]["kind"] == "connecting-undetermined"
-    assert result["degrees"]["0"]["jh_factors"] == []
+    assert result["connecting_map_forced_zero"] is True
+    degree = result["degrees"]["0"]
+    assert degree["extension"]["kind"] == "ext-class-undetermined"
+    assert degree["jh_factors"] == result["section"]["0"] + result["stalk"]["0"]
 
 
-def test_connecting_undetermined_at_a_concrete_prime(capsys):
+def test_regime_report_at_a_concrete_prime(capsys):
     # psi(z) = -p^6 at k = 4: the stalk H^0 line chi_4 psi^w and the section
-    # H^1 line chi_{-6} psi delta_P share the z-eigenvalue -p^-2, so nothing
-    # is spliced, and every candidate is rendered at p = 5.
+    # H^1 line chi_{-6} psi delta_P share the z-eigenvalue -p^-2; each degree
+    # is still section then stalk, and every line is rendered at p = 5.
     code, out, _ = run(capsys, "jacquet", "--family", "simple", "--k", "4", "--psi", "chi",
                        "--psi-val", "6", "--psi-unit", "-1", "--p", "5", "--json")
     assert code == 0
     result = json.loads(out)["result"]
-    assert result["connecting_map_forced_zero"] is False
+    assert result["connecting_map_forced_zero"] is True
+    assert result["finite_slope_complete"] is True
     values = {}
     for i in ("0", "1"):
         degree = result["degrees"][i]
-        assert degree["extension"]["kind"] == "connecting-undetermined"
-        assert degree["jh_factors"] == [] and degree["hecke_eigenvalues"] == []
+        assert degree["extension"]["kind"] == "ext-class-undetermined"
+        assert degree["extension"]["sub"] == result["section"][i]
+        assert degree["extension"]["quot"] == result["stalk"][i]
+        assert degree["jh_factors"] == result["section"][i] + result["stalk"][i]
+        assert degree["hecke_eigenvalues"] == [c["eigenvalue"] for c in degree["jh_factors"]]
         for side in ("section", "stalk"):
-            assert degree["extension"][side] == result[side][i]
-            (chi,) = degree["extension"][side]
+            (chi,) = result[side][i]
             values[side, i] = (chi["text"], chi["eigenvalue"])
     assert values == {
         ("section", "0"): ("chi_{4} psi delta_P", {"p_exp": 8, "unit": "-1/1", "value": "-390625/1"}),
@@ -509,6 +516,33 @@ def test_connecting_undetermined_at_a_concrete_prime(capsys):
         ("stalk", "1"): ("chi_{-6} psi^w", {"p_exp": -12, "unit": "-1/1",
                                             "value": "-1/244140625"}),
     }
+    code, out, _ = run(capsys, "jacquet", "--family", "simple", "--k", "4", "--psi", "chi",
+                       "--psi-val", "6", "--psi-unit", "-1", "--p", "5")
+    assert code == 0 and "candidate" not in out
+
+
+@pytest.mark.parametrize("unit", ["1", "-1"])
+def test_regime_les_check_passes(capsys, unit):
+    code, out, _ = run(capsys, "les-check", "--k", "4", "--psi", "a", "--psi-val", "6",
+                       "--psi-unit", unit)
+    assert (code, out) == (0, "les-check k=4: PASS\n")
+
+
+@pytest.mark.parametrize("unit", ["1", "-1"])
+def test_regime_ext_bound_lists_both_h1_factors(capsys, unit):
+    # The target is simple at ell = 4 with phi(z) = +-p^6, where its H^0 stalk
+    # line and H^1 section line share a z-eigenvalue.
+    code, out, _ = run(capsys, "ext-bound", "--k", "-6", "--ell", "4", "--psi", "a",
+                       "--phi", "b", "--phi-val", "6", "--phi-unit", unit,
+                       "--relation", "psi-eq-phi", "--relation", "not:psi-delta-eq-phi-w",
+                       "--relation", "not:phi-delta-eq-phi-w", "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["verdict"] == "one-dimensional"
+    assert [c["text"] for c in result["h1_factors"]] == ["chi_{-6} psi delta_P",
+                                                         "chi_{-6} psi^w"]
+    assert [c["text"] for c in result["matched_factors"]] == ["chi_{-6} psi delta_P"]
+    assert result["hom_bound"] == {"min": 0, "max": 1}
 
 
 def test_ext_bound_command(capsys):
@@ -661,6 +695,8 @@ def test_reports_validate_against_shipped_schema(capsys):
     cases = (
         ["jacquet", "--family", "simple", "--k", "4", "--json"],
         ["jacquet", "--family", "dualverma", "--k", "0", "--p", "3", "--json"],
+        ["jacquet", "--family", "simple", "--k", "4", "--psi", "a", "--psi-val", "6",
+         "--psi-unit", "-1", "--json"],
         ["cohomology", "--family", "dualverma", "--k", "4", "--direction", "nbar", "--json"],
         ["kostant", "--k", "4", "--json"],
         ["bgg-check", "--k", "4", "--json"],

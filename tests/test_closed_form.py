@@ -38,6 +38,11 @@ WINDOW_K_MAX = 40
 DECLARED_PSI = ("chi", 1, "3/2")
 
 
+# psi(z) = p^val * unit; at val = k + 2 with unit +-1 a stalk H^0 line and a
+# section H^1 line of simple share a z-eigenvalue.
+PSI_GRID = tuple(("chi", val, unit) for val in range(-12, 13) for unit in ("1", "-1", "2", "-1/2"))
+
+
 def _psis():
     yield oracle.TRIVIAL, TRIVIAL_PSI
     label, val, unit = DECLARED_PSI
@@ -73,6 +78,25 @@ def test_jacquet_reports_match_the_closed_form_at_the_size_limit():
 def _report_json(family, k, character, trunc=None):
     report = assemble_les(OrlikStrauchSpec(family, k, character), trunc)
     return json.loads(json.dumps(jacquet_result_json(report)))
+
+
+def test_every_psi_of_the_grid_matches_the_closed_form():
+    # The connecting map T0 -> S1 is zero because T0 and S1 never share a
+    # weight, so every report, the shared-eigenvalue ones included, is the
+    # oracle's splice.
+    checked = 0
+    for family in ("verma", "dualverma", "simple"):
+        for k in range(-WINDOW_K_MAX if family == "verma" else 0, WINDOW_K_MAX + 1, 2):
+            for psi in PSI_GRID:
+                label, val, unit = psi
+                report = assemble_les(
+                    OrlikStrauchSpec(family, k, SmoothCharacter(label, val, Fraction(unit))))
+                t0 = {c.weight for c in report.stalk[0]}
+                assert t0.isdisjoint(c.weight for c in report.section[1]), (family, k, psi)
+                got = json.loads(json.dumps(jacquet_result_json(report)))
+                assert got == oracle.jacquet_result(family, k, psi), (family, k, psi)
+                checked += 1
+    assert checked == (WINDOW_K_MAX + 1 + 2 * (WINDOW_K_MAX // 2 + 1)) * len(PSI_GRID) == 8300
 
 
 def test_reports_are_the_same_from_the_minimal_certified_window():

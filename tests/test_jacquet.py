@@ -77,7 +77,7 @@ def test_stalk_characters_dual_family():
 def test_report_principal_series_nonnegative():
     k = 4
     r = assemble_les(OrlikStrauchSpec("verma", k))
-    assert r.connecting_map_forced_zero
+    assert jacquet_result_json(r)["connecting_map_forced_zero"] is True
     d0, d1 = r.degrees[0], r.degrees[1]
     assert d0.extension.kind == "ext-class-undetermined"
     assert d0.extension.sub == (sec(k),)
@@ -134,57 +134,63 @@ def test_zero_degree_flag():
     assert r.degrees[0].extension.kind == "direct-sum-determined"
 
 
-def test_connecting_map_refused_on_matching_eigenvalues():
+def test_connecting_map_zero_on_matching_eigenvalues():
     # psi(z) = p^{k+2} makes the stalk degree-0 line and the section degree-1
-    # line share a z-eigenvalue; the splice must be refused, not guessed
+    # line share a z-eigenvalue; their weights k and -(k+2) still differ, so
+    # the map between them is zero and both degrees are spliced
     k = 2
     psi = SmoothCharacter("steep", k + 2, 1)
     r = assemble_les(OrlikStrauchSpec("simple", k, psi))
-    assert not r.connecting_map_forced_zero
-    for i in (0, 1):
-        assert r.degrees[i].extension.kind == "connecting-undetermined"
-        assert r.degrees[i].jh_factors == ()
-    # the candidates are still reported
+    assert r.eigenvalues[stk(k)] == r.eigenvalues[sec(-(k + 2))]
     assert r.degrees[0].extension.sub == (sec(k),)
     assert r.degrees[0].extension.quot == (stk(k),)
+    assert r.degrees[0].jh_factors == (sec(k), stk(k))
+    assert r.degrees[1].jh_factors == (sec(-(k + 2)), stk(-(k + 2)))
+    for i in (0, 1):
+        assert r.degrees[i].extension.kind == "ext-class-undetermined"
+    assert jacquet_result_json(r)["connecting_map_forced_zero"] is True
 
 
-def test_connecting_map_is_undetermined_exactly_on_the_matching_psis():
+def test_every_psi_splices_section_then_stalk():
     # Only simple has both a stalk H^0 line, stk(k), and a section H^1 line,
     # sec(-(k+2)).  Their z-eigenvalues p^(k - v) u^-1 and p^(v - k - 4) u
-    # agree iff v = k + 2 and u = +-1, and only then may the connecting map
-    # be nonzero.
-    undetermined = []
+    # agree iff v = k + 2 and u = +-1; every report, those included, is
+    # spliced, and every Hecke list is its factors' z-eigenvalues.
+    matching = []
     for family in ("verma", "dualverma", "simple"):
         for k in range(0, 9, 2):
             for val in range(-12, 13):
                 for unit in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)):
                     psi = SmoothCharacter("chi", val, unit)
                     r = assemble_les(OrlikStrauchSpec(family, k, psi))
-                    if r.connecting_map_forced_zero:
-                        for i in (0, 1):
-                            deg = r.degrees[i]
-                            assert deg.jh_factors == r.section[i] + r.stalk[i]
-                            assert deg.hecke_eigenvalues == tuple(c.z_eigenvalue(psi)
-                                                                  for c in deg.jh_factors)
-                        continue
-                    undetermined.append((family, k, val, unit))
+                    out = jacquet_result_json(r)
+                    assert out["connecting_map_forced_zero"] is True
+                    assert out["finite_slope_complete"] is True
                     for i in (0, 1):
                         deg = r.degrees[i]
-                        assert deg.extension.kind == "connecting-undetermined"
-                        assert (deg.extension.sub, deg.extension.quot) == (r.section[i], r.stalk[i])
-                        assert deg.jh_factors == () and deg.hecke_eigenvalues == ()
-    assert undetermined == [("simple", k, k + 2, u) for k in range(0, 9, 2)
-                            for u in (Fraction(1), Fraction(-1))]
+                        assert deg.jh_factors == r.section[i] + r.stalk[i]
+                        if r.section[i] and r.stalk[i]:
+                            assert deg.extension.kind == "ext-class-undetermined"
+                            assert (deg.extension.sub, deg.extension.quot) == (r.section[i],
+                                                                               r.stalk[i])
+                        assert out["degrees"][str(i)]["hecke_eigenvalues"] == [
+                            eigenvalue_json(c.z_eigenvalue(psi)) for c in deg.jh_factors]
+                    s1 = {r.eigenvalues[c] for c in r.section[1]}
+                    if any(r.eigenvalues[c] in s1 for c in r.stalk[0]):
+                        matching.append((family, k, val, unit))
+    assert matching == [("simple", k, k + 2, u) for k in range(0, 9, 2)
+                        for u in (Fraction(1), Fraction(-1))]
 
 
 def test_hecke_eigenvalues_and_finite_slope():
     psi = SmoothCharacter("a", 1, Fraction(2, 3))
     r = assemble_les(OrlikStrauchSpec("verma", -4, psi))
-    assert r.finite_slope_complete
-    ((v0, u0),) = r.degrees[0].hecke_eigenvalues
+    out = jacquet_result_json(r)
+    assert out["finite_slope_complete"] is True
+    assert all(d["finite_slope_complete"] is True for d in out["degrees"].values())
+    ((v0, u0),) = [r.eigenvalues[c] for c in r.degrees[0].jh_factors]
     assert (v0, u0) == (-4 + 1 - 2, Fraction(2, 3))
-    ((v1, u1),) = r.degrees[1].hecke_eigenvalues
+    ((v1, u1),) = [r.eigenvalues[c] for c in r.degrees[1].jh_factors]
     assert (v1, u1) == (2 - 1, Fraction(3, 2))
 
 
@@ -216,7 +222,7 @@ def test_euler_consistency_detects_dropped_factor():
 def test_resolved_reports_conserve_section_and_stalk_multisets():
     for fam, k in (("verma", 6), ("verma", -8), ("dualverma", 2), ("simple", 4)):
         r = assemble_les(OrlikStrauchSpec(fam, k))
-        assert r.connecting_map_forced_zero
+        assert jacquet_result_json(r)["connecting_map_forced_zero"] is True
         for i in (0, 1):
             assert Counter(r.degrees[i].jh_factors) == Counter(r.section[i]) + Counter(r.stalk[i])
 
@@ -273,9 +279,9 @@ def test_stalk_characters_are_the_w_twist_of_the_untwisted_lines():
 
 
 def test_les_check_agrees_with_normalizing_every_factor():
-    # The check folds characters only when the raw multisets differ; the
-    # answer is the one normalizing every factor gives, including the
-    # connecting-undetermined k where the lists are empty.
+    # The check compares raw multisets; normalizing every factor gives the
+    # same answer, including at psi(z) = +-p^{k+2}, where a stalk H^0 line
+    # and a section H^1 line share a z-eigenvalue.
     psis = (TRIVIAL_PSI, SmoothCharacter("a", 0, -1, w_selfdual=True), SmoothCharacter("b", 2, 3),
             SmoothCharacter("c", 6, 1, w_selfdual=True), SmoothCharacter("d", 6, -1))
     outcomes = Counter()
@@ -288,7 +294,7 @@ def test_les_check_agrees_with_normalizing_every_factor():
             expected = norm((sub, 0), (quot, 0), (mid, 1)) == norm((mid, 0), (sub, 1), (quot, 1))
             assert les_consistency_check(k, psi, k + 18) == expected, (psi, k)
             outcomes[expected] += 1
-    assert outcomes[True] and outcomes[False]
+    assert outcomes == {True: len(psis) * 11}
 
 
 def test_a_corpus_report_takes_each_eigenvalue_once(monkeypatch):
@@ -315,10 +321,10 @@ def test_a_corpus_report_takes_each_eigenvalue_once(monkeypatch):
 
 def test_rendered_hecke_lists_are_the_degree_eigenvalues():
     # The renderer reads each eigenvalue through the report's table; every
-    # Hecke list must still render its degree's hecke_eigenvalues, with and
-    # without a concrete prime.
+    # Hecke list must render its degree's eigenvalues from that table, with
+    # and without a concrete prime.
     for psi in (TRIVIAL_PSI, SmoothCharacter("b", 2, Fraction(-3, 7)),
-                SmoothCharacter("c", 6, 1, w_selfdual=True)):
+                SmoothCharacter("c", 6, 1, w_selfdual=True), SmoothCharacter("d", 6, -1)):
         for family, k in (("verma", 4), ("verma", -6), ("dualverma", 2), ("simple", 0),
                           ("simple", 4)):
             report = assemble_les(OrlikStrauchSpec(family, k, psi))
@@ -327,6 +333,6 @@ def test_rendered_hecke_lists_are_the_degree_eigenvalues():
                 for i in (0, 1):
                     deg = report.degrees[i]
                     assert out["degrees"][str(i)]["hecke_eigenvalues"] == [
-                        eigenvalue_json(e, p) for e in deg.hecke_eigenvalues]
+                        eigenvalue_json(report.eigenvalues[c], p) for c in deg.jh_factors]
                     for c, rendered in zip(deg.jh_factors, out["degrees"][str(i)]["jh_factors"]):
                         assert rendered["eigenvalue"] == eigenvalue_json(c.z_eigenvalue(psi), p)

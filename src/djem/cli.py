@@ -56,7 +56,6 @@ TRUNC_ENV_VAR = "JACQUET_TRUNC_DEFAULT"
 SIZE_LIMIT = 50_000
 
 _RELATION_NAMES = ("psi-eq-phi", "psi-delta-eq-phi-w", "phi-delta-eq-phi-w")
-_BOOL_KEYS = {"json", "window-only", "psi-w-selfdual", "phi-w-selfdual"}
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _NEGATIVE_FRACTION = re.compile(r"-[0-9]+/[0-9]+")
 # argparse takes a '-'-led token for a value when it looks like a negative
@@ -573,6 +572,11 @@ def corpus_write(fixtures_dir=None, parallel=0, out=None):
 
 
 def _config_file_tokens(path) -> list:
+    """The options a config file supplies, as argv tokens.  A key names a
+    long option; its kind in _COMMANDS decides the tokens: a store-true
+    option is given when its value is a true word, an append option once
+    per comma-separated item, any other key with its value."""
+    kinds = {opt[0]: opt[2] for _, options in _COMMANDS.values() for opt in options}
     tokens = []
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -585,15 +589,16 @@ def _config_file_tokens(path) -> list:
         if "=" not in line:
             raise ValidationError(f"config line is not 'key = value': {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _BOOL_KEYS:
+        flag = f"--{key}"
+        kind = kinds.get(flag)
+        if kind == "store-true":
             if value.lower() in _TRUE_WORDS:
-                tokens.append(f"--{key}")
-            continue
-        if key == "relation":
+                tokens.append(flag)
+        elif kind == "append":
             for item in value.split(","):
-                tokens.extend(["--relation", item.strip()])
-            continue
-        tokens.extend([f"--{key}", value])
+                tokens.extend([flag, item.strip()])
+        else:
+            tokens.extend([flag, value])
     return tokens
 
 

@@ -9,10 +9,10 @@ direction "nbar" uses Y and twists by +2.
 Truncated windows are discharged by a stabilization certificate: the closed
 form ladder coefficient together with its integer roots proves that neither
 kernel nor cokernel receives contributions past the certified bound, so the
-window answer is the exact answer.  A module that passes the bracket check
-has nonzero coefficients of degree at most 2, so it always has a certificate;
-a window cut below the certificate bound is refused by default, and callers
-may opt into a window-only answer that is flagged as non-certified.
+window answer is the exact answer.  Every ladder coefficient is a nonzero
+polynomial of degree at most 2, so every module has a certificate; a window
+cut below the certificate bound is refused by default, and callers may opt
+into a window-only answer that is flagged as non-certified.
 """
 
 from __future__ import annotations
@@ -97,10 +97,9 @@ def stabilization_certificate(m: WeightModule, direction: str) -> StabilizationC
     """Certificate for the operator of the given direction on a ladder module.
 
     Finite modules get the empty certificate; a truncated module's
-    certificate is read off its ladder polynomial for that operator, whose
-    integer roots can be listed when it is nonzero of degree at most 2, as
-    check_bracket_relations proves for every module it passes.  Any other
-    coefficient is refused with ValidationError.
+    certificate is read off its ladder polynomial for that operator, a
+    nonzero polynomial of degree at most 2 whose integer roots are listed
+    in closed form.
     """
     if direction not in _DIRECTIONS:
         raise ValidationError(f"direction must be one of {sorted(_DIRECTIONS)}, got {direction!r}")
@@ -108,14 +107,9 @@ def stabilization_certificate(m: WeightModule, direction: str) -> StabilizationC
     if m.is_finite:
         return StabilizationCertificate(op, None, (), 0, True)
     coeff = m.ladder.coeff_x if op == "X" else m.ladder.coeff_y
-    if not 0 <= coeff.degree <= 2:
-        raise ValidationError(
-            f"operator {op} has coefficient {coeff.text()}, which is not a nonzero polynomial "
-            f"of degree at most 2, so its roots cannot be listed; the module fails the "
-            f"bracket identity [X, Y] = H")
     roots = coeff.integer_roots()
     bound = max(roots) + 1 if roots else 0
-    return StabilizationCertificate(op, coeff, tuple(roots), max(bound, 0), False)
+    return StabilizationCertificate(op, coeff, roots, max(bound, 0), False)
 
 
 def _candidate_weights(m: WeightModule, certificate, shift: int):

@@ -28,16 +28,13 @@ from djem.errors import ValidationError
 VALUE_DIGIT_CAP = 4000
 
 
-def frac_str(x) -> str:
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
+def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
 def concrete_value(exponent, unit, p) -> str:
     """p^exponent * unit as "num/den"; refused past VALUE_DIGIT_CAP digits,
     which is decided from |exponent| * log10(p) before the power is taken."""
-    unit = Fraction(unit)
     unit_digits = math.log10(max(abs(unit.numerator), unit.denominator))
     if abs(exponent) * math.log10(p) + unit_digits > VALUE_DIGIT_CAP:
         raise ValidationError(f"the eigenvalue p^{exponent} * unit at p = {p} has more than "
@@ -253,49 +250,45 @@ def serialize(doc) -> str:
 
     json runs its C encoder only when indent is None, so an indented dump goes
     through the pure-Python one; this emitter writes the same bytes directly,
-    into one list of chunks.  It takes what djem documents hold: dicts with
-    str keys, lists and tuples, str, int, bool and None, subclasses included.
-    Anything else raises TypeError."""
+    into one list of chunks.  It takes exactly the types djem documents hold:
+    str, int, bool, None, lists, tuples and dicts with str keys.  Anything
+    else, a subclass of one of these included, raises TypeError."""
     out = []
     _write(doc, "\n", out)
     out.append("\n")
     return "".join(out)
 
 
-# The JSON kind of each exact type a document holds; _kind decides the rest.
-_KINDS = {str: str, int: int, list: list, tuple: list, dict: dict}
-
-
-def _kind(o):
-    """The JSON kind of o by json's own isinstance tests, in json's order:
-    str, int, list or dict, or the literal itself for None, True and False."""
-    if isinstance(o, str):
-        return str
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int
-    if isinstance(o, (list, tuple)):
-        return list
-    if isinstance(o, dict):
-        return dict
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 def _write(o, newline, out):
     """Appends o as JSON to out; newline is "\\n" plus the indent of the line
-    o starts on.  A scalar of an exact type inside a container is written in
-    place, without a call."""
-    kind = _KINDS.get(type(o)) or _kind(o)
-    if kind is str:
-        out.append(_quote(o))
-    elif kind is int:
-        out.append(int.__repr__(o))
-    elif kind is list:
+    o starts on.  A scalar inside a container is written in place, without a
+    call."""
+    t = type(o)
+    if t is dict:
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        comma, sep = "," + inner, "{" + inner
+        for key in sorted(o):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            sep = comma
+            v = o[key]
+            t = type(v)
+            if t is str:
+                out.append(_quote(v))
+            elif t is int:
+                out.append(int.__repr__(v))
+            elif t is bool:
+                out.append("true" if v else "false")
+            elif v is None:
+                out.append("null")
+            else:
+                _write(v, inner, out)
+        out.append(newline + "}")
+    elif t is list or t is tuple:
         if not o:
             out.append("[]")
             return
@@ -316,29 +309,13 @@ def _write(o, newline, out):
             else:
                 _write(v, inner, out)
         out.append(newline + "]")
-    elif kind is dict:
-        if not o:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        comma, sep = "," + inner, "{" + inner
-        for key in sorted(o):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + _quote(key) + ": ")
-            sep = comma
-            v = o[key]
-            t = type(v)
-            if t is str:
-                out.append(_quote(v))
-            elif t is int:
-                out.append(int.__repr__(v))
-            elif t is bool:
-                out.append("true" if v else "false")
-            elif v is None:
-                out.append("null")
-            else:
-                _write(v, inner, out)
-        out.append(newline + "}")
+    elif t is str:
+        out.append(_quote(o))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif t is bool:
+        out.append("true" if o else "false")
+    elif o is None:
+        out.append("null")
     else:
-        out.append(kind)
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

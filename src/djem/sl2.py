@@ -36,7 +36,9 @@ def _require_even(value, name) -> int:
 
 
 class IndexPoly:
-    """Integer polynomial in the ladder index i (degree at most 2 in scope)."""
+    """Nonzero integer polynomial of degree at most 2 in the ladder index i,
+    the only kind of coefficient a ladder that passes the bracket check has;
+    any other is refused with ValidationError when it is made."""
 
     __slots__ = ("coeffs",)
 
@@ -44,38 +46,31 @@ class IndexPoly:
         coeffs = [int(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
+        if not 0 < len(coeffs) <= 3:
+            raise ValidationError(f"a ladder coefficient must be a nonzero polynomial of degree "
+                                  f"at most 2, got the coefficients {coeffs}")
         self.coeffs = tuple(coeffs)
 
     @classmethod
     def _of(cls, coeffs: tuple):
-        """The polynomial with these coefficients, already ints with a nonzero
-        last entry (or none), taken as they are."""
+        """The polynomial with these coefficients, already one to three ints
+        with a nonzero last entry, taken as they are."""
         poly = object.__new__(cls)
         poly.coeffs = coeffs
         return poly
 
     def __call__(self, i):
-        # Closed forms up to degree 2, which every module that passes the
-        # bracket check has; Horner above.
         c = self.coeffs
         n = len(c)
         if n == 3:
             return c[0] + (c[1] + c[2] * i) * i
         if n == 1:
             return c[0]
-        if n == 2:
-            return c[0] + c[1] * i
-        out = 0
-        for a in reversed(c):
-            out = out * i + a
-        return out
+        return c[0] + c[1] * i
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    def is_zero(self):
-        return not self.coeffs
+        return len(self.coeffs) - 1
 
     def shifted(self, s):
         """Coefficients of p(i + s)."""
@@ -87,51 +82,34 @@ class IndexPoly:
             return IndexPoly._of((c0 + (c1 + c2 * s) * s, c1 + 2 * c2 * s, c2))
         if n == 2:
             return IndexPoly._of((c[0] + c[1] * s, c[1]))
-        if n < 2:
-            return self
-        # Horner in (i + s): repeatedly multiply by (i + s) and add.
-        out = [0]
-        for a in reversed(c):
-            nxt = [0] * (len(out) + 1)
-            for j, b in enumerate(out):
-                nxt[j + 1] += b
-                nxt[j] += b * s
-            nxt[0] += a
-            out = nxt
-        return IndexPoly(out)
+        return self
 
     def __neg__(self):
         return IndexPoly._of(tuple([-c for c in self.coeffs]))
 
     def integer_roots(self):
         n = len(self.coeffs)
-        if not n:
-            raise ValueError("the zero polynomial has every integer as a root")
         if n == 1:
             return ()
         if n == 2:
             c0, c1 = self.coeffs
             q, r = divmod(-c0, c1)
             return (q,) if r == 0 else ()
-        if n == 3:
-            c0, c1, c2 = self.coeffs
-            disc = c1 * c1 - 4 * c2 * c0
-            if disc < 0:
-                return ()
-            s = isqrt(disc)
-            if s * s != disc:
-                return ()
-            roots = set()
-            for num in (-c1 + s, -c1 - s):
-                q, r = divmod(num, 2 * c2)
-                if r == 0:
-                    roots.add(q)
-            return tuple(sorted(roots))
-        raise ValueError("only degree <= 2 is supported")
+        c0, c1, c2 = self.coeffs
+        disc = c1 * c1 - 4 * c2 * c0
+        if disc < 0:
+            return ()
+        s = isqrt(disc)
+        if s * s != disc:
+            return ()
+        roots = set()
+        for num in (-c1 + s, -c1 - s):
+            q, r = divmod(num, 2 * c2)
+            if r == 0:
+                roots.add(q)
+        return tuple(sorted(roots))
 
     def text(self):
-        if self.is_zero():
-            return "0"
         parts = []
         for d in range(self.degree, -1, -1):
             c = self.coeffs[d]
@@ -327,10 +305,10 @@ def check_bracket_relations(m: WeightModule) -> bool:
 
     With s = 2 // step the bracket on e_i reads B(i) = weight(i), where
     B(i) = cx(i - s) cy(i) - cy(i + s) cx(i) and weight(i) = w0 + step*i.
-    For nonzero cx and cy of degrees p and q the two products share their
-    leading term, and the i^(p+q-1) coefficient of B is
-    -s (p + q) lead(cx) lead(cy), never zero; B is 0 when either coefficient
-    is.  So B can equal the linear weight(i) only when p + q = 2, and then
+    cx and cy are nonzero, of degrees p and q (IndexPoly holds nothing
+    else), so the two products share their leading term, and the
+    i^(p+q-1) coefficient of B is -s (p + q) lead(cx) lead(cy), never zero.
+    So B can equal the linear weight(i) only when p + q = 2, and then
     B - weight has degree at most 1, decided by its values at i = 0 and 1.
     At an exact edge the line past it is missing, so the product through it
     must vanish on its own: cx(lo - s) cy(lo) at the bottom and
@@ -338,9 +316,8 @@ def check_bracket_relations(m: WeightModule) -> bool:
     max_weight.  A cut edge asks nothing more: the module goes on past it.
     """
     cx, cy = m.ladder.coeff_x, m.ladder.coeff_y
-    # Degrees p + q = 2 with both nonzero: p + 1 and q + 1 coefficients.
-    nx, ny = len(cx.coeffs), len(cy.coeffs)
-    if not nx or not ny or nx + ny != 4:
+    # Degrees p + q = 2: p + 1 and q + 1 coefficients.
+    if len(cx.coeffs) + len(cy.coeffs) != 4:
         return False
     step = m.ladder.step
     s = 2 // step

@@ -703,11 +703,32 @@ def test_reports_validate_against_shipped_schema(capsys):
         ["les-check", "--k", "2", "--json"],
         ["ext-bound", "--k", "-4", "--ell", "2", "--json"],
         ["corpus", "run", "--json"],
+        # a cut window, certified, and one below its certificate bound
+        ["cohomology", "--family", "verma", "--k", "4", "--direction", "n", "--json"],
+        ["cohomology", "--family", "verma", "--k", "40", "--direction", "nbar", "--trunc", "5",
+         "--window-only", "--json"],
     )
+    docs = []
     for argv in cases:
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
-        jsonschema.validate(json.loads(out), schema)
+        docs.append(json.loads(out))
+    cut, window_only = docs[-2:]
+    assert cut["result"]["certificate"]["coefficient_coeffs"] == [-1]
+    assert window_only["result"]["certified"] is False
+    goldens = [f for f in resources.files("djem").joinpath("fixtures", "corpus").iterdir()
+               if f.name.endswith(".json")]
+    assert len(goldens) == len(corpus_manifest()) == 36
+    for doc in docs + [json.loads(f.read_text(encoding="utf-8")) for f in goldens]:
+        jsonschema.validate(doc, schema)
+    # Every cohomology result carries a certificate, the empty one of a
+    # finite module included, and a coefficient has one to three terms.
+    cert = cut["result"]["certificate"]
+    for bad_cert in (None, {**cert, "coefficient_coeffs": []},
+                     {**cert, "coefficient_coeffs": [1, 2, 3, 4]}):
+        bad = {**cut, "result": {**cut["result"], "certificate": bad_cert}}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, schema)
 
 
 def test_fixture_document_matches_cli_output(capsys):

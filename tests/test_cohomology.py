@@ -81,21 +81,16 @@ def test_certificate_finite_module_is_empty():
 
 
 def test_certificate_refuses_a_coefficient_it_cannot_list_the_roots_of():
-    # The X = 0 ladder and the degree-3 X ladder both fail the bracket check,
-    # so cohomology() never asks for their certificate; a direct call names
-    # the operator and its coefficient instead of leaking IndexPoly's error.
-    zero_x = WeightModule("generic", LadderInfo(2, IndexPoly(()), IndexPoly((1,))), 0, 1,
-                          bottom_exact=True, top_exact=False)
-    cubic_x = WeightModule("hand-made", LadderInfo(2, IndexPoly((2, 5, -2, 1)),
-                                                   IndexPoly((-1,))), 2, 3, True, False)
-    for m, text in ((zero_x, "0"), (cubic_x, "i^3-2*i^2+5*i+2")):
-        assert not check_bracket_relations(m)
-        with pytest.raises(ValidationError, match=rf"operator X has coefficient {re.escape(text)},"):
-            stabilization_certificate(m, "n")
-    # The other operator of each is a nonzero constant, which certifies.
-    for m in (zero_x, cubic_x):
-        cert = stabilization_certificate(m, "nbar")
-        assert (cert.operator, cert.roots, cert.bound, cert.finite) == ("Y", (), 0, False)
+    # A coefficient whose integer roots have no closed form, the zero X or a
+    # degree-3 X, cannot be made, so no module has one to certify.
+    for coeffs in ((), (2, 5, -2, 1)):
+        with pytest.raises(ValidationError, match=re.escape(f"got the coefficients {list(coeffs)}")):
+            IndexPoly(coeffs)
+    # The other operator of such a ladder, a nonzero constant, certifies.
+    m = WeightModule("generic", LadderInfo(2, IndexPoly((1,)), IndexPoly((1,))), 0, 1,
+                     bottom_exact=True, top_exact=False)
+    cert = stabilization_certificate(m, "nbar")
+    assert (cert.operator, cert.roots, cert.bound, cert.finite) == ("Y", (), 0, False)
 
 
 def test_certificate_scan_at_four_times_bound():
@@ -120,15 +115,11 @@ def test_uncertifiable_truncation_refuses_by_default():
 
 
 def test_unrecognized_family_refuses_by_default():
-    # A hand-made ladder whose X coefficient vanishes identically: the
-    # bracket X.Y - Y.X is then 0, never the weight, so the module is refused
-    # whether or not a window-only answer is asked for.
-    stripped = WeightModule("generic", LadderInfo(2, IndexPoly(()), IndexPoly((1,))), 0, 1,
-                            bottom_exact=True, top_exact=False)
-    assert not check_bracket_relations(stripped)
-    for allow in (False, True):
-        with pytest.raises(ValidationError, match="bracket"):
-            cohomology(stripped, "n", allow_uncertified=allow)
+    # A hand-made ladder whose X coefficient vanishes identically, on which
+    # X.Y - Y.X would be 0, never the weight: its X coefficient is refused
+    # when it is made, so no module, and no window-only answer, has it.
+    with pytest.raises(ValidationError, match="nonzero polynomial of degree at most 2"):
+        IndexPoly((0, 0))
 
 
 def test_bracket_failing_outside_a_one_weight_window_is_refused():
@@ -363,11 +354,12 @@ def _family_grid():
 
 
 def _times(p, q):
-    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
-        for j, b in enumerate(q.coeffs):
+    """The coefficient list of the product of two coefficient lists."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
             out[i + j] += a * b
-    return IndexPoly(out)
+    return out
 
 
 def _hand_made_ladder(rng):
@@ -377,38 +369,40 @@ def _hand_made_ladder(rng):
     integer split cx(i) cy(i+1) = -(i+a)(i+b) satisfies it and puts the
     roots of cx and cy anywhere.  An exact edge passes the bracket check
     only at a root of that product, so edges are mostly made exact there.
-    Otherwise arbitrary polynomials of degree up to 3, zero included, on a
-    window of at most three weights near weight 0, where the bracket holds
-    for few of them."""
+    Otherwise arbitrary nonzero polynomials of degree at most 2 on a window
+    of at most three weights near weight 0, where the bracket holds for few
+    of them."""
     w0 = 2 * rng.randint(-20, 20)
     if rng.random() < 0.8:
         a = rng.choice((1, rng.randint(-30, 30)))
         b = w0 + 1 - a
         sign, chosen = rng.choice((1, -1)), rng.sample(range(2), rng.randint(0, 2))
-        cx, rest = IndexPoly((sign,)), IndexPoly((-sign,))
-        for n, f in enumerate((IndexPoly((a, 1)), IndexPoly((b, 1)))):
+        cx, rest = [sign], [-sign]
+        for n, f in enumerate(((a, 1), (b, 1))):
             if n in chosen:
                 cx = _times(cx, f)
             else:
                 rest = _times(rest, f)
-        ladder = LadderInfo(2, cx, rest.shifted(-1))  # cy(i+1) = rest(i)
+        ladder = LadderInfo(2, IndexPoly(cx), IndexPoly(rest).shifted(-1))  # cy(i+1) = rest(i)
         ends = [n for n in (1 - a, 1 - b) if 1 <= n <= 40]
         top_exact = bool(ends) and rng.random() < 0.5
         length = rng.choice(ends) if top_exact else rng.randint(1, 30)
         bottom_exact = 1 in (a, b) or rng.random() < 0.2
-        if 3 <= length <= 8 and rng.random() < 0.3:
-            # Add a polynomial that vanishes on the window: the same window
-            # coefficients from an X coefficient of degree > 2, on which the
-            # bracket fails at every index past the window.
-            vanishing = IndexPoly((1,))
+        if length <= 2 and rng.random() < 0.3:
+            # Add twice a polynomial that vanishes on the window: the same
+            # window coefficients from another X coefficient, still nonzero
+            # (the leading terms cannot cancel) and of degree at most 2,
+            # whose bracket the window alone cannot decide.
+            vanishing = [1]
             for j in range(length):
-                vanishing = _times(vanishing, IndexPoly((-j, 1)))
-            cx = [c + d for c, d in zip_longest(cx.coeffs, vanishing.coeffs, fillvalue=0)]
+                vanishing = _times(vanishing, (-j, 1))
+            cx = [c + 2 * d for c, d in zip_longest(cx, vanishing, fillvalue=0)]
             ladder = LadderInfo(2, IndexPoly(cx), ladder.coeff_y)
         m = WeightModule("hand-made", ladder, w0, length, bottom_exact,
                          top_exact != (rng.random() < 0.1))
         return n_finite_dual(m) if rng.random() < 0.5 else m
-    poly = lambda: IndexPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 4))])
+    poly = lambda: IndexPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 2))]
+                             + [rng.choice((-3, -2, -1, 1, 2, 3))])
     return WeightModule("hand-made", LadderInfo(rng.choice((2, -2)), poly(), poly()),
                         rng.choice((-2, 0, 2, w0)), rng.randint(1, 3), rng.random() < 0.5,
                         rng.random() < 0.5)
@@ -436,8 +430,8 @@ def test_root_candidates_agree_with_every_weight():
 
 
 def test_every_module_passing_the_bracket_has_a_certificate():
-    # A module that passes has nonzero coefficients of degree at most 2, so
-    # their integer roots can always be listed.
+    # Every coefficient is nonzero of degree at most 2, so its integer roots
+    # can always be listed.
     rng = random.Random(20261024)
     family = [m for base in _family_grid() for m in (base, n_finite_dual(base))]
     passing = [m for m in family + [_hand_made_ladder(rng) for _ in range(1200)]
@@ -475,11 +469,11 @@ def test_coefficient_roots_are_listed_at_most_once_per_call(monkeypatch):
 def test_unlisted_roots_refuse_by_default_and_flag_window_only():
     # With Y coefficient -1, X coefficient (i+1)(i+2) satisfies the bracket
     # from weight 2 up; (i+1)(i+2) + i(i-1)(i-2) agrees with it on the ladder
-    # indices {0, 1, 2} of the window, but has degree 3, so the bracket fails
-    # at every index past the window and the module is refused either way.
-    cx = IndexPoly((2, 5, -2, 1))
-    m = WeightModule("hand-made", LadderInfo(2, cx, IndexPoly((-1,))), 2, 3, True, False)
-    assert not check_bracket_relations(m)
-    for allow in (False, True):
-        with pytest.raises(ValidationError, match="bracket"):
-            cohomology(m, "n", allow_uncertified=allow)
+    # indices {0, 1, 2} of a three-weight window, but has degree 3, so the
+    # bracket would fail at every index past the window: it is refused when
+    # it is made, so neither answer is given.
+    m = WeightModule("hand-made", LadderInfo(2, IndexPoly((2, 3, 1)), IndexPoly((-1,))), 2, 3,
+                     True, False)
+    assert check_bracket_relations(m) and cohomology(m, "n").certified
+    with pytest.raises(ValidationError, match="nonzero polynomial of degree at most 2"):
+        IndexPoly((2, 5, -2, 1))

@@ -1,9 +1,10 @@
 """reporting.serialize against json.dumps(doc, sort_keys=True, indent=2,
 ensure_ascii=True) + "\\n", byte for byte: on every corpus document, on
 seeded random documents that reach every branch of the layout and of
-json's ASCII escaping, on subclasses of dict, str, int and tuple, on deep
-nesting and on empty containers at every level.  The command line's
---json output is checked the same way in test_fuzz_cli."""
+json's ASCII escaping, on deep nesting and on empty containers at every
+level.  Subclasses of dict, str, int and tuple, which json writes through
+its isinstance tests, are refused with TypeError: no document holds one.
+The command line's --json output is checked the same way in test_fuzz_cli."""
 
 import enum
 import json
@@ -116,7 +117,22 @@ def _empty_at_every_level(depth):
     _nested(40), _nested(41),
 ], ids=lambda doc: type(doc).__name__)
 def test_serialize_matches_json_on_subclasses_and_deep_nesting(doc):
-    assert serialize(doc) == _dumps(doc)
+    if _exact(doc):
+        assert serialize(doc) == _dumps(doc)
+    else:
+        with pytest.raises(TypeError):
+            serialize(doc)
+
+
+def _exact(doc):
+    """Whether doc and everything in it, dict keys included, has one of the
+    exact types a document holds."""
+    t = type(doc)
+    if t is dict:
+        return all(type(k) is str and _exact(v) for k, v in doc.items())
+    if t is list or t is tuple:
+        return all(map(_exact, doc))
+    return t in (str, int, bool) or doc is None
 
 
 def test_serialize_matches_json_on_empty_containers_at_every_level():

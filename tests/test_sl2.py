@@ -225,9 +225,11 @@ def _random_module(rng):
     if how == "edges":
         return how, _variant(m, edges=(rng.random() < 0.5, rng.random() < 0.5))
     if how == "wrong-ladder":
+        # The linear coefficient moves, so the polynomial stays nonzero of
+        # degree at most 2 and differs from the one the ladder was built with.
         coeffs = list(m.ladder.coeff_y.coeffs) + [0, 0]
         coeffs[0] += rng.randint(-3, 3)
-        coeffs[1] += rng.randint(-1, 1)
+        coeffs[1] += rng.choice((1, -1))
         return how, _variant(m, IndexPoly(coeffs))
     return how, m
 
@@ -271,26 +273,33 @@ def _bracket_identity(m):
     and at each exact edge the product through the missing line is 0."""
     step, cx, cy = m.ladder.step, m.ladder.coeff_x, m.ladder.coeff_y
     s = 2 // step
-    terms = (_times(cx.shifted(-s), cy), -_times(cy.shifted(s), cx),
-             IndexPoly((-m.lowest_label_weight, -step)))
-    total = [sum(c) for c in zip_longest(*(t.coeffs for t in terms), fillvalue=0)]
+    terms = (_times(cx.shifted(-s).coeffs, cy.coeffs),
+             [-c for c in _times(cy.shifted(s).coeffs, cx.coeffs)],
+             (-m.lowest_label_weight, -step))
     lo, hi = (0, m.length - 1) if step > 0 else (m.length - 1, 0)
-    return (IndexPoly(total).is_zero()
+    return (not any(map(sum, zip_longest(*terms, fillvalue=0)))
             and not (m.bottom_exact and cx(lo - s) * cy(lo))
             and not (m.top_exact and cy(hi + s) * cx(hi)))
 
 
 def test_bracket_check_is_the_polynomial_identity():
     # Seeded ladders of step 2 and -2, most built to satisfy the identity,
-    # a third of them with one coefficient then moved by one.
+    # a third of them with one of the three lowest coefficients of X or Y
+    # then moved by one.  A move that leaves the zero polynomial is refused
+    # when the coefficient is made, and counted as such.
     rng = random.Random(20261025)
     verdicts = {}
     for _ in range(10000):
         m = _hand_made_ladder(rng)
         if rng.random() < 0.3:
             which = rng.choice(("coeff_x", "coeff_y"))
-            coeffs = list(getattr(m.ladder, which).coeffs) + [0]
-            coeffs[rng.randrange(len(coeffs))] += rng.choice((1, -1))
+            coeffs = (list(getattr(m.ladder, which).coeffs) + [0, 0])[:3]
+            coeffs[rng.randrange(3)] += rng.choice((1, -1))
+            if not any(coeffs):
+                with pytest.raises(ValidationError, match="nonzero polynomial"):
+                    IndexPoly(coeffs)
+                verdicts["refused"] = verdicts.get("refused", 0) + 1
+                continue
             polys = {"coeff_x": m.ladder.coeff_x, "coeff_y": m.ladder.coeff_y,
                      which: IndexPoly(coeffs)}
             m = WeightModule(m.family, LadderInfo(m.ladder.step, **polys),
@@ -301,6 +310,7 @@ def test_bracket_check_is_the_polynomial_identity():
         verdicts[m.ladder.step, verdict] = verdicts.get((m.ladder.step, verdict), 0) + 1
     for key in ((2, True), (2, False), (-2, True), (-2, False)):
         assert verdicts.get(key, 0) >= 200, verdicts
+    assert verdicts.get("refused", 0) >= 20, verdicts
 
 
 def test_bracket_failing_only_above_the_lowest_interior_weight():
@@ -419,16 +429,20 @@ def _per_weight_map(qmap):
 
 def _shifted_ladders(rng):
     """A random ladder shift: the target's polynomials are the source's moved
-    by the offset, or are perturbed; windows and edges are random."""
+    by the offset, or are perturbed; windows and edges are random.  Every
+    leading coefficient is at least 2 in size, and shifting keeps it, so
+    moving one of the three lowest coefficients by one leaves a nonzero
+    polynomial of degree at most 2."""
     step, offset = rng.choice((2, -2)), rng.randint(-6, 6)
-    poly = lambda: IndexPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+    poly = lambda: IndexPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 2))]
+                             + [rng.choice((-3, -2, 2, 3))])
     cx, cy = poly(), poly()
     source = WeightModule("generic", LadderInfo(step, cx, cy), 2 * rng.randint(-10, 10),
                           rng.randint(1, 12), rng.random() < 0.5, rng.random() < 0.5)
     tx, ty = cx.shifted(-offset), cy.shifted(-offset)
     if rng.random() < 0.3:
-        coeffs = list((tx if rng.random() < 0.5 else ty).coeffs) + [0]
-        coeffs[rng.randrange(len(coeffs))] += rng.choice((1, -1))
+        coeffs = (list((tx if rng.random() < 0.5 else ty).coeffs) + [0, 0])[:3]
+        coeffs[rng.randrange(3)] += rng.choice((1, -1))
         tx, ty = (IndexPoly(coeffs), ty) if rng.random() < 0.5 else (tx, IndexPoly(coeffs))
     target = WeightModule("generic", LadderInfo(step, tx, ty),
                           source.lowest_label_weight - step * offset, rng.randint(1, 12),
@@ -559,8 +573,9 @@ def _horner_shift(coeffs, s):
 
 
 def test_index_poly_closed_forms_match_horner():
+    # Every degree an IndexPoly can have, against Horner's rule.
     rng = random.Random(20261019)
-    for degree in range(5):
+    for degree in range(3):
         for _ in range(40):
             coeffs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((-3, -1, 1, 2))]
             p = IndexPoly(coeffs)
@@ -572,8 +587,16 @@ def test_index_poly_closed_forms_match_horner():
                 assert q == IndexPoly(_horner_shift(coeffs, s)), (coeffs, s)
                 assert q.degree == degree and q.coeffs[-1] == coeffs[-1]
                 assert (-q) == IndexPoly([-c for c in q.coeffs])
-    zero = IndexPoly(())
-    assert zero(5) == 0 and zero.shifted(3) == zero and (-zero) == zero
+
+
+def test_index_poly_refuses_what_no_ladder_has():
+    # A ladder coefficient is a nonzero polynomial of degree at most 2;
+    # trailing zeros are stripped before the degree is read.
+    for coeffs in ((), (0, 0), (1, 2, 3, 4), (0, 0, 0, 0, -1)):
+        with pytest.raises(ValidationError, match="nonzero polynomial of degree at most 2"):
+            IndexPoly(coeffs)
+    p = IndexPoly((1, 2, 3, 0))
+    assert p.coeffs == (1, 2, 3) and p.degree == 2
 
 
 def test_index_poly_no_integer_roots():
@@ -585,4 +608,4 @@ def test_index_poly_no_integer_roots():
 def test_index_poly_text():
     assert IndexPoly((-4, -3, 1)).text() == "i^2-3*i-4"
     assert IndexPoly((1,)).text() == "1"
-    assert IndexPoly(()).text() == "0"
+    assert IndexPoly((0, -1)).text() == "-i"

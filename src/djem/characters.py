@@ -79,17 +79,6 @@ class TorusCharacter(Value):
         self.psiw_exp = psiw_exp
         self.delta_exp = delta_exp
 
-    # Value's equality and hash, written out over the four fields: a report
-    # hashes and compares its characters about twenty times.
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.weight == other.weight and self.psi_exp == other.psi_exp
-                and self.psiw_exp == other.psiw_exp and self.delta_exp == other.delta_exp)
-
-    def __hash__(self):
-        return hash((self.weight, self.psi_exp, self.psiw_exp, self.delta_exp))
-
     def w_twist(self) -> "TorusCharacter":
         """Conjugation by w: negates the algebraic weight, swaps psi with psi^w
         and inverts the modulus twist.  An involution."""

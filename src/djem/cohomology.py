@@ -155,25 +155,21 @@ def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False)
 
     # Past a certified cut the coefficient is nonzero, so the true module has
     # no line there (None: skipped); a window-only answer reads the cut as an
-    # edge (0).
+    # edge (0).  H^0 is the kernel at each weight; H^1 at nu is the cokernel
+    # of the map into nu, reported at nu minus the operator's shift.
     past_cut = None if certified else 0
-    h0 = []
-    for mu in _candidate_weights(m, certificate, 0):
-        c = m.line_coefficient(op, mu)
-        if c is None:
-            c = past_cut
-        if c is not None and kernel(c):
-            h0.append(WeightLines(mu, m.labels_at(mu)))
-
-    h1 = []
-    for nu in _candidate_weights(m, certificate, shift):
-        c = m.line_coefficient(op, nu - shift)
-        if c is None:
-            c = past_cut
-        if c is not None and cokernel_basis(c):
-            h1.append(WeightLines(nu - shift, m.labels_at(nu)))
-
-    return CohomologyResult(direction, tuple(h0), tuple(h1), -shift, certificate, certified)
+    degrees = []
+    for s, present in ((0, kernel), (shift, cokernel_basis)):
+        lines = []
+        for nu in _candidate_weights(m, certificate, s):
+            c = m.line_coefficient(op, nu - s)
+            if c is None:
+                c = past_cut
+            if c is not None and present(c):
+                lines.append(WeightLines(nu - s, m.labels_at(nu)))
+        degrees.append(tuple(lines))
+    h0, h1 = degrees
+    return CohomologyResult(direction, h0, h1, -shift, certificate, certified)
 
 
 def kostant_check(k) -> bool:

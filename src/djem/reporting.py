@@ -254,17 +254,26 @@ def serialize(doc) -> str:
     str, int, bool, None, lists, tuples and dicts with str keys.  Anything
     else, a subclass of one of these included, raises TypeError."""
     out = []
-    _write(doc, "\n", out)
+    _write(doc, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
 
-def _write(o, newline, out):
+def _write(o, newline, out, memo):
     """Appends o as JSON to out; newline is "\\n" plus the indent of the line
-    o starts on.  A scalar inside a container is written in place, without a
-    call."""
+    o starts on.  memo maps the id() of each dict a list or tuple has held,
+    within one serialize call, to its text at indent 0: a report's lists
+    share their character objects, and each is written once."""
     t = type(o)
-    if t is dict:
+    if t is str:
+        out.append(_quote(o))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif t is bool:
+        out.append("true" if o else "false")
+    elif o is None:
+        out.append("null")
+    elif t is dict:
         if not o:
             out.append("{}")
             return
@@ -275,18 +284,7 @@ def _write(o, newline, out):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(sep + _quote(key) + ": ")
             sep = comma
-            v = o[key]
-            t = type(v)
-            if t is str:
-                out.append(_quote(v))
-            elif t is int:
-                out.append(int.__repr__(v))
-            elif t is bool:
-                out.append("true" if v else "false")
-            elif v is None:
-                out.append("null")
-            else:
-                _write(v, inner, out)
+            _write(o[key], inner, out, memo)
         out.append(newline + "}")
     elif t is list or t is tuple:
         if not o:
@@ -297,25 +295,15 @@ def _write(o, newline, out):
         for v in o:
             out.append(sep)
             sep = comma
-            t = type(v)
-            if t is str:
-                out.append(_quote(v))
-            elif t is int:
-                out.append(int.__repr__(v))
-            elif t is bool:
-                out.append("true" if v else "false")
-            elif v is None:
-                out.append("null")
+            if type(v) is dict:
+                text = memo.get(id(v))
+                if text is None:
+                    chunks = []
+                    _write(v, "\n", chunks, memo)
+                    text = memo[id(v)] = "".join(chunks)
+                out.append(text.replace("\n", inner))
             else:
-                _write(v, inner, out)
+                _write(v, inner, out, memo)
         out.append(newline + "]")
-    elif t is str:
-        out.append(_quote(o))
-    elif t is int:
-        out.append(int.__repr__(o))
-    elif t is bool:
-        out.append("true" if o else "false")
-    elif o is None:
-        out.append("null")
     else:
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

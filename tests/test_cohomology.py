@@ -424,6 +424,13 @@ def test_root_candidates_agree_with_every_weight():
                 kind = want.__name__ if isinstance(want, type) else (
                     "certified" if want.certified else "window-only")
                 kinds[kind] = kinds.get(kind, 0) + 1
+                if kind == "certified":
+                    # The ladder index: an exact top edge adds a kernel line
+                    # of X and an exact bottom edge a cokernel line; Y swaps
+                    # the two ends.
+                    index = m.top_exact - m.bottom_exact
+                    assert len(want.h0) - len(want.h1) == (
+                        index if direction == "n" else -index), (m, direction)
     # Answers of both kinds and every refusal are exercised.
     for kind in ("certified", "window-only", "ValidationError", "CertificateError"):
         assert kinds.get(kind, 0) >= 20, kinds

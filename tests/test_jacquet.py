@@ -7,8 +7,8 @@ from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI
 from djem.cli import corpus_manifest, fixture_document
 from djem.cohomology import cohomology
 from djem.errors import ParityError, ValidationError
-from djem.jacquet import (OrlikStrauchSpec, assemble_les, build_module, hecke_eigenvalue,
-                          les_consistency_check, section_cohomology_characters,
+from djem.jacquet import (OrlikStrauchSpec, assemble_les, build_module, default_truncation,
+                          hecke_eigenvalue, les_consistency_check, section_cohomology_characters,
                           stalk_cohomology_characters)
 from djem.reporting import eigenvalue_json, jacquet_result_json
 from djem.sl2 import n_finite_dual
@@ -203,6 +203,40 @@ def test_hecke_eigenvalue_component_cases():
 def test_euler_consistency_small():
     assert les_consistency_check(0)
     assert les_consistency_check(2)
+
+
+def _bgg_psis(k):
+    """The trivial psi; psi(z) = p^v * unit for v in -2..3 and four units;
+    psi(z) = +-p^(+-(k+2)), where eigenvalues of the three reports can meet;
+    and one w-self-dual psi."""
+    psis = [TRIVIAL_PSI]
+    psis += [SmoothCharacter(f"v{v}u{unit}", v, unit)
+             for v in range(-2, 4) for unit in (Fraction(1), Fraction(3, 2), Fraction(-1),
+                                                Fraction(2, 5))]
+    psis += [SmoothCharacter(f"edge{sign}{v}", v, sign)
+             for v in (k + 2, -(k + 2)) for sign in (1, -1)]
+    psis.append(SmoothCharacter("selfdual", 0, Fraction(-1), w_selfdual=True))
+    return psis
+
+
+def test_bgg_sequence_is_exact_degree_by_degree():
+    # 0 -> A0 -> B0 -> C0 -> A1 -> B1 -> C1 -> 0 is exact for the reports A, B
+    # and C of sub = simple(k), mid = verma(k) and quot = verma(-(k+2)).  B0
+    # and C0 share no character, so B0 -> C0 is zero: A0 -> B0 is onto and C0
+    # embeds in A1.  B1 maps onto C1.
+    cases = 0
+    for k in range(0, 41, 2):
+        trunc = default_truncation(k + 2)
+        for psi in _bgg_psis(k):
+            reports = (assemble_les(OrlikStrauchSpec(fam, kk, psi), trunc)
+                       for fam, kk in (("simple", k), ("verma", k), ("verma", -(k + 2))))
+            a, b, c = ([Counter(r.degrees[i].jh_factors) for i in (0, 1)] for r in reports)
+            assert a[0] == b[0], (k, psi)
+            assert not c[1] - b[1], (k, psi)
+            assert not c[0] - a[1], (k, psi)
+            assert not b[0] & c[0], (k, psi)
+            cases += 1
+    assert cases == 630
 
 
 def test_euler_consistency_detects_dropped_factor():

@@ -1,10 +1,11 @@
 """reporting.serialize against json.dumps(doc, sort_keys=True, indent=2,
 ensure_ascii=True) + "\\n", byte for byte: on every corpus document, on
 seeded random documents that reach every branch of the layout and of
-json's ASCII escaping, on deep nesting and on empty containers at every
-level.  Subclasses of dict, str, int and tuple, which json writes through
-its isinstance tests, are refused with TypeError: no document holds one.
-The command line's --json output is checked the same way in test_fuzz_cli."""
+json's ASCII escaping and hold some dicts at several places, on deep
+nesting and on empty containers at every level.  Subclasses of dict, str,
+int and tuple, which json writes through its isinstance tests, are refused
+with TypeError: no document holds one.  The command line's --json output is
+checked the same way in test_fuzz_cli."""
 
 import enum
 import json
@@ -56,23 +57,42 @@ def _scalar(rng):
     return rng.choice((True, False, None))
 
 
-def _value(rng, depth):
+def _value(rng, depth, built):
+    """A random value; built collects every dict made so far in the
+    document, and a list or tuple now and then holds one of them again (and
+    built lists it again), so one object sits at several places and depths."""
     r = rng.random()
     if depth >= 4 or r < 0.4:
         return _scalar(rng)
     n = rng.choice((0, 0, 1, 2, 3, 5))
-    if r < 0.6:
-        return [_value(rng, depth + 1) for _ in range(n)]
     if r < 0.7:
-        return tuple(_value(rng, depth + 1) for _ in range(n))
-    return {_string(rng): _value(rng, depth + 1) for _ in range(n)}
+        items = [_again(rng, built) if built and rng.random() < 0.2
+                 else _value(rng, depth + 1, built) for _ in range(n)]
+        return items if r < 0.6 else tuple(items)
+    d = {_string(rng): _value(rng, depth + 1, built) for _ in range(n)}
+    built.append(d)
+    return d
+
+
+def _again(rng, built):
+    built.append(rng.choice(built))
+    return built[-1]
 
 
 def test_serialize_matches_json_on_random_documents():
     rng = random.Random(SEED)
+    shared = 0
     for _ in range(DOCUMENTS):
-        doc = _value(rng, 0)
+        built = []
+        doc = _value(rng, 0, built)
         assert serialize(doc) == _dumps(doc), doc
+        if built:
+            # What one call wrote of a dict is not what the next call writes
+            # once the dict has changed.
+            built[0]["\x7f"] = [len(built)]
+            assert serialize(doc) == _dumps(doc), doc
+            shared += len(built) > len({id(d) for d in built})
+    assert shared >= 100, shared
 
 
 class _Str(str):
@@ -142,8 +162,13 @@ def test_serialize_matches_json_on_empty_containers_at_every_level():
         assert serialize(doc) == _dumps(doc), doc
 
 
+_SHARED_BAD = {"a": {2: None}}
+
+
 @pytest.mark.parametrize("doc", [Fraction(1, 2), {"a": [Fraction(3)]}, {1, 2}, 1.5, [0.0],
-                                 {1: "x"}, {"a": {None: 1}}, {("a",): 0}, b"bytes"],
+                                 {1: "x"}, {"a": {None: 1}}, {("a",): 0}, b"bytes",
+                                 # a dict held twice, whose inner dict has an int key
+                                 [_SHARED_BAD, ({"b": _SHARED_BAD},), _SHARED_BAD]],
                          ids=repr)
 def test_serialize_refuses_what_no_document_holds(doc):
     with pytest.raises(TypeError):

@@ -79,11 +79,6 @@ class TorusCharacter(Value):
         self.psiw_exp = psiw_exp
         self.delta_exp = delta_exp
 
-    def w_twist(self) -> "TorusCharacter":
-        """Conjugation by w: negates the algebraic weight, swaps psi with psi^w
-        and inverts the modulus twist.  An involution."""
-        return TorusCharacter(-self.weight, self.psiw_exp, self.psi_exp, -self.delta_exp)
-
     def normalized(self, psi: SmoothCharacter) -> "TorusCharacter":
         """Fold psi^w into psi when the base character declares psi^w = psi."""
         if psi.w_selfdual and self.psiw_exp:

@@ -107,11 +107,10 @@ def hom_dimension_bound(source: TorusCharacter, report: JacquetReport, degree: i
     class could absorb them).  Characters are compared componentwise after
     normalizing against the report's base character.
     """
-    deg = report.degrees[degree]
     psi = report.spec.psi
     want = source.normalized(psi)
-    count = sum(1 for c in deg.jh_factors if c.normalized(psi) == want)
-    low = count if deg.extension.kind == "direct-sum-determined" else 0
+    count = sum(1 for c in report.jh_factors(degree) if c.normalized(psi) == want)
+    low = count if report.extension_kind(degree) == "direct-sum-determined" else 0
     return (low, count)
 
 
@@ -145,7 +144,7 @@ def classify_ext(k, ell, psi: SmoothCharacter, phi: SmoothCharacter,
     rel = resolve_relations(psi, phi, relations)
     target_spec = OrlikStrauchSpec("simple" if ell >= 0 else "verma", ell, phi)
     report = assemble_les(target_spec, trunc)
-    h1 = report.degrees[1].jh_factors
+    h1 = report.jh_factors(1)
 
     b1 = (not rel["phi-delta-eq-phi-w"]) and rel["psi-eq-phi"]
     b2 = (not rel["phi-delta-eq-phi-w"]) and rel["psi-delta-eq-phi-w"]

@@ -92,65 +92,40 @@ def stalk_cohomology_characters(dual: WeightModule):
     return _characters(cohomology(dual, "nbar"), -1, 0, 1, 0)
 
 
-class ExtensionFlag(Value):
-    """Layer structure of one degree.
-
-    kind "zero": the degree vanishes.  kind "direct-sum-determined": the
-    listed factors form an honest direct sum.  kind "ext-class-undetermined":
-    a two-sided extension with sub and quot known but the class unresolved.
-    """
-
-    __slots__ = ("kind", "sub", "quot")
-
-    def __init__(self, kind: str, sub: tuple[TorusCharacter, ...] = (),
-                 quot: tuple[TorusCharacter, ...] = ()):
-        self.kind = kind
-        self.sub = sub
-        self.quot = quot
-
-
-class DegreeReport(Value):
-    __slots__ = ("jh_factors", "extension")
-
-    def __init__(self, jh_factors: tuple[TorusCharacter, ...], extension: ExtensionFlag):
-        self.jh_factors = jh_factors
-        self.extension = extension
-
-
 class JacquetReport(Value):
-    """The spliced report; eigenvalues maps each distinct character of the
-    section and stalk lists to its z-eigenvalue, taken once, for the Hecke
-    lists and the renderers alike."""
+    """The spliced report: degree i is section[i] followed by stalk[i].
+    eigenvalues maps each distinct character of the section and stalk lists
+    to its z-eigenvalue, taken once, for the Hecke lists and the renderers
+    alike."""
 
-    __slots__ = ("spec", "truncation", "section", "stalk", "degrees", "eigenvalues")
+    __slots__ = ("spec", "truncation", "section", "stalk", "eigenvalues")
 
     def __init__(self, spec: OrlikStrauchSpec, truncation: int | None, section: dict,
-                 stalk: dict, degrees: dict, eigenvalues: dict):
+                 stalk: dict, eigenvalues: dict):
         self.spec = spec
         self.truncation = truncation
         self.section = section
         self.stalk = stalk
-        self.degrees = degrees
         self.eigenvalues = eigenvalues
+
+    def jh_factors(self, i) -> tuple[TorusCharacter, ...]:
+        """Jordan-Hoelder factors of degree i: the section part, then the stalk part."""
+        return self.section[i] + self.stalk[i]
+
+    def extension_kind(self, i) -> str:
+        """Layer structure of degree i.  "ext-class-undetermined": both parts
+        are nonempty, an extension of the stalk part (quot) by the section part
+        (sub) whose class is unresolved; "direct-sum-determined": exactly one
+        part is nonempty; "zero": the degree vanishes."""
+        if self.section[i] and self.stalk[i]:
+            return "ext-class-undetermined"
+        return "direct-sum-determined" if self.section[i] or self.stalk[i] else "zero"
 
 
 def hecke_eigenvalue(chi: TorusCharacter, psi: SmoothCharacter = TRIVIAL_PSI):
     """Eigenvalue of the normalized Hecke operator at z on the chi line,
     as (p-exponent, unit).  Always nonzero, so every line is finite slope."""
     return chi.z_eigenvalue(psi)
-
-
-_ZERO = ExtensionFlag("zero")
-_DIRECT_SUM = ExtensionFlag("direct-sum-determined")
-
-
-def _degree_report(section_chars, stalk_chars) -> DegreeReport:
-    """One degree of a spliced report: the section part, then the stalk part."""
-    if section_chars and stalk_chars:
-        flag = ExtensionFlag("ext-class-undetermined", sub=section_chars, quot=stalk_chars)
-    else:
-        flag = _DIRECT_SUM if section_chars or stalk_chars else _ZERO
-    return DegreeReport(section_chars + stalk_chars, flag)
 
 
 def assemble_les(spec: OrlikStrauchSpec, trunc=None) -> JacquetReport:
@@ -177,8 +152,7 @@ def assemble_les(spec: OrlikStrauchSpec, trunc=None) -> JacquetReport:
         for c in chars:
             if c not in eigenvalues:
                 eigenvalues[c] = hecke_eigenvalue(c, psi)
-    degrees = {i: _degree_report(section[i], stalk[i]) for i in (0, 1)}
-    return JacquetReport(spec, trunc, section, stalk, degrees, eigenvalues)
+    return JacquetReport(spec, trunc, section, stalk, eigenvalues)
 
 
 def les_consistency_check(k, psi: SmoothCharacter = TRIVIAL_PSI, trunc=None) -> bool:
@@ -200,6 +174,6 @@ def les_consistency_check(k, psi: SmoothCharacter = TRIVIAL_PSI, trunc=None) -> 
     quot = assemble_les(OrlikStrauchSpec("verma", -(k + 2), psi), trunc)
 
     def jh(*parts):
-        return Counter([c for report, degree in parts for c in report.degrees[degree].jh_factors])
+        return Counter([c for report, degree in parts for c in report.jh_factors(degree)])
 
     return jh((sub, 0), (quot, 0), (mid, 1)) == jh((mid, 0), (sub, 1), (quot, 1))

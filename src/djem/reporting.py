@@ -87,36 +87,32 @@ def _rendered(eigenvalues: dict, p=None):
             for chi, pair in eigenvalues.items()}
 
 
-def extension_json(flag, of):
-    """The extension flag; of maps a character list to its JSON list."""
-    out = {"kind": flag.kind}
-    if flag.kind == "ext-class-undetermined":
-        out["sub"] = of(flag.sub)
-        out["quot"] = of(flag.quot)
-    return out
-
-
 def jacquet_result_json(report: JacquetReport, p=None):
     """The report's result object.  Characters and their eigenvalues come
     from the report's eigenvalue table; the Hecke list of a degree is the
-    eigenvalue objects of its Jordan-Hoelder factors, in order."""
+    eigenvalue objects of its Jordan-Hoelder factors, in order, and an
+    undetermined extension names the section part as sub and the stalk part
+    as quot."""
     rendered = _rendered(report.eigenvalues, p)
 
     def of(chars):
         return [rendered[c] for c in chars]
 
+    section, stalk = report.section, report.stalk
     degrees = {}
     for i in (0, 1):
-        deg = report.degrees[i]
-        jh = of(deg.jh_factors)
+        jh = of(report.jh_factors(i))
+        extension = {"kind": report.extension_kind(i)}
+        if extension["kind"] == "ext-class-undetermined":
+            extension["sub"] = of(section[i])
+            extension["quot"] = of(stalk[i])
         degrees[str(i)] = {
             "jh_factors": jh,
-            "extension": extension_json(deg.extension, of),
+            "extension": extension,
             "hecke_eigenvalues": [c["eigenvalue"] for c in jh],
             # A z-eigenvalue p^e * unit is never zero, since psi's unit is not.
             "finite_slope_complete": True,
         }
-    section, stalk = report.section, report.stalk
     return {
         "section": {"0": of(section[0]), "1": of(section[1])},
         "stalk": {"0": of(stalk[0]), "1": of(stalk[1])},
@@ -129,20 +125,19 @@ def jacquet_result_json(report: JacquetReport, p=None):
 
 def jacquet_text(report: JacquetReport, p=None):
     eigenvalues = report.eigenvalues
+
+    def line(prefix, c):
+        return f"  {prefix}{c.text()}  (z-eigenvalue {eigenvalue_text(eigenvalues[c], p)})"
+
     lines = [f"family={report.spec.family} k={report.spec.k} psi={report.spec.psi.label}"]
     for i in (0, 1):
-        deg = report.degrees[i]
-        lines.append(f"H^{i} J_P  [{deg.extension.kind}]")
-        if deg.extension.kind == "ext-class-undetermined":
-            for c in deg.extension.sub:
-                lines.append(f"  sub:  {c.text()}  (z-eigenvalue {eigenvalue_text(eigenvalues[c], p)})")
-            for c in deg.extension.quot:
-                lines.append(f"  quot: {c.text()}  (z-eigenvalue {eigenvalue_text(eigenvalues[c], p)})")
+        kind = report.extension_kind(i)
+        lines.append(f"H^{i} J_P  [{kind}]")
+        if kind == "ext-class-undetermined":
+            lines += [line("sub:  ", c) for c in report.section[i]]
+            lines += [line("quot: ", c) for c in report.stalk[i]]
         else:
-            for c in deg.jh_factors:
-                lines.append(f"  {c.text()}  (z-eigenvalue {eigenvalue_text(eigenvalues[c], p)})")
-            if not deg.jh_factors:
-                lines.append("  0")
+            lines += [line("", c) for c in report.jh_factors(i)] or ["  0"]
     return lines
 
 

@@ -41,6 +41,34 @@ def test_jacquet_text_mode(capsys):
     assert code == 0
     assert "chi_{4} psi delta_P" in out
     assert "ext-class-undetermined" in out
+    # the full rendering: undetermined then direct-sum, direct-sum twice, and
+    # concrete values at a prime
+    expected = {
+        ("--family", "verma", "--k", "4"): (
+            "family=verma k=4 psi=trivial\n"
+            "H^0 J_P  [ext-class-undetermined]\n"
+            "  sub:  chi_{4} psi delta_P  (z-eigenvalue p^2 * 1/1)\n"
+            "  quot: chi_{4} psi^w  (z-eigenvalue p^4 * 1/1)\n"
+            "H^1 J_P  [direct-sum-determined]\n"
+            "  chi_{-6} psi^w  (z-eigenvalue p^-6 * 1/1)\n"
+            "  chi_{4} psi^w  (z-eigenvalue p^4 * 1/1)\n"),
+        ("--family", "verma", "--k", "-4"): (
+            "family=verma k=-4 psi=trivial\n"
+            "H^0 J_P  [direct-sum-determined]\n"
+            "  chi_{-4} psi delta_P  (z-eigenvalue p^-6 * 1/1)\n"
+            "H^1 J_P  [direct-sum-determined]\n"
+            "  chi_{2} psi^w  (z-eigenvalue p^2 * 1/1)\n"),
+        ("--family", "simple", "--k", "2", "--p", "5"): (
+            "family=simple k=2 psi=trivial\n"
+            "H^0 J_P  [ext-class-undetermined]\n"
+            "  sub:  chi_{2} psi delta_P  (z-eigenvalue 1/1)\n"
+            "  quot: chi_{2} psi^w  (z-eigenvalue 25/1)\n"
+            "H^1 J_P  [ext-class-undetermined]\n"
+            "  sub:  chi_{-4} psi delta_P  (z-eigenvalue 1/15625)\n"
+            "  quot: chi_{-4} psi^w  (z-eigenvalue 1/625)\n"),
+    }
+    for argv, text in expected.items():
+        assert run(capsys, "jacquet", *argv) == (0, text, ""), argv
 
 
 def test_byte_identical_repeat_runs(capsys):
@@ -727,6 +755,18 @@ def test_reports_validate_against_shipped_schema(capsys):
     for bad_cert in (None, {**cert, "coefficient_coeffs": []},
                      {**cert, "coefficient_coeffs": [1, 2, 3, 4]}):
         bad = {**cut, "result": {**cut["result"], "certificate": bad_cert}}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, schema)
+    # sub and quot are there, non-empty, exactly when the class is undetermined
+    undetermined = docs[0]["result"]["degrees"]["0"]["extension"]
+    direct_sum = docs[1]["result"]["degrees"]["0"]["extension"]
+    assert undetermined["kind"] == "ext-class-undetermined"
+    assert direct_sum == {"kind": "direct-sum-determined"}
+    for bad_ext in ({"kind": undetermined["kind"], "sub": undetermined["sub"]},
+                    {**undetermined, "quot": []},
+                    {**direct_sum, "sub": undetermined["sub"]}):
+        bad = json.loads(json.dumps(docs[0]))
+        bad["result"]["degrees"]["0"]["extension"] = bad_ext
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(bad, schema)
 

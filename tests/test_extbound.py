@@ -129,8 +129,8 @@ def test_hom_bound_max_is_multiset_multiplicity():
     for fam, k in (("verma", 4), ("verma", -6), ("simple", 2)):
         r = assemble_les(OrlikStrauchSpec(fam, k))
         for deg in (0, 1):
-            for c in r.degrees[deg].jh_factors:
+            for c in r.jh_factors(deg):
                 lo, hi = hom_dimension_bound(c, r, deg)
                 assert lo <= hi
-                assert hi == sum(1 for d in r.degrees[deg].jh_factors
+                assert hi == sum(1 for d in r.jh_factors(deg)
                                  if d.normalized(TRIVIAL_PSI) == c.normalized(TRIVIAL_PSI))

@@ -11,7 +11,7 @@ from djem.jacquet import (OrlikStrauchSpec, assemble_les, build_module, default_
                           hecke_eigenvalue, les_consistency_check, section_cohomology_characters,
                           stalk_cohomology_characters)
 from djem.reporting import eigenvalue_json, jacquet_result_json
-from djem.sl2 import n_finite_dual
+from djem.sl2 import dual_verma, n_finite_dual
 
 
 def sec(w):
@@ -20,6 +20,17 @@ def sec(w):
 
 def stk(w):
     return TorusCharacter(w, psiw_exp=1)
+
+
+def w_twist(chi):
+    """Conjugation by w: negates the algebraic weight, swaps psi with psi^w
+    and inverts the modulus twist.  An involution."""
+    return TorusCharacter(-chi.weight, chi.psiw_exp, chi.psi_exp, -chi.delta_exp)
+
+
+def degree(report, i):
+    """Degree i of a report as a value: its factors and its extension kind."""
+    return (report.jh_factors(i), report.extension_kind(i))
 
 
 # -- section and stalk character lists ----------------------------------------
@@ -78,50 +89,47 @@ def test_report_principal_series_nonnegative():
     k = 4
     r = assemble_les(OrlikStrauchSpec("verma", k))
     assert jacquet_result_json(r)["connecting_map_forced_zero"] is True
-    d0, d1 = r.degrees[0], r.degrees[1]
-    assert d0.extension.kind == "ext-class-undetermined"
-    assert d0.extension.sub == (sec(k),)
-    assert d0.extension.quot == (stk(k),)
-    assert d0.jh_factors == (sec(k), stk(k))
-    assert d1.extension.kind == "direct-sum-determined"
-    assert d1.jh_factors == (stk(-(k + 2)), stk(k))
+    assert r.extension_kind(0) == "ext-class-undetermined"
+    assert r.section[0] == (sec(k),)
+    assert r.stalk[0] == (stk(k),)
+    assert r.jh_factors(0) == (sec(k), stk(k))
+    assert r.extension_kind(1) == "direct-sum-determined"
+    assert r.jh_factors(1) == (stk(-(k + 2)), stk(k))
 
 
 def test_report_principal_series_negative():
     k = -4
     r = assemble_les(OrlikStrauchSpec("verma", k))
-    assert r.degrees[0].extension.kind == "direct-sum-determined"
-    assert r.degrees[0].jh_factors == (sec(k),)
-    assert r.degrees[1].extension.kind == "direct-sum-determined"
-    assert r.degrees[1].jh_factors == (stk(-(k + 2)),)
+    assert r.extension_kind(0) == "direct-sum-determined"
+    assert r.jh_factors(0) == (sec(k),)
+    assert r.extension_kind(1) == "direct-sum-determined"
+    assert r.jh_factors(1) == (stk(-(k + 2)),)
 
 
 def test_report_dual_family():
     k = 4
     r = assemble_les(OrlikStrauchSpec("dualverma", k))
-    d0, d1 = r.degrees[0], r.degrees[1]
-    assert d0.extension.kind == "direct-sum-determined"
-    assert d0.jh_factors == (sec(k), sec(-(k + 2)))
-    assert d1.extension.kind == "ext-class-undetermined"
-    assert d1.extension.sub == (sec(-(k + 2)),)
-    assert d1.extension.quot == (stk(-(k + 2)),)
+    assert r.extension_kind(0) == "direct-sum-determined"
+    assert r.jh_factors(0) == (sec(k), sec(-(k + 2)))
+    assert r.extension_kind(1) == "ext-class-undetermined"
+    assert r.section[1] == (sec(-(k + 2)),)
+    assert r.stalk[1] == (stk(-(k + 2)),)
 
 
 def test_report_locally_algebraic():
     k = 4
     r = assemble_les(OrlikStrauchSpec("simple", k))
-    d0, d1 = r.degrees[0], r.degrees[1]
-    assert d0.extension.kind == "ext-class-undetermined"
-    assert d0.extension.sub == (sec(k),)
-    assert d0.extension.quot == (stk(k),)
-    assert Counter(d1.jh_factors) == Counter([sec(-(k + 2)), stk(-(k + 2))])
-    assert d1.extension.kind == "ext-class-undetermined"
+    assert r.extension_kind(0) == "ext-class-undetermined"
+    assert r.section[0] == (sec(k),)
+    assert r.stalk[0] == (stk(k),)
+    assert Counter(r.jh_factors(1)) == Counter([sec(-(k + 2)), stk(-(k + 2))])
+    assert r.extension_kind(1) == "ext-class-undetermined"
 
 
 def test_degree_zero_agreement_between_families():
     for k in (0, 2, 6):
-        a = assemble_les(OrlikStrauchSpec("simple", k)).degrees[0]
-        b = assemble_les(OrlikStrauchSpec("verma", k)).degrees[0]
+        a = degree(assemble_les(OrlikStrauchSpec("simple", k)), 0)
+        b = degree(assemble_les(OrlikStrauchSpec("verma", k)), 0)
         assert a == b
 
 
@@ -131,7 +139,7 @@ def test_zero_degree_flag():
     k = -4
     r = assemble_les(OrlikStrauchSpec("verma", k))
     assert r.stalk[0] == ()
-    assert r.degrees[0].extension.kind == "direct-sum-determined"
+    assert r.extension_kind(0) == "direct-sum-determined"
 
 
 def test_connecting_map_zero_on_matching_eigenvalues():
@@ -142,12 +150,12 @@ def test_connecting_map_zero_on_matching_eigenvalues():
     psi = SmoothCharacter("steep", k + 2, 1)
     r = assemble_les(OrlikStrauchSpec("simple", k, psi))
     assert r.eigenvalues[stk(k)] == r.eigenvalues[sec(-(k + 2))]
-    assert r.degrees[0].extension.sub == (sec(k),)
-    assert r.degrees[0].extension.quot == (stk(k),)
-    assert r.degrees[0].jh_factors == (sec(k), stk(k))
-    assert r.degrees[1].jh_factors == (sec(-(k + 2)), stk(-(k + 2)))
+    assert r.section[0] == (sec(k),)
+    assert r.stalk[0] == (stk(k),)
+    assert r.jh_factors(0) == (sec(k), stk(k))
+    assert r.jh_factors(1) == (sec(-(k + 2)), stk(-(k + 2)))
     for i in (0, 1):
-        assert r.degrees[i].extension.kind == "ext-class-undetermined"
+        assert r.extension_kind(i) == "ext-class-undetermined"
     assert jacquet_result_json(r)["connecting_map_forced_zero"] is True
 
 
@@ -167,14 +175,14 @@ def test_every_psi_splices_section_then_stalk():
                     assert out["connecting_map_forced_zero"] is True
                     assert out["finite_slope_complete"] is True
                     for i in (0, 1):
-                        deg = r.degrees[i]
-                        assert deg.jh_factors == r.section[i] + r.stalk[i]
+                        deg = out["degrees"][str(i)]
+                        assert r.jh_factors(i) == r.section[i] + r.stalk[i]
                         if r.section[i] and r.stalk[i]:
-                            assert deg.extension.kind == "ext-class-undetermined"
-                            assert (deg.extension.sub, deg.extension.quot) == (r.section[i],
-                                                                               r.stalk[i])
-                        assert out["degrees"][str(i)]["hecke_eigenvalues"] == [
-                            eigenvalue_json(c.z_eigenvalue(psi)) for c in deg.jh_factors]
+                            assert r.extension_kind(i) == "ext-class-undetermined"
+                            assert (deg["extension"]["sub"], deg["extension"]["quot"]) == (
+                                out["section"][str(i)], out["stalk"][str(i)])
+                        assert deg["hecke_eigenvalues"] == [
+                            eigenvalue_json(c.z_eigenvalue(psi)) for c in r.jh_factors(i)]
                     s1 = {r.eigenvalues[c] for c in r.section[1]}
                     if any(r.eigenvalues[c] in s1 for c in r.stalk[0]):
                         matching.append((family, k, val, unit))
@@ -188,9 +196,9 @@ def test_hecke_eigenvalues_and_finite_slope():
     out = jacquet_result_json(r)
     assert out["finite_slope_complete"] is True
     assert all(d["finite_slope_complete"] is True for d in out["degrees"].values())
-    ((v0, u0),) = [r.eigenvalues[c] for c in r.degrees[0].jh_factors]
+    ((v0, u0),) = [r.eigenvalues[c] for c in r.jh_factors(0)]
     assert (v0, u0) == (-4 + 1 - 2, Fraction(2, 3))
-    ((v1, u1),) = [r.eigenvalues[c] for c in r.degrees[1].jh_factors]
+    ((v1, u1),) = [r.eigenvalues[c] for c in r.jh_factors(1)]
     assert (v1, u1) == (2 - 1, Fraction(3, 2))
 
 
@@ -230,7 +238,7 @@ def test_bgg_sequence_is_exact_degree_by_degree():
         for psi in _bgg_psis(k):
             reports = (assemble_les(OrlikStrauchSpec(fam, kk, psi), trunc)
                        for fam, kk in (("simple", k), ("verma", k), ("verma", -(k + 2))))
-            a, b, c = ([Counter(r.degrees[i].jh_factors) for i in (0, 1)] for r in reports)
+            a, b, c = ([Counter(r.jh_factors(i)) for i in (0, 1)] for r in reports)
             assert a[0] == b[0], (k, psi)
             assert not c[1] - b[1], (k, psi)
             assert not c[0] - a[1], (k, psi)
@@ -239,15 +247,42 @@ def test_bgg_sequence_is_exact_degree_by_degree():
     assert cases == 630
 
 
+def test_dual_sequence_is_exact_degree_by_degree():
+    # 0 -> simple(-k) -> dual_verma(-k) -> dual_verma(k+2) -> 0 is exact on
+    # ladders, the finite submodule being spanned by e_0..e_k.  The reports A
+    # of dual_verma(k+2), B of dualverma at k and C of simple at k then give
+    # 0 -> A0 -> B0 -> C0 -> A1 -> B1 -> C1 -> 0.  The spec refuses dualverma
+    # at k < 0, so A is read off the n-finite dual directly.  Characters are
+    # formal in psi, so one psi stands for all.
+    def parts(section, stalk):
+        return {"section": section, "stalk": stalk,
+                "all": {i: section[i] + stalk[i] for i in (0, 1)}}
+
+    cases = 0
+    for k in range(0, 41, 2):
+        for trunc in (default_truncation(k + 2), default_truncation(k + 2) + 9):
+            d = n_finite_dual(dual_verma(k + 2, trunc))
+            a = parts(section_cohomology_characters(d), stalk_cohomology_characters(d))
+            b, c = (parts(r.section, r.stalk)
+                    for r in (assemble_les(OrlikStrauchSpec(fam, k), trunc)
+                              for fam in ("dualverma", "simple")))
+            jh = lambda x, i, part="all": Counter(x[part][i])
+            assert not jh(a, 0) - jh(b, 0), (k, trunc)
+            assert not jh(c, 1) - jh(b, 1), (k, trunc)
+            for part in ("all", "section", "stalk"):
+                assert (jh(a, 0, part) + jh(c, 0, part) + jh(b, 1, part)
+                        == jh(b, 0, part) + jh(a, 1, part) + jh(c, 1, part)), (k, trunc, part)
+            cases += 1
+    assert cases == 42
+
+
 def test_euler_consistency_detects_dropped_factor():
     k = 2
     sub = assemble_les(OrlikStrauchSpec("simple", k))
     mid = assemble_les(OrlikStrauchSpec("verma", k))
     quot = assemble_les(OrlikStrauchSpec("verma", -(k + 2)))
-    lhs = (list(sub.degrees[0].jh_factors) + list(quot.degrees[0].jh_factors)
-           + list(mid.degrees[1].jh_factors))
-    rhs = (list(mid.degrees[0].jh_factors) + list(sub.degrees[1].jh_factors)
-           + list(quot.degrees[1].jh_factors))
+    lhs = list(sub.jh_factors(0) + quot.jh_factors(0) + mid.jh_factors(1))
+    rhs = list(mid.jh_factors(0) + sub.jh_factors(1) + quot.jh_factors(1))
     norm = lambda cs: Counter(c.normalized(TRIVIAL_PSI) for c in cs)
     assert norm(lhs) == norm(rhs)
     assert norm(lhs[1:]) != norm(rhs)
@@ -258,7 +293,7 @@ def test_resolved_reports_conserve_section_and_stalk_multisets():
         r = assemble_les(OrlikStrauchSpec(fam, k))
         assert jacquet_result_json(r)["connecting_map_forced_zero"] is True
         for i in (0, 1):
-            assert Counter(r.degrees[i].jh_factors) == Counter(r.section[i]) + Counter(r.stalk[i])
+            assert Counter(r.jh_factors(i)) == Counter(r.section[i]) + Counter(r.stalk[i])
 
 
 def test_descriptor_validation():
@@ -278,18 +313,20 @@ def test_reports_invariant_under_truncation_doubling():
         b = assemble_les(OrlikStrauchSpec(fam, k), 40)
         assert a.section == b.section
         assert a.stalk == b.stalk
-        assert a.degrees == b.degrees
+        assert [degree(a, i) for i in (0, 1)] == [degree(b, i) for i in (0, 1)]
 
 
 def test_degree_reports_are_values():
-    a = assemble_les(OrlikStrauchSpec("verma", 4), 20).degrees
-    b = assemble_les(OrlikStrauchSpec("verma", 4), 40).degrees
+    ra = assemble_les(OrlikStrauchSpec("verma", 4), 20)
+    rb = assemble_les(OrlikStrauchSpec("verma", 4), 40)
+    a = [degree(ra, i) for i in (0, 1)]
+    b = [degree(rb, i) for i in (0, 1)]
     for i in (0, 1):
         assert a[i] == b[i] and a[i] is not b[i]
         assert hash(a[i]) == hash(b[i])
     assert a[0] != a[1]
     assert len({a[0], b[0], a[1], b[1]}) == 2
-    other = assemble_les(OrlikStrauchSpec("verma", 6)).degrees
+    other = [degree(assemble_les(OrlikStrauchSpec("verma", 6)), i) for i in (0, 1)]
     assert a[0] != other[0]
     assert OrlikStrauchSpec("verma", 4) == OrlikStrauchSpec("verma", 4, TRIVIAL_PSI)
 
@@ -309,7 +346,7 @@ def test_stalk_characters_are_the_w_twist_of_the_untwisted_lines():
             stalk = stalk_cohomology_characters(d)
             for degree, lines in ((0, res.h0), (1, res.h1)):
                 untwisted = tuple(TorusCharacter(line.weight, psi_exp=1) for line in lines)
-                assert stalk[degree] == tuple(c.w_twist() for c in untwisted), (family, k)
+                assert stalk[degree] == tuple(w_twist(c) for c in untwisted), (family, k)
 
 
 def test_les_check_agrees_with_normalizing_every_factor():
@@ -324,7 +361,7 @@ def test_les_check_agrees_with_normalizing_every_factor():
             sub, mid, quot = (assemble_les(OrlikStrauchSpec(fam, kk, psi), k + 18)
                               for fam, kk in (("simple", k), ("verma", k), ("verma", -(k + 2))))
             norm = lambda *parts: Counter(c.normalized(psi) for r, i in parts
-                                          for c in r.degrees[i].jh_factors)
+                                          for c in r.jh_factors(i))
             expected = norm((sub, 0), (quot, 0), (mid, 1)) == norm((mid, 0), (sub, 1), (quot, 1))
             assert les_consistency_check(k, psi, k + 18) == expected, (psi, k)
             outcomes[expected] += 1
@@ -353,6 +390,25 @@ def test_a_corpus_report_takes_each_eigenvalue_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_undetermined_corpus_degrees_have_distinct_eigenvalues():
+    # M is abelian, so an extension of characters with different
+    # z-eigenvalues splits.  Every undetermined degree of the corpus has sub
+    # and quot eigenvalues that share no value.
+    undetermined = 0
+    for name, argv in corpus_manifest():
+        if argv[0] != "jacquet":
+            continue
+        assert argv[5:7] == ("--psi", "trivial"), name
+        r = assemble_les(OrlikStrauchSpec(argv[2], int(argv[4])), int(argv[8]))
+        for i in (0, 1):
+            if r.extension_kind(i) == "ext-class-undetermined":
+                sub = {r.eigenvalues[c] for c in r.section[i]}
+                quot = {r.eigenvalues[c] for c in r.stalk[i]}
+                assert not sub & quot, (name, i)
+                undetermined += 1
+    assert undetermined == 18
+
+
 def test_rendered_hecke_lists_are_the_degree_eigenvalues():
     # The renderer reads each eigenvalue through the report's table; every
     # Hecke list must render its degree's eigenvalues from that table, with
@@ -365,8 +421,8 @@ def test_rendered_hecke_lists_are_the_degree_eigenvalues():
             for p in (None, 5):
                 out = jacquet_result_json(report, p)
                 for i in (0, 1):
-                    deg = report.degrees[i]
+                    jh = report.jh_factors(i)
                     assert out["degrees"][str(i)]["hecke_eigenvalues"] == [
-                        eigenvalue_json(report.eigenvalues[c], p) for c in deg.jh_factors]
-                    for c, rendered in zip(deg.jh_factors, out["degrees"][str(i)]["jh_factors"]):
+                        eigenvalue_json(report.eigenvalues[c], p) for c in jh]
+                    for c, rendered in zip(jh, out["degrees"][str(i)]["jh_factors"]):
                         assert rendered["eigenvalue"] == eigenvalue_json(c.z_eigenvalue(psi), p)

@@ -16,8 +16,8 @@ tree from it, for help and usage errors; _table_args() reads a plain argv (a
 subcommand other than corpus, then exact long options with their values) from
 it without argparse, 0.23 ms for the 36 corpus argvs against 1.3-2.0 ms, and
 hands any other argv to build_parser().parse_args.  So `import djem.cli` and
-a call load neither argparse (gettext, locale) nor json; ext-bound loads
-djem.extbound, and corpus --parallel loads concurrent.futures.
+a call load neither argparse (gettext, locale), json nor pathlib; ext-bound
+loads djem.extbound, corpus pathlib and corpus --parallel concurrent.futures.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 from djem.characters import TRIVIAL_PSI, SmoothCharacter, as_rational
@@ -459,8 +458,11 @@ def fixture_document(argv) -> str:
     return serialize(make_document(args.command, config, result))
 
 
-def _default_fixtures_dir() -> Path:
-    return Path(__file__).resolve().parent / "fixtures" / "corpus"
+def _default_fixtures_dir(fixtures_dir=None):
+    """fixtures_dir as a Path, by default the corpus shipped with djem."""
+    from pathlib import Path
+
+    return Path(fixtures_dir or Path(__file__).resolve().parent / "fixtures" / "corpus")
 
 
 def _compute_all(manifest, parallel):
@@ -511,7 +513,7 @@ def _diff_detail(golden_bytes, computed) -> str:
 
 def corpus_run(fixtures_dir=None, parallel=0, json_mode=False, out=None):
     out = out or sys.stdout
-    fixtures = Path(fixtures_dir) if fixtures_dir else _default_fixtures_dir()
+    fixtures = _default_fixtures_dir(fixtures_dir)
     manifest = corpus_manifest()
     if not fixtures.is_dir():
         print(f"corpus setup error: fixture directory not found: {fixtures}", file=sys.stderr)
@@ -554,7 +556,7 @@ def corpus_run(fixtures_dir=None, parallel=0, json_mode=False, out=None):
 
 def corpus_write(fixtures_dir=None, parallel=0, out=None):
     out = out or sys.stdout
-    fixtures = Path(fixtures_dir) if fixtures_dir else _default_fixtures_dir()
+    fixtures = _default_fixtures_dir(fixtures_dir)
     manifest = corpus_manifest()
     try:
         fixtures.mkdir(parents=True, exist_ok=True)
@@ -579,7 +581,8 @@ def _config_file_tokens(path) -> list:
     kinds = {opt[0]: opt[2] for _, options in _COMMANDS.values() for opt in options}
     tokens = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as err:
         raise ValidationError(f"config file {path} cannot be read as UTF-8 text: {err}") from None
     for raw in text.splitlines():
@@ -619,7 +622,7 @@ def _apply_config_file(argv):
     rest = argv[:idx] + argv[end + 1:]
     if not rest:
         raise ValidationError("--config cannot supply the subcommand itself")
-    if not Path(path).is_file():
+    if not os.path.isfile(path):
         raise ValidationError(f"config file not found: {path}")
     # Defaults from the file go right after the subcommand; explicit flags win.
     return [rest[0]] + _config_file_tokens(path) + rest[1:]

@@ -100,7 +100,7 @@ def stabilization_certificate(m: WeightModule, direction: str) -> StabilizationC
     op = _DIRECTIONS[direction][0].upper()
     if m.is_finite:
         return StabilizationCertificate(op, None, (), 0, True)
-    coeff = m.ladder.coeff_x if op == "X" else m.ladder.coeff_y
+    coeff = m.coeff_x if op == "X" else m.coeff_y
     roots = coeff.integer_roots()
     bound = max(roots) + 1 if roots else 0
     return StabilizationCertificate(op, coeff, roots, max(bound, 0), False)
@@ -118,7 +118,7 @@ def _candidate_weights(m: WeightModule, certificate, shift: int):
     neither coefficient vanishes inside it."""
     lo, hi = m.min_weight, m.max_weight
     weights = {lo, hi}
-    base, step, length = m.lowest_label_weight + shift, m.ladder.step, m.length
+    base, step, length = m.lowest_label_weight + shift, m.step, m.length
     for i in certificate.roots:
         mu = base + step * i
         if 0 <= i < length and lo <= mu <= hi:

@@ -162,7 +162,9 @@ def les_consistency_check(k, psi: SmoothCharacter = TRIVIAL_PSI, trunc=None) -> 
 
     With sub = simple(k), mid = verma(k) and quot = verma(-(k+2)), the
     Jordan-Hoelder multisets must satisfy
-      H0(sub) + H0(quot) + H1(mid) = H0(mid) + H1(sub) + H1(quot).
+      H0(sub) + H0(quot) + H1(mid) = H0(mid) + H1(sub) + H1(quot),
+    and exactness at both ends of the long exact sequence asks
+    H0(sub) <= H0(mid) and H1(quot) <= H1(mid).
     """
     k = int(k)
     if k < 0 or k % 2:
@@ -176,4 +178,5 @@ def les_consistency_check(k, psi: SmoothCharacter = TRIVIAL_PSI, trunc=None) -> 
     def jh(*parts):
         return Counter([c for report, degree in parts for c in report.jh_factors(degree)])
 
-    return jh((sub, 0), (quot, 0), (mid, 1)) == jh((mid, 0), (sub, 1), (quot, 1))
+    return (jh((sub, 0)) <= jh((mid, 0)) and jh((quot, 1)) <= jh((mid, 1))
+            and jh((sub, 0), (quot, 0), (mid, 1)) == jh((mid, 0), (sub, 1), (quot, 1)))

@@ -4,12 +4,12 @@ Conventions.  X = [[0,1],[0,0]] raises the weight by 2, Y = [[0,0],[1,0]]
 lowers it by 2, and H = diag(1,-1) acts on the mu weight space by the scalar
 mu; H is never stored, the grading is the H-action.  A module is a ladder
 on a finite window: one-dimensional weight spaces, and closed-form integer
-coefficient polynomials in the ladder index i = 0, 1, ... for X and Y
-(LadderInfo).  Nothing else is stored: X maps the line at weight mu to the
-line at mu+2 by the X polynomial at that index, and Y maps it to mu-2 by the
-Y polynomial.  Each window edge is either exact (the module genuinely stops
-there) or a truncation cut (the module continues outside the window), where
-the coefficient pointing past the cut is unknown.  The polynomials also let
+coefficient polynomials in the ladder index i = 0, 1, ... for X and Y.
+Nothing else is stored: X maps the line at weight mu to the line at mu+2 by
+the X polynomial at that index, and Y maps it to mu-2 by the Y polynomial.
+Each window edge is either exact (the module genuinely stops there) or a
+truncation cut (the module continues outside the window), where the
+coefficient pointing past the cut is unknown.  The polynomials also let
 downstream cohomology certify that nothing lives past the window.
 """
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 from math import isqrt
 
 from djem.errors import ParityError, TruncationError, ValidationError
-from djem.value import Value
 
 TRUNCATION_MARGIN = 16
 
@@ -131,46 +130,39 @@ class IndexPoly:
         return f"IndexPoly({self.text()})"
 
 
-class LadderInfo(Value):
-    """Closed-form ladder data: weight(i) = w0 + step*i, X e_i = coeff_x(i) e_{i + 2//step},
-    Y e_i = coeff_y(i) e_{i - 2//step}."""
-
-    __slots__ = ("step", "coeff_x", "coeff_y")
-
-    def __init__(self, step: int, coeff_x: IndexPoly, coeff_y: IndexPoly):
-        self.step = step
-        self.coeff_x = coeff_x
-        self.coeff_y = coeff_y
-
-
 class WeightModule:
     """Immutable weight-graded module over sl2 on a finite even-weight window,
     with a one-dimensional space at each weight.
 
-    The module is its ladder and its window: e_i (ê_i when hatted) spans the
-    weight lowest_label_weight + step*i for i = 0 .. length-1, and X and Y
-    act on it by the ladder polynomials at i.  Whether it is finite, and where
-    it is cut, follow from the two edge kinds.
+    The module is its ladder and its window: e_i (ê_i when hatted, the
+    n-finite dual of the family's module) spans the weight
+    lowest_label_weight + step*i for i = 0 .. length-1, X e_i =
+    coeff_x(i) e_{i + 2//step} and Y e_i = coeff_y(i) e_{i - 2//step}.
+    Whether it is finite, and where it is cut, follow from the two edge kinds.
     """
 
-    __slots__ = ("family", "ladder", "lowest_label_weight", "length", "bottom_exact",
-                 "top_exact", "hatted", "min_weight", "max_weight")
+    __slots__ = ("family", "step", "coeff_x", "coeff_y", "lowest_label_weight", "length",
+                 "bottom_exact", "top_exact", "hatted", "min_weight", "max_weight")
 
-    def __init__(self, family, ladder, lowest_label_weight, length, bottom_exact, top_exact,
-                 hatted=False):
-        if not isinstance(ladder, LadderInfo) or ladder.step not in (2, -2):
-            raise ValidationError("a weight module needs a LadderInfo of step 2 or -2")
+    def __init__(self, family, step, coeff_x, coeff_y, lowest_label_weight, length,
+                 bottom_exact, top_exact, hatted=False):
+        if type(step) is not int or step not in (2, -2) or not (
+                isinstance(coeff_x, IndexPoly) and isinstance(coeff_y, IndexPoly)):
+            raise ValidationError("a weight module needs a step of 2 or -2 and IndexPoly "
+                                  "coefficients")
         length = int(length)
         if length < 1:
             raise ValidationError(f"a weight module needs at least one weight, got {length}")
         self.family = str(family)
-        self.ladder = ladder
+        self.step = step
+        self.coeff_x = coeff_x
+        self.coeff_y = coeff_y
         self.lowest_label_weight = _require_even(lowest_label_weight, "lowest label weight")
         self.length = length
         self.bottom_exact = bool(bottom_exact)
         self.top_exact = bool(top_exact)
         self.hatted = bool(hatted)
-        self.min_weight = self.lowest_label_weight + min(0, ladder.step * (length - 1))
+        self.min_weight = self.lowest_label_weight + min(0, step * (length - 1))
         self.max_weight = self.min_weight + 2 * (length - 1)
 
     # -- window geometry ---------------------------------------------------
@@ -194,7 +186,7 @@ class WeightModule:
         return int(self.min_weight <= mu <= self.max_weight and mu % 2 == 0)
 
     def index_of_weight(self, mu):
-        q, r = divmod(mu - self.lowest_label_weight, self.ladder.step)
+        q, r = divmod(mu - self.lowest_label_weight, self.step)
         if r != 0 or q < 0 or q >= self.length:
             raise ValidationError(f"weight {mu} is not on the ladder")
         return q
@@ -208,8 +200,8 @@ class WeightModule:
         dst = src + 2 if op == "x" else src - 2
         lo, hi = self.min_weight, self.max_weight
         if lo <= src <= hi and lo <= dst <= hi:
-            poly = self.ladder.coeff_x if op == "x" else self.ladder.coeff_y
-            return poly((src - self.lowest_label_weight) // self.ladder.step)
+            poly = self.coeff_x if op == "x" else self.coeff_y
+            return poly((src - self.lowest_label_weight) // self.step)
         exact = self.top_exact if max(src, dst) > hi else self.bottom_exact
         return 0 if exact else None
 
@@ -218,7 +210,8 @@ class WeightModule:
         return (f"{'ê' if self.hatted else 'e'}_{self.index_of_weight(mu)}",)
 
     def __repr__(self):
-        return (f"WeightModule({self.family}, weights [{self.min_weight}, {self.max_weight}], "
+        family = f"n-finite-dual({self.family})" if self.hatted else self.family
+        return (f"WeightModule({family}, weights [{self.min_weight}, {self.max_weight}], "
                 f"dim {self.length})")
 
 
@@ -245,8 +238,8 @@ def verma(lam, trunc=None) -> WeightModule:
     The window is exact below and cut above.
     """
     lam, trunc = _lowest_weight_and_truncation(lam, trunc)
-    ladder = LadderInfo(step=2, coeff_x=_ONE, coeff_y=IndexPoly((0, 1 - lam, -1)))
-    return WeightModule("verma", ladder, lam, trunc + 1, bottom_exact=True, top_exact=False)
+    return WeightModule("verma", 2, _ONE, IndexPoly((0, 1 - lam, -1)), lam, trunc + 1,
+                        bottom_exact=True, top_exact=False)
 
 
 def dual_verma(lam, trunc=None) -> WeightModule:
@@ -257,9 +250,8 @@ def dual_verma(lam, trunc=None) -> WeightModule:
     e_0..e_k is the finite-dimensional submodule.
     """
     lam, trunc = _lowest_weight_and_truncation(lam, trunc)
-    ladder = LadderInfo(step=2, coeff_x=IndexPoly((-lam, -(lam + 1), -1)),
-                        coeff_y=_ONE)
-    return WeightModule("dual-verma", ladder, lam, trunc + 1, bottom_exact=True, top_exact=False)
+    return WeightModule("dual-verma", 2, IndexPoly((-lam, -(lam + 1), -1)), _ONE, lam,
+                        trunc + 1, bottom_exact=True, top_exact=False)
 
 
 def simple(minus_k) -> WeightModule:
@@ -273,8 +265,8 @@ def simple(minus_k) -> WeightModule:
         raise ValidationError(
             f"simple() expects a non-positive lowest weight, got {minus_k}")
     k = -minus_k
-    ladder = LadderInfo(step=2, coeff_x=_ONE, coeff_y=IndexPoly((0, k + 1, -1)))
-    return WeightModule("simple", ladder, -k, k + 1, bottom_exact=True, top_exact=True)
+    return WeightModule("simple", 2, _ONE, IndexPoly((0, k + 1, -1)), -k, k + 1,
+                        bottom_exact=True, top_exact=True)
 
 
 def n_finite_dual(m: WeightModule) -> WeightModule:
@@ -287,16 +279,10 @@ def n_finite_dual(m: WeightModule) -> WeightModule:
     the dual is again a ladder, of the opposite step.  Applied twice this
     returns the original module exactly.
     """
-    if m.family.startswith("n-finite-dual(") and m.family.endswith(")"):
-        family_d = m.family[len("n-finite-dual("):-1]
-    else:
-        family_d = f"n-finite-dual({m.family})"
-    sigma = 2 // m.ladder.step
-    ladder_d = LadderInfo(step=-m.ladder.step,
-                          coeff_x=-(m.ladder.coeff_x.shifted(-sigma)),
-                          coeff_y=-(m.ladder.coeff_y.shifted(sigma)))
-    return WeightModule(family_d, ladder_d, -m.lowest_label_weight, m.length,
-                        bottom_exact=m.top_exact, top_exact=m.bottom_exact, hatted=not m.hatted)
+    sigma = 2 // m.step
+    return WeightModule(m.family, -m.step, -m.coeff_x.shifted(-sigma), -m.coeff_y.shifted(sigma),
+                        -m.lowest_label_weight, m.length, bottom_exact=m.top_exact,
+                        top_exact=m.bottom_exact, hatted=not m.hatted)
 
 
 def check_bracket_relations(m: WeightModule) -> bool:
@@ -315,11 +301,10 @@ def check_bracket_relations(m: WeightModule) -> bool:
     cy(hi + s) cx(hi) at the top, lo and hi the indices of min_weight and
     max_weight.  A cut edge asks nothing more: the module goes on past it.
     """
-    cx, cy = m.ladder.coeff_x, m.ladder.coeff_y
+    cx, cy, step = m.coeff_x, m.coeff_y, m.step
     # Degrees p + q = 2: p + 1 and q + 1 coefficients.
     if len(cx.coeffs) + len(cy.coeffs) != 4:
         return False
-    step = m.ladder.step
     s = 2 // step
     w0 = m.lowest_label_weight
     if (cx(-s) * cy(0) - cy(s) * cx(0) != w0
@@ -341,8 +326,8 @@ class ModuleMap:
 
     def __init__(self, source, target, offset):
         offset = int(offset)
-        step = source.ladder.step
-        if (target.ladder.step != step
+        step = source.step
+        if (target.step != step
                 or source.lowest_label_weight != target.lowest_label_weight + step * offset):
             raise ValidationError(f"shifting {source!r} by {offset} into {target!r} "
                                   f"does not preserve weights")
@@ -361,8 +346,7 @@ class ModuleMap:
         the source ends and just outside the target.
         """
         s, t = self.source, self.target
-        d = max(p.degree for p in (s.ladder.coeff_x, s.ladder.coeff_y,
-                                   t.ladder.coeff_x, t.ladder.coeff_y))
+        d = max(p.degree for p in (s.coeff_x, s.coeff_y, t.coeff_x, t.coeff_y))
         shared = range(max(s.min_weight, t.min_weight), min(s.max_weight, t.max_weight) + 1, 2)
         probes = {s.min_weight, s.max_weight, t.min_weight - 2, t.max_weight + 2, *shared[:d + 2]}
         return all(self._commutes_at(mu) for mu in probes if s.dim_at(mu))

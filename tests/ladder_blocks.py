@@ -13,9 +13,9 @@ SHIFT = {"x": 2, "y": -2}
 
 
 def coefficient(m, mu, op):
-    """The coefficient of op on the mu line of m: m.ladder.coeff_x (or
-    coeff_y) at the ladder index of mu."""
-    poly = m.ladder.coeff_x if op == "x" else m.ladder.coeff_y
+    """The coefficient of op on the mu line of m: m.coeff_x (or coeff_y) at
+    the ladder index of mu."""
+    poly = m.coeff_x if op == "x" else m.coeff_y
     return poly(m.index_of_weight(mu))
 
 

@@ -186,8 +186,8 @@ def test_criterion_7_property_suites():
     for mk in (0, -2, -8):
         s = simple(mk)
         dd = n_finite_dual(n_finite_dual(s))
-        for attr in ("ladder", "weights", "length", "bottom_exact", "top_exact",
-                     "truncation", "hatted"):
+        for attr in ("step", "coeff_x", "coeff_y", "weights", "length", "bottom_exact",
+                     "top_exact", "truncation", "hatted"):
             assert getattr(dd, attr) == getattr(s, attr), (mk, attr)
         assert [dd.labels_at(mu) for mu in dd.weights] == [s.labels_at(mu) for mu in s.weights]
 
@@ -216,12 +216,17 @@ def test_criterion_7_property_suites():
         assert len({x % (p * p) for x in range(p ** 4)}) == p * p
     assert hecke_eigenvalue(TorusCharacter(0, delta_exp=1)) == (-2, 1)
 
-    # (f) the w-twist is an involution on character lists
+    # (f) the w-twist is an involution on character lists, and it inverts
+    # each z-eigenvalue, because w z w^{-1} = z^{-1}
     for fam, k in (("verma", 4), ("verma", -6), ("dualverma", 2)):
         out = stalk_cohomology_characters(
             n_finite_dual(build_module(OrlikStrauchSpec(fam, k, TRIVIAL))))
         for deg in (0, 1):
             assert tuple(w_twist(w_twist(c)) for c in out[deg]) == out[deg]
+            for c in out[deg]:
+                for base in (TRIVIAL, psi):
+                    e, u = c.z_eigenvalue(base)
+                    assert w_twist(c).z_eigenvalue(base) == (-e, 1 / u), (fam, k, c, base)
 
     print("ACCEPTANCE 7 (property suites a-f): PASS")
 

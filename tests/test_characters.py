@@ -76,16 +76,32 @@ def test_unit_is_one_power_of_the_z_unit():
                 assert type(unit) is Fraction and unit == u ** a * (1 / u) ** b, (u, a, b)
 
 
+# The base characters the w-twist tests evaluate at z: trivial, and one whose
+# psi^w(z) = psi(z)^{-1} differs from psi(z) in valuation and unit.
+TWIST_PSIS = (TRIVIAL_PSI, SmoothCharacter("a", 3, Fraction(2, 5)))
+
+
+def assert_twist_inverts_z_eigenvalue(chi, psi):
+    """w z w^{-1} = z^{-1}, so the w-twist of chi takes the inverse value at z."""
+    e, u = chi.z_eigenvalue(psi)
+    assert w_twist(chi).z_eigenvalue(psi) == (-e, 1 / u), (chi, psi)
+
+
 def test_w_twist_involution():
     chars = (TorusCharacter(4, psi_exp=1, delta_exp=1),
              TorusCharacter(-6, psiw_exp=1),
              TorusCharacter(2, psi_exp=2, psiw_exp=1, delta_exp=-1))
     assert tuple(w_twist(w_twist(c)) for c in chars) == chars
+    for chi in chars:
+        for psi in TWIST_PSIS:
+            assert_twist_inverts_z_eigenvalue(chi, psi)
 
 
 def test_w_twist_swaps_and_negates():
     chi = TorusCharacter(4, psi_exp=1, delta_exp=1)
     assert w_twist(chi) == TorusCharacter(-4, psiw_exp=1, delta_exp=-1)
+    for psi in TWIST_PSIS:
+        assert_twist_inverts_z_eigenvalue(chi, psi)
 
 
 def test_normalization_merges_twist_only_for_selfdual_base():

@@ -303,7 +303,7 @@ def test_sizes_at_the_limit_are_accepted(capsys):
 
 
 _HEAVY = ("dataclasses", "inspect", "concurrent.futures", "logging", "djem.extbound",
-          "argparse", "gettext", "locale", "json")
+          "argparse", "gettext", "locale", "json", "pathlib")
 
 
 def _fresh_call(*argv):

@@ -8,7 +8,7 @@ import rref_oracle as oracle
 from djem.cohomology import (CohomologyResult, WeightLines, cohomology, kostant_check,
                              stabilization_certificate)
 from djem.errors import CertificateError, ValidationError
-from djem.sl2 import (IndexPoly, LadderInfo, WeightModule, check_bracket_relations, dual_verma,
+from djem.sl2 import (IndexPoly, WeightModule, check_bracket_relations, dual_verma,
                       n_finite_dual, simple, verma)
 from ladder_blocks import SHIFT, coefficient, line_answer, window_blocks
 
@@ -95,7 +95,7 @@ def test_certificate_refuses_a_coefficient_it_cannot_list_the_roots_of():
         with pytest.raises(ValidationError, match=re.escape(f"got the coefficients {list(coeffs)}")):
             IndexPoly(coeffs)
     # The other operator of such a ladder, a nonzero constant, certifies.
-    m = WeightModule("generic", LadderInfo(2, IndexPoly((1,)), IndexPoly((1,))), 0, 1,
+    m = WeightModule("generic", 2, IndexPoly((1,)), IndexPoly((1,)), 0, 1,
                      bottom_exact=True, top_exact=False)
     cert = stabilization_certificate(m, "nbar")
     assert (cert.operator, cert.roots, cert.bound, cert.finite) == ("Y", (), 0, False)
@@ -134,8 +134,7 @@ def test_bracket_failing_outside_a_one_weight_window_is_refused():
     # X = i^2 + 1 and Y = 1 at weight 0, exact below and cut above: the one
     # weight of the window holds no bracket to probe, but on the ladder the
     # bracket is 1 - 2i where it must be 2i.
-    m = WeightModule("hand-made", LadderInfo(2, IndexPoly((1, 0, 1)), IndexPoly((1,))), 0, 1,
-                     True, False)
+    m = WeightModule("hand-made", 2, IndexPoly((1, 0, 1)), IndexPoly((1,)), 0, 1, True, False)
     assert not check_bracket_relations(m)
     for direction in ("n", "nbar"):
         for allow in (False, True):
@@ -147,8 +146,8 @@ def test_bracket_precondition_enforced():
     m = verma(-2, 6)
     # A wrong Y polynomial: Y e_1 = 7 where verma(-2) has Y e_1 = 1(2 - 0) = 2.
     bad_y = IndexPoly((7,))
-    bad = WeightModule("verma", LadderInfo(2, m.ladder.coeff_x, bad_y), m.lowest_label_weight,
-                       m.length, m.bottom_exact, m.top_exact)
+    bad = WeightModule("verma", 2, m.coeff_x, bad_y, m.lowest_label_weight, m.length,
+                       m.bottom_exact, m.top_exact)
     with pytest.raises(ValidationError, match="bracket"):
         cohomology(bad, "n")
 
@@ -158,7 +157,7 @@ def test_window_is_cut_or_finite_by_its_edge_kinds():
     # window can neither claim a deeper truncation nor pass as finite: the
     # four weights of verma(-6, 3), exact below and cut above, are cut at 3.
     v = verma(-6, 3)
-    cut = WeightModule("verma", v.ladder, -6, 4, True, False)
+    cut = WeightModule("verma", v.step, v.coeff_x, v.coeff_y, -6, 4, True, False)
     assert not cut.is_finite and cut.truncation == 3
     # Y = i(7 - i) vanishes at index 7, past the window: refused, where the
     # true module has H^0 = {8, -6} and H^1 = {8}.
@@ -167,7 +166,8 @@ def test_window_is_cut_or_finite_by_its_edge_kinds():
     true = cohomology(verma(-6, 50), "nbar")
     assert true.certified and h0_dims(true) == {8: 1, -6: 1} and h1_dims(true) == {8: 1}
     # Exact at both edges, the window of simple(-4) is finite and certified.
-    finite = WeightModule("simple", simple(-4).ladder, -4, 5, True, True)
+    s = simple(-4)
+    finite = WeightModule("simple", s.step, s.coeff_x, s.coeff_y, -4, 5, True, True)
     assert finite.is_finite and finite.truncation is None
     res = cohomology(finite, "nbar")
     assert res.certified and h0_dims(res) == {-4: 1} and h1_dims(res) == {6: 1}
@@ -326,9 +326,9 @@ def _per_weight_cohomology(m, direction, allow_uncertified=False):
     if not certified and not allow_uncertified:
         raise CertificateError("bound")
     if direction == "n":
-        coeff, leaves, enters = m.ladder.coeff_x, m.top_exact, m.bottom_exact
+        coeff, leaves, enters = m.coeff_x, m.top_exact, m.bottom_exact
     else:
-        coeff, leaves, enters = m.ladder.coeff_y, m.bottom_exact, m.top_exact
+        coeff, leaves, enters = m.coeff_y, m.bottom_exact, m.top_exact
 
     def zero_block(src, edge_exact):
         """Whether the operator's block from src to src + op_shift is zero;
@@ -391,7 +391,7 @@ def _hand_made_ladder(rng):
                 cx = _times(cx, f)
             else:
                 rest = _times(rest, f)
-        ladder = LadderInfo(2, IndexPoly(cx), IndexPoly(rest).shifted(-1))  # cy(i+1) = rest(i)
+        cy = IndexPoly(rest).shifted(-1)  # cy(i+1) = rest(i)
         ends = [n for n in (1 - a, 1 - b) if 1 <= n <= 40]
         top_exact = bool(ends) and rng.random() < 0.5
         length = rng.choice(ends) if top_exact else rng.randint(1, 30)
@@ -405,13 +405,12 @@ def _hand_made_ladder(rng):
             for j in range(length):
                 vanishing = _times(vanishing, (-j, 1))
             cx = [c + 2 * d for c, d in zip_longest(cx, vanishing, fillvalue=0)]
-            ladder = LadderInfo(2, IndexPoly(cx), ladder.coeff_y)
-        m = WeightModule("hand-made", ladder, w0, length, bottom_exact,
+        m = WeightModule("hand-made", 2, IndexPoly(cx), cy, w0, length, bottom_exact,
                          top_exact != (rng.random() < 0.1))
         return n_finite_dual(m) if rng.random() < 0.5 else m
     poly = lambda: IndexPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 2))]
                              + [rng.choice((-3, -2, -1, 1, 2, 3))])
-    return WeightModule("hand-made", LadderInfo(rng.choice((2, -2)), poly(), poly()),
+    return WeightModule("hand-made", rng.choice((2, -2)), poly(), poly(),
                         rng.choice((-2, 0, 2, w0)), rng.randint(1, 3), rng.random() < 0.5,
                         rng.random() < 0.5)
 
@@ -487,8 +486,7 @@ def test_unlisted_roots_refuse_by_default_and_flag_window_only():
     # indices {0, 1, 2} of a three-weight window, but has degree 3, so the
     # bracket would fail at every index past the window: it is refused when
     # it is made, so neither answer is given.
-    m = WeightModule("hand-made", LadderInfo(2, IndexPoly((2, 3, 1)), IndexPoly((-1,))), 2, 3,
-                     True, False)
+    m = WeightModule("hand-made", 2, IndexPoly((2, 3, 1)), IndexPoly((-1,)), 2, 3, True, False)
     assert check_bracket_relations(m) and cohomology(m, "n").certified
     with pytest.raises(ValidationError, match="nonzero polynomial of degree at most 2"):
         IndexPoly((2, 5, -2, 1))

@@ -56,7 +56,7 @@ def test_double_dual_gives_the_module_back():
     for m in _grid():
         dd = n_finite_dual(n_finite_dual(m))
         for attr in ("family", "weights", "length", "bottom_exact", "top_exact",
-                     "truncation", "ladder", "hatted"):
+                     "truncation", "step", "coeff_x", "coeff_y", "hatted"):
             assert getattr(dd, attr) == getattr(m, attr), (m, attr)
         assert [dd.labels_at(mu) for mu in dd.weights] == [m.labels_at(mu) for mu in m.weights]
         assert _views(dd) == _views(m), m

@@ -7,8 +7,8 @@ from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI
 from djem.cli import corpus_manifest, fixture_document
 from djem.cohomology import cohomology
 from djem.errors import ParityError, ValidationError
-from djem.jacquet import (OrlikStrauchSpec, assemble_les, build_module, default_truncation,
-                          hecke_eigenvalue, les_consistency_check, section_cohomology_characters,
+from djem.jacquet import (JacquetReport, OrlikStrauchSpec, assemble_les, build_module,
+                          default_truncation, hecke_eigenvalue, les_consistency_check, section_cohomology_characters,
                           stalk_cohomology_characters)
 from djem.reporting import eigenvalue_json, jacquet_result_json
 from djem.sl2 import dual_verma, n_finite_dual
@@ -286,6 +286,42 @@ def test_euler_consistency_detects_dropped_factor():
     norm = lambda cs: Counter(c.normalized(TRIVIAL_PSI) for c in cs)
     assert norm(lhs) == norm(rhs)
     assert norm(lhs[1:]) != norm(rhs)
+
+
+def _with(report, part, degree, chars):
+    """The report with its part ("section" or "stalk") in degree replaced by chars."""
+    parts = {"section": dict(report.section), "stalk": dict(report.stalk)}
+    parts[part][degree] = chars
+    return JacquetReport(report.spec, report.truncation, parts["section"], parts["stalk"],
+                         report.eigenvalues)
+
+
+def test_les_check_requires_exactness_at_both_ends(monkeypatch):
+    # Each edit moves one factor within one side of the Euler sum
+    # H0(sub) + H0(quot) + H1(mid) = H0(mid) + H1(sub) + H1(quot), so the sum
+    # still holds, but leaves H^0(sub) or H^1(quot) with a factor that the
+    # same degree of mid lacks: H^0(sub) -> H^0(mid) would not be injective,
+    # or H^1(mid) -> H^1(quot) not onto.
+    k = 4
+    sub, mid, quot = (assemble_les(OrlikStrauchSpec(fam, kk))
+                      for fam, kk in (("simple", k), ("verma", k), ("verma", -(k + 2))))
+    assert quot.section[0] == (sec(-(k + 2)),) and mid.stalk[1] == (stk(-(k + 2)), stk(k))
+    edits = {
+        "quot's H^0 factor into sub's H^0": (
+            _with(sub, "section", 0, sub.section[0] + quot.section[0]), mid,
+            _with(quot, "section", 0, ())),
+        "mid's H^1 factor chi_k psi^w into quot's H^0": (
+            sub, _with(mid, "stalk", 1, (stk(-(k + 2)),)),
+            _with(quot, "stalk", 0, (stk(k),))),
+    }
+    assert les_consistency_check(k)
+    jh = lambda *parts: Counter([x for r, i in parts for x in r.jh_factors(i)])
+    for name, (a, b, c) in edits.items():
+        assert jh((a, 0), (c, 0), (b, 1)) == jh((b, 0), (a, 1), (c, 1)), name
+        reports = {("simple", k): a, ("verma", k): b, ("verma", -(k + 2)): c}
+        monkeypatch.setattr("djem.jacquet.assemble_les",
+                            lambda spec, trunc=None: reports[spec.family, spec.k])
+        assert not les_consistency_check(k), name
 
 
 def test_resolved_reports_conserve_section_and_stalk_multisets():

@@ -6,7 +6,7 @@ import pytest
 
 import rref_oracle as oracle
 from djem.errors import ParityError, TruncationError, ValidationError
-from djem.sl2 import (IndexPoly, LadderInfo, ModuleMap, WeightModule, bgg_morphism,
+from djem.sl2 import (IndexPoly, ModuleMap, WeightModule, bgg_morphism,
                       check_bracket_relations, default_truncation, dual_verma, n_finite_dual,
                       simple, verma)
 from ladder_blocks import block, value
@@ -135,6 +135,10 @@ def test_double_dual_restores_all_matrices():
         dd = n_finite_dual(n_finite_dual(s))
         assert dd.weights == s.weights
         assert dd.family == s.family
+        # duality is the hatted flag alone; the repr names the dual's family
+        assert repr(n_finite_dual(s)) == ("WeightModule(n-finite-dual(simple), "
+                                          f"weights [{mk}, {-mk}], dim {1 - mk})")
+        assert repr(dd) == repr(s)
         for mu in s.weights:
             assert block(dd, mu, "x") == block(s, mu, "x")
             assert block(dd, mu, "y") == block(s, mu, "y")
@@ -155,16 +159,15 @@ def test_bracket_relations_hold_for_all_constructors():
 def _variant(m, coeff_y=None, edges=None):
     """m on the same window with another Y polynomial (a ladder that is wrong
     for the window) or other edge exactness."""
-    ladder = LadderInfo(m.ladder.step, m.ladder.coeff_x, coeff_y or m.ladder.coeff_y)
     bottom_exact, top_exact = edges or (m.bottom_exact, m.top_exact)
-    return WeightModule(m.family, ladder, m.lowest_label_weight, m.length, bottom_exact,
-                        top_exact, m.hatted)
+    return WeightModule(m.family, m.step, m.coeff_x, coeff_y or m.coeff_y,
+                        m.lowest_label_weight, m.length, bottom_exact, top_exact, m.hatted)
 
 
 def test_bracket_detects_corruption():
     m = verma(-4, 8)
     # Every Y coefficient is off by one, e.g. Y e_2 = 2(4 - 1) + 1 = 7.
-    coeffs = list(m.ladder.coeff_y.coeffs)
+    coeffs = list(m.coeff_y.coeffs)
     corrupted = _variant(m, IndexPoly([coeffs[0] + 1] + coeffs[1:]))
     assert entry(corrupted, -4 + 2 * 2, "y") == 7
     assert not check_bracket_relations(corrupted)
@@ -191,8 +194,8 @@ def _full_window(ctor, lam, dual):
 def _window(m, trunc):
     """The truncated module m cut to ladder indices 0..trunc: what its
     constructor builds with that truncation."""
-    return WeightModule(m.family, m.ladder, m.lowest_label_weight, trunc + 1, m.bottom_exact,
-                        m.top_exact, m.hatted)
+    return WeightModule(m.family, m.step, m.coeff_x, m.coeff_y, m.lowest_label_weight,
+                        trunc + 1, m.bottom_exact, m.top_exact, m.hatted)
 
 
 def _views(m):
@@ -206,7 +209,7 @@ def test_window_is_the_truncated_constructor():
         built = n_finite_dual(built) if dual else built
         cut = _window(_full_window(ctor, lam, dual), trunc)
         for attr in ("family", "weights", "length", "bottom_exact", "top_exact",
-                     "truncation", "ladder"):
+                     "truncation", "step", "coeff_x", "coeff_y"):
             assert getattr(cut, attr) == getattr(built, attr), attr
         assert [cut.labels_at(mu) for mu in cut.weights] == [
             built.labels_at(mu) for mu in built.weights]
@@ -227,7 +230,7 @@ def _random_module(rng):
     if how == "wrong-ladder":
         # The linear coefficient moves, so the polynomial stays nonzero of
         # degree at most 2 and differs from the one the ladder was built with.
-        coeffs = list(m.ladder.coeff_y.coeffs) + [0, 0]
+        coeffs = list(m.coeff_y.coeffs) + [0, 0]
         coeffs[0] += rng.randint(-3, 3)
         coeffs[1] += rng.choice((1, -1))
         return how, _variant(m, IndexPoly(coeffs))
@@ -239,12 +242,12 @@ def _edge_windows(m):
     ladder index and one ending at its last, each keeping m's edge kind at
     that end and cut at the other: each reads the identity at 38 interior
     indices and decides the edge it keeps with both neighbours known."""
-    step, (cx, cy) = m.ladder.step, (m.ladder.coeff_x, m.ladder.coeff_y)
+    step, cx, cy = m.step, m.coeff_x, m.coeff_y
     first_exact, last_exact = ((m.bottom_exact, m.top_exact) if step > 0
                                else (m.top_exact, m.bottom_exact))
     for first, exact_ends in ((0, (first_exact, False)), (m.length - 40, (False, last_exact))):
         low, high = exact_ends if step > 0 else exact_ends[::-1]
-        yield WeightModule(m.family, LadderInfo(step, cx.shifted(first), cy.shifted(first)),
+        yield WeightModule(m.family, step, cx.shifted(first), cy.shifted(first),
                            m.lowest_label_weight + step * first, 40, low, high, m.hatted)
 
 
@@ -271,7 +274,7 @@ def _bracket_identity(m):
     """The bracket as one polynomial identity, products multiplied out:
     cx(i - s) cy(i) - cy(i + s) cx(i) - (w0 + step i) is the zero polynomial,
     and at each exact edge the product through the missing line is 0."""
-    step, cx, cy = m.ladder.step, m.ladder.coeff_x, m.ladder.coeff_y
+    step, cx, cy = m.step, m.coeff_x, m.coeff_y
     s = 2 // step
     terms = (_times(cx.shifted(-s).coeffs, cy.coeffs),
              [-c for c in _times(cy.shifted(s).coeffs, cx.coeffs)],
@@ -293,21 +296,20 @@ def test_bracket_check_is_the_polynomial_identity():
         m = _hand_made_ladder(rng)
         if rng.random() < 0.3:
             which = rng.choice(("coeff_x", "coeff_y"))
-            coeffs = (list(getattr(m.ladder, which).coeffs) + [0, 0])[:3]
+            coeffs = (list(getattr(m, which).coeffs) + [0, 0])[:3]
             coeffs[rng.randrange(3)] += rng.choice((1, -1))
             if not any(coeffs):
                 with pytest.raises(ValidationError, match="nonzero polynomial"):
                     IndexPoly(coeffs)
                 verdicts["refused"] = verdicts.get("refused", 0) + 1
                 continue
-            polys = {"coeff_x": m.ladder.coeff_x, "coeff_y": m.ladder.coeff_y,
-                     which: IndexPoly(coeffs)}
-            m = WeightModule(m.family, LadderInfo(m.ladder.step, **polys),
+            polys = {"coeff_x": m.coeff_x, "coeff_y": m.coeff_y, which: IndexPoly(coeffs)}
+            m = WeightModule(m.family, m.step, polys["coeff_x"], polys["coeff_y"],
                              m.lowest_label_weight, m.length, m.bottom_exact, m.top_exact,
                              m.hatted)
         verdict = check_bracket_relations(m)
         assert verdict == _bracket_identity(m), m
-        verdicts[m.ladder.step, verdict] = verdicts.get((m.ladder.step, verdict), 0) + 1
+        verdicts[m.step, verdict] = verdicts.get((m.step, verdict), 0) + 1
     for key in ((2, True), (2, False), (-2, True), (-2, False)):
         assert verdicts.get(key, 0) >= 200, verdicts
     assert verdicts.get("refused", 0) >= 20, verdicts
@@ -326,13 +328,14 @@ def test_bracket_failing_only_above_the_lowest_interior_weight():
 def test_weight_module_rejects_other_than_one_dimensional_weight_spaces():
     # A ladder of step 0 puts every basis vector at one weight (a space of
     # dimension 2 or more); a step of 4 leaves the weights between rungs at
-    # dimension 0.  Only steps 2 and -2 give one dimension at each weight.
-    ladder = verma(0, 4).ladder
-    for bad in (None, LadderInfo(0, ladder.coeff_x, ladder.coeff_y),
-                LadderInfo(4, ladder.coeff_x, ladder.coeff_y)):
-        with pytest.raises(ValidationError, match="LadderInfo of step 2 or -2"):
-            WeightModule("generic", bad, 0, 3, True, True)
-    m = WeightModule("generic", ladder, 0, 3, True, True)
+    # dimension 0.  Only steps 2 and -2 give one dimension at each weight; a
+    # float 2.0 would make every ladder index a float.
+    cx, cy = verma(0, 4).coeff_x, verma(0, 4).coeff_y
+    for bad in ((None, cx, cy), (0, cx, cy), (4, cx, cy), (2.0, cx, cy), (2, None, cy),
+                (2, cx, (1,))):
+        with pytest.raises(ValidationError, match="step of 2 or -2 and IndexPoly coefficients"):
+            WeightModule("generic", *bad, 0, 3, True, True)
+    m = WeightModule("generic", 2, cx, cy, 0, 3, True, True)
     assert tuple(m.weights) == (0, 2, 4)
     assert [m.dim_at(mu) for mu in range(-2, 7)] == [0, 0, 1, 0, 1, 0, 1, 0, 0]
 
@@ -340,11 +343,11 @@ def test_weight_module_rejects_other_than_one_dimensional_weight_spaces():
 def test_bracket_on_empty_module():
     # The empty module is refused at construction, so the bracket check is
     # never asked of it; the smallest module it can be asked of has one weight.
-    ladder = verma(0, 4).ladder
+    cx, cy = verma(0, 4).coeff_x, verma(0, 4).coeff_y
     for length in (0, -1):
         with pytest.raises(ValidationError, match="at least one weight"):
-            WeightModule("generic", ladder, 0, length, True, True)
-    single = WeightModule("generic", ladder, 0, 1, True, True)
+            WeightModule("generic", 2, cx, cy, 0, length, True, True)
+    single = WeightModule("generic", 2, cx, cy, 0, 1, True, True)
     assert tuple(single.weights) == (0,)
     assert check_bracket_relations(single)
 
@@ -437,14 +440,14 @@ def _shifted_ladders(rng):
     poly = lambda: IndexPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 2))]
                              + [rng.choice((-3, -2, 2, 3))])
     cx, cy = poly(), poly()
-    source = WeightModule("generic", LadderInfo(step, cx, cy), 2 * rng.randint(-10, 10),
+    source = WeightModule("generic", step, cx, cy, 2 * rng.randint(-10, 10),
                           rng.randint(1, 12), rng.random() < 0.5, rng.random() < 0.5)
     tx, ty = cx.shifted(-offset), cy.shifted(-offset)
     if rng.random() < 0.3:
         coeffs = (list((tx if rng.random() < 0.5 else ty).coeffs) + [0, 0])[:3]
         coeffs[rng.randrange(3)] += rng.choice((1, -1))
         tx, ty = (IndexPoly(coeffs), ty) if rng.random() < 0.5 else (tx, IndexPoly(coeffs))
-    target = WeightModule("generic", LadderInfo(step, tx, ty),
+    target = WeightModule("generic", step, tx, ty,
                           source.lowest_label_weight - step * offset, rng.randint(1, 12),
                           rng.random() < 0.5, rng.random() < 0.5)
     return ModuleMap(source, target, offset)
@@ -484,8 +487,8 @@ def test_cokernel_ranges_are_the_missed_target_weights():
     assert (tuple(below), tuple(above)) == ((-2, 0, 2), (10, 12, 14, 16, 18))
 
 
-def _generic(ladder, lowest, length, bottom_exact, top_exact):
-    return WeightModule("generic", ladder, lowest, length, bottom_exact, top_exact)
+def _generic(cx, cy, lowest, length, bottom_exact, top_exact):
+    return WeightModule("generic", 2, cx, cy, lowest, length, bottom_exact, top_exact)
 
 
 def test_shift_differing_past_the_lowest_shared_weights():
@@ -495,9 +498,9 @@ def test_shift_differing_past_the_lowest_shared_weights():
     # moved target X polynomial differs from the source's by 3 j (j - 1),
     # zero at the two lowest shared indices; d = 2.
     cx, cy = IndexPoly([1]), IndexPoly([0, 1, -1])
-    source = _generic(LadderInfo(2, cx, cy), 0, 10, False, False)
+    source = _generic(cx, cy, 0, 10, False, False)
     tx = IndexPoly([1, -3, 3]).shifted(-2)  # 1 + 3 j (j - 1) at j = index - 2
-    target = _generic(LadderInfo(2, tx, cy.shifted(-2)), -4, 14, True, True)
+    target = _generic(tx, cy.shifted(-2), -4, 14, True, True)
     qmap = ModuleMap(source, target, 2)
     assert all(qmap._commutes_at(mu) for mu in (0, 2, 18))
     assert not qmap._commutes_at(4)
@@ -514,8 +517,8 @@ def test_shift_whose_y_differs_past_the_lowest_shared_weights():
     # identity only where the weight below is shared, so with d = 2 the
     # fourth shared weight decides.
     cx, cy = IndexPoly([1]), IndexPoly([-10, 1])
-    source = _generic(LadderInfo(2, cx, cy), 0, 16, False, False)
-    target = _generic(LadderInfo(2, cx, IndexPoly([-8, -2, 1]).shifted(-1)), -2, 11, True, True)
+    source = _generic(cx, cy, 0, 16, False, False)
+    target = _generic(cx, IndexPoly([-8, -2, 1]).shifted(-1), -2, 11, True, True)
     qmap = ModuleMap(source, target, 1)
     assert all(qmap._commutes_at(mu) for mu in (0, 2, 4, 20, 30))
     assert not qmap._commutes_at(6)

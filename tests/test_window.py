@@ -21,7 +21,8 @@ from test_cohomology import _family_grid, _hand_made_ladder
 
 
 def _one_weight(bottom_exact, top_exact):
-    return WeightModule("generic", verma(0, 4).ladder, 0, 1, bottom_exact, top_exact)
+    v = verma(0, 4)
+    return WeightModule("generic", v.step, v.coeff_x, v.coeff_y, 0, 1, bottom_exact, top_exact)
 
 
 # (module, op, src, expected).  verma(-4, 3) has weights -4..2, exact below and
@@ -77,8 +78,13 @@ CASES = [
 ]
 
 
+def _family(m):
+    """The family as the module's repr names it."""
+    return f"n-finite-dual({m.family})" if m.hatted else m.family
+
+
 @pytest.mark.parametrize("m, op, src, expected", CASES,
-                         ids=[f"{m.family}[{m.min_weight},{m.max_weight}]-{op}{src:+d}"
+                         ids=[f"{_family(m)}[{m.min_weight},{m.max_weight}]-{op}{src:+d}"
                               for m, op, src, _ in CASES])
 def test_line_coefficient_cases(m, op, src, expected):
     assert m.line_coefficient(op, src) == expected
@@ -116,7 +122,7 @@ def test_line_coefficient_agrees_with_per_weight_blocks():
 
 def test_weights_are_the_ladder_weights():
     for m in _modules():
-        ladder = sorted(m.lowest_label_weight + m.ladder.step * i for i in range(m.length))
+        ladder = sorted(m.lowest_label_weight + m.step * i for i in range(m.length))
         assert tuple(m.weights) == tuple(ladder), m
         assert (m.min_weight, m.max_weight, len(m.weights)) == (ladder[0], ladder[-1], m.length)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from djem.errors import ParityError, ValidationError
+from djem.errors import ValidationError, require_int
 from djem.value import Value
 
 # z N_0 z^{-1} has index p^2 in N_0.
@@ -48,7 +48,7 @@ class SmoothCharacter(Value):
     def __init__(self, label: str, z_valuation: int = 0, z_unit=Fraction(1),
                  w_selfdual: bool = False, torus_unit_label: str = ""):
         self.label = label
-        self.z_valuation = z_valuation
+        self.z_valuation = require_int(z_valuation, "z_valuation")
         self.z_unit = as_rational(z_unit)
         if self.z_unit == 0:
             raise ValidationError(f"smooth character {label!r} must be nonzero at z")
@@ -72,9 +72,7 @@ class TorusCharacter(Value):
     __slots__ = ("weight", "psi_exp", "psiw_exp", "delta_exp")
 
     def __init__(self, weight: int, psi_exp: int = 0, psiw_exp: int = 0, delta_exp: int = 0):
-        if weight % 2:
-            raise ParityError(f"algebraic weight must be even, got {weight}")
-        self.weight = weight
+        self.weight = require_int(weight, "weight", even=True)
         self.psi_exp = psi_exp
         self.psiw_exp = psiw_exp
         self.delta_exp = delta_exp

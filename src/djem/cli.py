@@ -32,7 +32,7 @@ from types import SimpleNamespace
 from djem.characters import TRIVIAL_PSI, SmoothCharacter, as_rational
 from djem.cohomology import cohomology, kostant_check
 from djem.errors import (DjemError, TruncationError, UndecidableRelationError,
-                         ValidationError)
+                         ValidationError, require_int)
 from djem.jacquet import OrlikStrauchSpec, assemble_les, build_module, les_consistency_check
 from djem.reporting import (check_result_json, cohomology_result_json, cohomology_text,
                             ext_case_json, ext_case_text, jacquet_result_json, jacquet_text,
@@ -256,8 +256,7 @@ def _resolve_trunc(args, k) -> int:
             trunc = int(env)
         except ValueError:
             raise ValidationError(f"{TRUNC_ENV_VAR} must be an integer, got {env!r}")
-    if trunc < 0:
-        raise ValidationError("truncation must be non-negative")
+    require_int(trunc, source, minimum=0)
     if trunc > SIZE_LIMIT:
         raise ValidationError(f"{source} must be at most {SIZE_LIMIT}, got {trunc}")
     return trunc
@@ -335,8 +334,6 @@ def _cmd_cohomology(args):
 
 
 def _cmd_bgg_check(args):
-    if args.k < 0 or args.k % 2:
-        raise ValidationError(f"bgg-check expects an even k >= 0, got {args.k}")
     trunc = _resolve_trunc(args, args.k)
     morphism = bgg_morphism(args.k, trunc)
     equivariant = morphism.is_equivariant()
@@ -518,20 +515,17 @@ def corpus_run(fixtures_dir=None, parallel=0, json_mode=False, out=None):
     if not fixtures.is_dir():
         print(f"corpus setup error: fixture directory not found: {fixtures}", file=sys.stderr)
         return EXIT_CORPUS_SETUP
-    missing = [name for name, _ in manifest if not (fixtures / f"{name}.json").is_file()]
-    if missing:
-        print(f"corpus setup error: missing fixture file: {fixtures / (missing[0] + '.json')}",
-              file=sys.stderr)
-        return EXIT_CORPUS_SETUP
-    docs = _compute_all(manifest, parallel)
-    statuses = []
-    first_failure = None
+    goldens = {}
     for name, _ in manifest:
-        golden = (fixtures / f"{name}.json").read_bytes()
-        ok = golden == docs[name].encode("utf-8")
-        statuses.append((name, ok))
-        if not ok and first_failure is None:
-            first_failure = name
+        try:
+            goldens[name] = (fixtures / f"{name}.json").read_bytes()
+        except OSError:
+            print(f"corpus setup error: missing fixture file: {fixtures / (name + '.json')}",
+                  file=sys.stderr)
+            return EXIT_CORPUS_SETUP
+    docs = _compute_all(manifest, parallel)
+    statuses = [(name, goldens[name] == docs[name].encode("utf-8")) for name, _ in manifest]
+    first_failure = next((name for name, ok in statuses if not ok), None)
     if json_mode:
         summary = {
             "fixtures": [{"name": n, "status": "pass" if ok else "fail"} for n, ok in statuses],
@@ -546,9 +540,9 @@ def corpus_run(fixtures_dir=None, parallel=0, json_mode=False, out=None):
         out.write(f"corpus: {len(statuses)} fixtures, {sum(ok for _, ok in statuses)} passed, "
                   f"{sum(not ok for _, ok in statuses)} failed\n")
     if first_failure is not None:
-        golden_path = fixtures / (first_failure + ".json")
-        print(f"corpus diff: first divergent fixture: {golden_path}", file=sys.stderr)
-        print(f"corpus diff: {_diff_detail(golden_path.read_bytes(), docs[first_failure])}",
+        print(f"corpus diff: first divergent fixture: {fixtures / (first_failure + '.json')}",
+              file=sys.stderr)
+        print(f"corpus diff: {_diff_detail(goldens[first_failure], docs[first_failure])}",
               file=sys.stderr)
         return EXIT_CORPUS_DIFF
     return EXIT_OK

@@ -17,7 +17,7 @@ into a window-only answer that is flagged as non-certified.
 
 from __future__ import annotations
 
-from djem.errors import CertificateError, ValidationError
+from djem.errors import CertificateError, ValidationError, require_int
 from djem.sl2 import IndexPoly, WeightModule, check_bracket_relations, n_finite_dual, simple
 from djem.value import Value
 
@@ -134,13 +134,10 @@ def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False)
     allow_uncertified is set, in which case the window-only answer is
     returned with certified=False.
     """
-    if direction not in _DIRECTIONS:
-        raise ValidationError(f"direction must be one of {sorted(_DIRECTIONS)}, got {direction!r}")
+    certificate = stabilization_certificate(m, direction)  # refuses an unknown direction
     if not check_bracket_relations(m):
         raise ValidationError("module fails the bracket identity [X, Y] = H")
     op, shift = _DIRECTIONS[direction]
-
-    certificate = stabilization_certificate(m, direction)
     certified = certificate.finite or m.truncation >= certificate.bound
     if not certified and not allow_uncertified:
         raise CertificateError(
@@ -169,9 +166,7 @@ def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False)
 def kostant_check(k) -> bool:
     """Nilpotent-radical cohomology of the dual of the simple module: one line
     per Weyl-group element, at weights k and -(k+2)."""
-    k = int(k)
-    if k < 0 or k % 2:
-        raise ValidationError(f"kostant_check expects an even k >= 0, got {k}")
+    k = require_int(k, "k", minimum=0, even=True)
     res = cohomology(n_finite_dual(simple(-k)), "n")
     lines = lambda group: [(line.weight, line.dim) for line in group]
     return lines(res.h0) == [(k, 1)] and lines(res.h1) == [(-(k + 2), 1)]

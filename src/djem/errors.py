@@ -1,4 +1,5 @@
-"""Exception hierarchy.  The CLI maps these classes onto disjoint exit codes."""
+"""Exception hierarchy, which the CLI maps onto disjoint exit codes, and the
+one integer rule that every public entry point checks its parameters by."""
 
 
 class DjemError(Exception):
@@ -23,3 +24,18 @@ class CertificateError(TruncationError):
 
 class UndecidableRelationError(DjemError):
     """A character relation that is neither declared nor refutable from z-values."""
+
+
+def require_int(value, name, *, minimum=None, even=False) -> int:
+    """value itself if it is an int, even when even is set and at least
+    minimum when one is given; otherwise a ValidationError (a ParityError for
+    an odd value) naming the parameter, the value and the rule.  Every
+    integer parameter of the public API passes here, so a float, str, bool or
+    Fraction is refused, never truncated."""
+    if type(value) is not int:
+        raise ValidationError(f"{name} must be an int, got {value!r}")
+    if even and value % 2:
+        raise ParityError(f"{name} must be even, got {value}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must satisfy {name} >= {minimum}, got {value}")
+    return value

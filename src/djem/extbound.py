@@ -17,7 +17,7 @@ else raises rather than silently guessing.
 from __future__ import annotations
 
 from djem.characters import SmoothCharacter, TorusCharacter, DELTA_P_Z_EXPONENT
-from djem.errors import ParityError, UndecidableRelationError, ValidationError
+from djem.errors import UndecidableRelationError, ValidationError, require_int
 from djem.jacquet import JacquetReport, OrlikStrauchSpec, assemble_les
 from djem.value import Value
 
@@ -129,10 +129,8 @@ def classify_ext(k, ell, psi: SmoothCharacter, phi: SmoothCharacter,
 
     Every bullet that fires is recorded; the verdict is the first one's.
     """
-    k = int(k)
-    ell = int(ell)
-    if k % 2 or ell % 2:
-        raise ParityError(f"k and ell must be even, got k={k}, ell={ell}")
+    k = require_int(k, "k", even=True)
+    ell = require_int(ell, "ell", even=True)
     if k >= 0:
         raise ValidationError(f"classify_ext requires k < 0, got k={k}")
     if k == ell:

@@ -26,7 +26,7 @@ from collections import Counter
 
 from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI
 from djem.cohomology import cohomology
-from djem.errors import ParityError, ValidationError
+from djem.errors import ValidationError, require_int
 from djem.sl2 import WeightModule, default_truncation, dual_verma, n_finite_dual, simple, verma
 from djem.value import Value
 
@@ -46,12 +46,8 @@ class OrlikStrauchSpec(Value):
     def __init__(self, family: str, k: int, psi: SmoothCharacter = TRIVIAL_PSI):
         if family not in FAMILIES:
             raise ValidationError(f"family must be one of {FAMILIES}, got {family!r}")
-        if k % 2:
-            raise ParityError(f"k must be even, got {k}")
-        if family in ("dualverma", "simple") and k < 0:
-            raise ValidationError(f"family {family!r} requires k >= 0, got {k}")
         self.family = family
-        self.k = k
+        self.k = require_int(k, "k", minimum=None if family == "verma" else 0, even=True)
         self.psi = psi
 
 
@@ -139,8 +135,7 @@ def assemble_les(spec: OrlikStrauchSpec, trunc=None) -> JacquetReport:
     Every T0 line has weight k and every S1 line weight -(k+2), and these
     never meet for even k.
     """
-    if trunc is None:
-        trunc = default_truncation(spec.k)
+    trunc = default_truncation(spec.k) if trunc is None else require_int(trunc, "trunc", minimum=0)
     dual = n_finite_dual(build_module(spec, trunc))
     section = section_cohomology_characters(dual)
     stalk = stalk_cohomology_characters(dual)
@@ -166,9 +161,7 @@ def les_consistency_check(k, psi: SmoothCharacter = TRIVIAL_PSI, trunc=None) -> 
     and exactness at both ends of the long exact sequence asks
     H0(sub) <= H0(mid) and H1(quot) <= H1(mid).
     """
-    k = int(k)
-    if k < 0 or k % 2:
-        raise ValidationError(f"les_consistency_check expects an even k >= 0, got {k}")
+    k = require_int(k, "k", minimum=0, even=True)
     if trunc is None:
         trunc = default_truncation(k + 2)
     sub = assemble_les(OrlikStrauchSpec("simple", k, psi), trunc)

@@ -17,21 +17,14 @@ from __future__ import annotations
 
 from math import isqrt
 
-from djem.errors import ParityError, TruncationError, ValidationError
+from djem.errors import TruncationError, ValidationError, require_int
 
 TRUNCATION_MARGIN = 16
 
 
 def default_truncation(lam) -> int:
     """Window size abs(lam) + margin; covers every coefficient root in scope."""
-    return abs(int(lam)) + TRUNCATION_MARGIN
-
-
-def _require_even(value, name) -> int:
-    value = int(value)
-    if value % 2:
-        raise ParityError(f"{name} must be even, got {value}")
-    return value
+    return abs(require_int(lam, "lam")) + TRUNCATION_MARGIN
 
 
 class IndexPoly:
@@ -42,7 +35,7 @@ class IndexPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = [int(c) for c in coeffs]
+        coeffs = [require_int(c, "coefficient") for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         if not 0 < len(coeffs) <= 3:
@@ -150,14 +143,15 @@ class WeightModule:
                 isinstance(coeff_x, IndexPoly) and isinstance(coeff_y, IndexPoly)):
             raise ValidationError("a weight module needs a step of 2 or -2 and IndexPoly "
                                   "coefficients")
-        length = int(length)
+        length = require_int(length, "length")
         if length < 1:
             raise ValidationError(f"a weight module needs at least one weight, got {length}")
         self.family = str(family)
         self.step = step
         self.coeff_x = coeff_x
         self.coeff_y = coeff_y
-        self.lowest_label_weight = _require_even(lowest_label_weight, "lowest label weight")
+        self.lowest_label_weight = require_int(lowest_label_weight, "lowest_label_weight",
+                                               even=True)
         self.length = length
         self.bottom_exact = bool(bottom_exact)
         self.top_exact = bool(top_exact)
@@ -217,16 +211,14 @@ class WeightModule:
 
 # -- constructors -----------------------------------------------------------
 
-# The constant coefficient 1, shared by the ladders that use it.
+# The constant coefficient 1, shared by the ladders that use it.  The other
+# family coefficients are int triples ending in -1, so IndexPoly._of takes them.
 _ONE = IndexPoly((1,))
 
 
 def _lowest_weight_and_truncation(lam, trunc):
-    lam = _require_even(lam, "lowest weight")
-    trunc = int(default_truncation(lam) if trunc is None else trunc)
-    if trunc < 0:
-        raise ValidationError("truncation must be non-negative")
-    return lam, trunc
+    lam = require_int(lam, "lam", even=True)
+    return lam, default_truncation(lam) if trunc is None else require_int(trunc, "trunc", minimum=0)
 
 
 def verma(lam, trunc=None) -> WeightModule:
@@ -238,7 +230,7 @@ def verma(lam, trunc=None) -> WeightModule:
     The window is exact below and cut above.
     """
     lam, trunc = _lowest_weight_and_truncation(lam, trunc)
-    return WeightModule("verma", 2, _ONE, IndexPoly((0, 1 - lam, -1)), lam, trunc + 1,
+    return WeightModule("verma", 2, _ONE, IndexPoly._of((0, 1 - lam, -1)), lam, trunc + 1,
                         bottom_exact=True, top_exact=False)
 
 
@@ -250,7 +242,7 @@ def dual_verma(lam, trunc=None) -> WeightModule:
     e_0..e_k is the finite-dimensional submodule.
     """
     lam, trunc = _lowest_weight_and_truncation(lam, trunc)
-    return WeightModule("dual-verma", 2, IndexPoly((-lam, -(lam + 1), -1)), _ONE, lam,
+    return WeightModule("dual-verma", 2, IndexPoly._of((-lam, -(lam + 1), -1)), _ONE, lam,
                         trunc + 1, bottom_exact=True, top_exact=False)
 
 
@@ -260,12 +252,12 @@ def simple(minus_k) -> WeightModule:
     Quotient of verma(-k) by the span of e_{k+1}, e_{k+2}, ...; well defined
     because the Y coefficient -i(-k+i-1) vanishes at i = k+1.
     """
-    minus_k = _require_even(minus_k, "lowest weight")
+    minus_k = require_int(minus_k, "minus_k", even=True)
     if minus_k > 0:
         raise ValidationError(
             f"simple() expects a non-positive lowest weight, got {minus_k}")
     k = -minus_k
-    return WeightModule("simple", 2, _ONE, IndexPoly((0, k + 1, -1)), -k, k + 1,
+    return WeightModule("simple", 2, _ONE, IndexPoly._of((0, k + 1, -1)), -k, k + 1,
                         bottom_exact=True, top_exact=True)
 
 
@@ -325,7 +317,7 @@ class ModuleMap:
     __slots__ = ("source", "target", "offset")
 
     def __init__(self, source, target, offset):
-        offset = int(offset)
+        offset = require_int(offset, "offset")
         step = source.step
         if (target.step != step
                 or source.lowest_label_weight != target.lowest_label_weight + step * offset):
@@ -387,12 +379,8 @@ def bgg_morphism(k, trunc=None) -> ModuleMap:
     Its cokernel is the finite-dimensional simple module; equivariance at the
     seam uses that the Y coefficient on verma(-k) vanishes at index k+1.
     """
-    k = _require_even(k, "k")
-    if k < 0:
-        raise ValidationError(f"bgg_morphism expects k >= 0, got {k}")
-    if trunc is None:
-        trunc = default_truncation(k)
-    trunc = int(trunc)
+    k = require_int(k, "k", minimum=0, even=True)
+    trunc = default_truncation(k) if trunc is None else require_int(trunc, "trunc")
     if trunc < k + 2:
         raise TruncationError(
             f"truncation {trunc} too small for the embedding; need at least {k + 2}")

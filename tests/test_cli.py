@@ -673,6 +673,27 @@ def test_corpus_diff_names_json_pointer_and_values(tmp_path, capsys):
     assert "/result/degrees/1/jh_factors/0/weight: golden 99, computed -4" in err
 
 
+def test_corpus_run_reads_each_golden_once(tmp_path, capsys, monkeypatch):
+    # Every golden is read once, before computing; a diff's detail reuses
+    # those bytes, and a golden that is a directory is a setup error.
+    dst = tmp_path / "corpus"
+    shutil.copytree(_default_fixtures_dir(), dst)
+    victim = dst / "kostant-k+04.json"
+    victim.write_bytes(victim.read_bytes().replace(b'"passed": true', b'"passed": false'))
+    reads = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path) or read_bytes(path))
+    monkeypatch.setattr(Path, "is_file", lambda path: pytest.fail(f"is_file({path})"))
+    code, _, err = run(capsys, "corpus", "run", "--fixtures", str(dst))
+    assert code == EXIT_CORPUS_DIFF
+    assert "/result/passed: golden false, computed true" in err
+    assert sorted(reads) == sorted(dst.glob("*.json"))
+    victim.unlink()
+    victim.mkdir()
+    code, _, err = run(capsys, "corpus", "run", "--fixtures", str(dst))
+    assert code == EXIT_CORPUS_SETUP and f"missing fixture file: {victim}" in err
+
+
 def test_corpus_missing_dir_is_setup_error(tmp_path, capsys):
     code, _, err = run(capsys, "corpus", "run", "--fixtures", str(tmp_path / "nope"))
     assert code == EXIT_CORPUS_SETUP

@@ -490,3 +490,13 @@ def test_unlisted_roots_refuse_by_default_and_flag_window_only():
     assert check_bracket_relations(m) and cohomology(m, "n").certified
     with pytest.raises(ValidationError, match="nonzero polynomial of degree at most 2"):
         IndexPoly((2, 5, -2, 1))
+
+
+def test_an_unknown_direction_is_refused_by_the_certificate():
+    # cohomology() leaves the direction to stabilization_certificate, which
+    # it calls first: both refuse with the one message.
+    m = n_finite_dual(verma(-4, 20))
+    for call in (cohomology, stabilization_certificate):
+        with pytest.raises(ValidationError, match=r"^direction must be one of \['n', 'nbar'\], "
+                                                  r"got 'up'$"):
+            call(m, "up")

@@ -1,11 +1,17 @@
 import functools
 import random
+import re
+from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
 
 import rref_oracle as oracle
+from djem.characters import SmoothCharacter, TorusCharacter
+from djem.cohomology import kostant_check
 from djem.errors import ParityError, TruncationError, ValidationError
+from djem.extbound import classify_ext
+from djem.jacquet import OrlikStrauchSpec, assemble_les, les_consistency_check
 from djem.sl2 import (IndexPoly, ModuleMap, WeightModule, bgg_morphism,
                       check_bracket_relations, default_truncation, dual_verma, n_finite_dual,
                       simple, verma)
@@ -612,3 +618,55 @@ def test_index_poly_text():
     assert IndexPoly((-4, -3, 1)).text() == "i^2-3*i-4"
     assert IndexPoly((1,)).text() == "1"
     assert IndexPoly((0, -1)).text() == "-i"
+
+
+def _bgg_ends():
+    morphism = bgg_morphism(4)
+    return morphism.source, morphism.target
+
+
+# Every integer parameter of the public API but TorusCharacter's three
+# exponents, as (its name, a call that passes the value under test there and
+# valid values everywhere else).
+_INTEGER_PARAMETERS = {
+    "default_truncation-lam": ("lam", default_truncation),
+    "verma-lam": ("lam", lambda v: verma(v, 3)),
+    "verma-trunc": ("trunc", lambda v: verma(-4, v)),
+    "dual_verma-lam": ("lam", lambda v: dual_verma(v, 3)),
+    "dual_verma-trunc": ("trunc", lambda v: dual_verma(-4, v)),
+    "simple-minus_k": ("minus_k", simple),
+    "WeightModule-lowest_label_weight": ("lowest_label_weight", lambda v: WeightModule(
+        "verma", 2, IndexPoly((1,)), IndexPoly((0, 1, -1)), v, 3, True, False)),
+    "WeightModule-length": ("length", lambda v: WeightModule(
+        "verma", 2, IndexPoly((1,)), IndexPoly((0, 1, -1)), 0, v, True, False)),
+    "ModuleMap-offset": ("offset", lambda v: ModuleMap(*_bgg_ends(), v)),
+    "IndexPoly-coeffs": ("coefficient", lambda v: IndexPoly((1, v))),
+    "bgg_morphism-k": ("k", bgg_morphism),
+    "bgg_morphism-trunc": ("trunc", lambda v: bgg_morphism(4, v)),
+    "kostant_check-k": ("k", kostant_check),
+    "OrlikStrauchSpec-k": ("k", lambda v: OrlikStrauchSpec("verma", v)),
+    "les_consistency_check-k": ("k", les_consistency_check),
+    "les_consistency_check-trunc": ("trunc", lambda v: les_consistency_check(2, trunc=v)),
+    # The simple family builds no truncated ladder, so only assemble_les can refuse.
+    "assemble_les-trunc": ("trunc", lambda v: assemble_les(OrlikStrauchSpec("simple", 2), v)),
+    "classify_ext-k": ("k", lambda v: classify_ext(v, 2, SmoothCharacter("a", 1),
+                                                   SmoothCharacter("b", 0))),
+    "classify_ext-ell": ("ell", lambda v: classify_ext(-4, v, SmoothCharacter("a", 1),
+                                                       SmoothCharacter("b", 0))),
+    "classify_ext-trunc": ("trunc", lambda v: classify_ext(-4, 2, SmoothCharacter("a", 1),
+                                                           SmoothCharacter("b", 0), trunc=v)),
+    "TorusCharacter-weight": ("weight", TorusCharacter),
+    "SmoothCharacter-z_valuation": ("z_valuation", lambda v: SmoothCharacter("a", v)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "4", True, Fraction(4)], ids=repr)
+@pytest.mark.parametrize("parameter", sorted(_INTEGER_PARAMETERS))
+def test_integer_parameters_are_refused_not_truncated(parameter, value):
+    # Only an int names an input: a value int() would truncate or convert is
+    # refused with ValidationError (exit 2), never a TruncationError, never an
+    # answer to the question the truncated value asks.
+    name, call = _INTEGER_PARAMETERS[parameter]
+    refusal = rf"^{name} must be an int, got {re.escape(repr(value))}$"
+    with pytest.raises(ValidationError, match=refusal):
+        call(value)

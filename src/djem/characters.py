@@ -73,9 +73,9 @@ class TorusCharacter(Value):
 
     def __init__(self, weight: int, psi_exp: int = 0, psiw_exp: int = 0, delta_exp: int = 0):
         self.weight = require_int(weight, "weight", even=True)
-        self.psi_exp = psi_exp
-        self.psiw_exp = psiw_exp
-        self.delta_exp = delta_exp
+        self.psi_exp = require_int(psi_exp, "psi_exp")
+        self.psiw_exp = require_int(psiw_exp, "psiw_exp")
+        self.delta_exp = require_int(delta_exp, "delta_exp")
 
     def normalized(self, psi: SmoothCharacter) -> "TorusCharacter":
         """Fold psi^w into psi when the base character declares psi^w = psi."""

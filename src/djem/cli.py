@@ -2,8 +2,7 @@
 
 Subcommands: jacquet, cohomology, bgg-check, kostant, ext-bound, les-check,
 corpus.  JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-2 validation error, 3 truncation/certificate failure, 4 undecidable relation,
-5 corpus diff, 6 corpus setup error.
+5 corpus diff, and for a refusal the exit_code its class in djem.errors holds.
 
 The truncation default is abs(k) + 16 and can be overridden per run with
 --trunc or globally with the JACQUET_TRUNC_DEFAULT environment variable.
@@ -11,13 +10,14 @@ The truncation default is abs(k) + 16 and can be overridden per run with
 "key = value" config file, given once as --config PATH or --config=PATH,
 may supply any option; explicit flags win.
 
-Options are declared once, in _COMMANDS.  build_parser() builds argparse's
-tree from it, for help and usage errors; _table_args() reads a plain argv (a
-subcommand other than corpus, then exact long options with their values) from
-it without argparse, 0.23 ms for the 36 corpus argvs against 1.3-2.0 ms, and
-hands any other argv to build_parser().parse_args.  So `import djem.cli` and
-a call load neither argparse (gettext, locale), json nor pathlib; ext-bound
-loads djem.extbound, corpus pathlib and corpus --parallel concurrent.futures.
+Options and handlers are declared once, in _COMMANDS, and _output() runs a
+call.  build_parser() builds argparse's tree from the table, for help and
+usage errors; _table_args() reads a plain argv (a subcommand other than
+corpus, then exact long options with their values) from it without
+argparse, 0.23 ms for the 36 corpus argvs against 1.3-2.0 ms, and hands any
+other argv to build_parser().parse_args.  So `import djem.cli` and a call
+load neither argparse (gettext, locale), json nor pathlib; ext-bound loads
+djem.extbound, corpus pathlib and corpus --parallel concurrent.futures.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from types import SimpleNamespace
 
 from djem.characters import TRIVIAL_PSI, SmoothCharacter, as_rational
 from djem.cohomology import cohomology, kostant_check
-from djem.errors import (DjemError, TruncationError, UndecidableRelationError,
-                         ValidationError, require_int)
+from djem.errors import (CorpusSetupError, DjemError, TruncationError,
+                         UndecidableRelationError, ValidationError, require_int)
 from djem.jacquet import OrlikStrauchSpec, assemble_les, build_module, les_consistency_check
 from djem.reporting import (check_result_json, cohomology_result_json, cohomology_text,
                             ext_case_json, ext_case_text, jacquet_result_json, jacquet_text,
@@ -40,11 +40,11 @@ from djem.reporting import (check_result_json, cohomology_result_json, cohomolog
 from djem.sl2 import bgg_morphism, default_truncation, n_finite_dual, simple
 
 EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_TRUNCATION = 3
-EXIT_UNDECIDABLE = 4
+EXIT_VALIDATION = ValidationError.exit_code
+EXIT_TRUNCATION = TruncationError.exit_code
+EXIT_UNDECIDABLE = UndecidableRelationError.exit_code
 EXIT_CORPUS_DIFF = 5
-EXIT_CORPUS_SETUP = 6
+EXIT_CORPUS_SETUP = CorpusSetupError.exit_code
 
 TRUNC_ENV_VAR = "JACQUET_TRUNC_DEFAULT"
 
@@ -60,144 +60,6 @@ _NEGATIVE_FRACTION = re.compile(r"-[0-9]+/[0-9]+")
 # argparse takes a '-'-led token for a value when it looks like a negative
 # number: its pattern up to 3.11; later ones take more tokens, not fewer.
 _NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
-
-
-def _opt(flag, kind="str", help=None, *, choices=None, required=None, default=None,
-         metavar=None):
-    """One entry of the option table: (flag, dest, kind, choices, required,
-    default, metavar, help).  kind is "int", "str", "store-true" or "append";
-    a flag without dashes is a positional."""
-    default = False if kind == "store-true" else default
-    return (flag, flag.lstrip("-").replace("-", "_"), kind, choices, required, default,
-            metavar, help)
-
-
-def _character_options(name):
-    return (
-        _opt(f"--{name}", default="trivial", metavar="LABEL",
-             help=f"label of the smooth character {name} (default: trivial)"),
-        _opt(f"--{name}-val", "int", default=0, metavar="V",
-             help=f"valuation of {name}(z), i.e. {name}(z) = p^V * unit"),
-        _opt(f"--{name}-unit", default="1", metavar="NUM/DEN",
-             help=f"unit part of {name}(z) as an exact rational"),
-        _opt(f"--{name}-w-selfdual", "store-true", help=f"declare {name}^w = {name}"),
-        _opt(f"--{name}-torus-unit", metavar="LABEL",
-             help=f"label of the restriction of {name} to the compact torus"))
-
-
-def _common_options(with_trunc=True):
-    common = (_opt("--json", "store-true", help="emit a JSON report document"),
-              _opt("--p", "int", help="substitute a concrete prime for readable eigenvalues"))
-    trunc = _opt("--trunc", "int", help="truncation window override (default abs(k)+16)")
-    return common + ((trunc,) if with_trunc else ())
-
-
-_FAMILY = _opt("--family", required=True, choices=("verma", "dualverma", "simple"))
-_K = _opt("--k", "int", required=True)
-
-# Every subcommand's help and options, in help order: the one definition that
-# build_parser() and _table_args() both read.
-_COMMANDS = {
-    "jacquet": ("derived Jacquet module report for one family",
-                (_FAMILY, _K, *_character_options("psi"), *_common_options())),
-    "cohomology": ("radical cohomology of the n-finite dual ladder of one family",
-                   (_FAMILY, _K, _opt("--direction", required=True, choices=("n", "nbar")),
-                    _opt("--window-only", "store-true",
-                         help="accept a non-certified window-only answer"),
-                    *_common_options())),
-    "bgg-check": ("equivariance and cokernel check of the ladder embedding",
-                  (_K, *_common_options())),
-    "kostant": ("two-line cohomology check for the simple module dual",
-                (_K, *_common_options(with_trunc=False))),
-    "ext-bound": ("extension-dimension verdict for a pair of characters",
-                  (_K, _opt("--ell", "int", required=True), *_character_options("psi"),
-                   *_character_options("phi"),
-                   _opt("--relation", "append", metavar="NAME",
-                        help="declare a relation true (or false with a 'not:' prefix); "
-                             f"names: {', '.join(_RELATION_NAMES)}"),
-                   *_common_options())),
-    "les-check": ("Euler-characteristic consistency across the ladder sequence",
-                  (_K, *_character_options("psi"), *_common_options())),
-    "corpus": ("golden-file regression corpus",
-               (_opt("action", choices=("run", "write")),
-                _opt("--fixtures", help="fixture directory override"),
-                _opt("--parallel", "int", default=0, metavar="N",
-                     help="compute fixtures on N worker threads"),
-                _opt("--json", "store-true"))),
-}
-_KIND_SETTINGS = {"int": {"type": int}, "str": {}, "store-true": {"action": "store_true"},
-                  "append": {"action": "append"}}
-
-
-def build_parser():
-    import argparse
-
-    class _SubcommandParser(argparse.ArgumentParser):
-        """Takes a negative NUM/DEN token, such as -2/5, for a value: argparse
-        reads a token that starts with '-' as an option unless it is a negative
-        int or decimal, so `--psi-unit -2/5` would lack its argument."""
-
-        def _parse_optional(self, arg_string):
-            if _NEGATIVE_FRACTION.fullmatch(arg_string):
-                return None
-            return super()._parse_optional(arg_string)
-
-    parser = argparse.ArgumentParser(
-        prog="djem",
-        description="Exact derived Jacquet modules for SL2(Qp) "
-                    "principal-series-type representations.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
-    for command, (help_text, options) in _COMMANDS.items():
-        sp = sub.add_parser(command, help=help_text)
-        for flag, _, kind, *settings in options:
-            named = zip(("choices", "required", "default", "metavar", "help"), settings)
-            sp.add_argument(flag, **_KIND_SETTINGS[kind],
-                            **{key: value for key, value in named if value is not None})
-    return parser
-
-
-def _table_args(argv):
-    """What build_parser().parse_args(argv) gives, or None to decline.  It
-    takes argv[0] naming a subcommand without positionals, then exact long
-    options, each value one argparse takes for a value ('-'-led only as a
-    negative number) that int and the choices accept, all required present;
-    a repeated option keeps its last value, --relation appends."""
-    options = _COMMANDS[argv[0]][1] if argv and argv[0] in _COMMANDS else ()
-    if not options or any(not opt[0].startswith("--") for opt in options):
-        return None
-    by_flag = {opt[0]: opt for opt in options}
-    values = {opt[1]: opt[5] for opt in options}
-    tokens = iter(argv[1:])
-    for token in tokens:
-        if token not in by_flag:
-            return None
-        _, dest, kind, choices, *_ = by_flag[token]
-        if kind == "store-true":
-            values[dest] = True
-            continue
-        value = next(tokens, None)
-        if value is None or (value[:1] == "-" and not _NEGATIVE_NUMBER.fullmatch(value)
-                             and not _NEGATIVE_FRACTION.fullmatch(value)):
-            return None
-        if kind == "int":
-            try:
-                value = int(value)
-            except ValueError:
-                return None
-        if choices is not None and value not in choices:
-            return None
-        values[dest] = [*(values[dest] or ()), value] if kind == "append" else value
-    if any(opt[4] and values[opt[1]] is None for opt in options):
-        return None
-    return SimpleNamespace(command=argv[0], **values)
-
-
-def _parse_args(argv):
-    """What build_parser().parse_args(argv) gives, or the same usage error:
-    the table reading where it takes argv, argparse itself for the rest
-    (usage errors, -h, abbreviations, --opt=value, corpus)."""
-    args = _table_args(argv)
-    return build_parser().parse_args(argv) if args is None else args
 
 
 def _rational_arg(text, flag) -> Fraction:
@@ -301,22 +163,20 @@ def _validate_p(p):
 
 
 # -- subcommand implementations ----------------------------------------------
-# Each computes its answer and returns (as_json, as_text): as_json() gives the
-# (config echo, result) pair of the JSON document and as_text() the text
-# lines.  Only the requested one is called, so a run renders one mode only.
+# Each computes its answer and returns the one output asked for: the (config
+# echo, result) pair of the JSON document under --json, the text lines
+# otherwise, so a run renders one mode only.
 
 
 def _cmd_jacquet(args):
     psi = _character_from_args(args, "psi")
     trunc = _resolve_trunc(args, args.k)
     report = assemble_les(OrlikStrauchSpec(args.family, args.k, psi), trunc)
-
-    def as_json():
-        config = {"family": args.family, "k": args.k, "psi": smooth_character_json(psi),
-                  "truncation": trunc, "p": args.p}
-        return config, jacquet_result_json(report, args.p)
-
-    return as_json, lambda: jacquet_text(report, args.p)
+    if not args.json:
+        return jacquet_text(report, args.p)
+    config = {"family": args.family, "k": args.k, "psi": smooth_character_json(psi),
+              "truncation": trunc, "p": args.p}
+    return config, jacquet_result_json(report, args.p)
 
 
 def _cmd_cohomology(args):
@@ -324,13 +184,11 @@ def _cmd_cohomology(args):
     spec = OrlikStrauchSpec(args.family, args.k)
     dual = n_finite_dual(build_module(spec, trunc))
     res = cohomology(dual, args.direction, allow_uncertified=args.window_only)
-
-    def as_json():
-        config = {"family": args.family, "k": args.k, "direction": args.direction,
-                  "truncation": trunc, "window_only": bool(args.window_only)}
-        return config, cohomology_result_json(res)
-
-    return as_json, lambda: cohomology_text(res)
+    if not args.json:
+        return cohomology_text(res)
+    config = {"family": args.family, "k": args.k, "direction": args.direction,
+              "truncation": trunc, "window_only": bool(args.window_only)}
+    return config, cohomology_result_json(res)
 
 
 def _cmd_bgg_check(args):
@@ -340,25 +198,20 @@ def _cmd_bgg_check(args):
     # The cokernel matches when its one nonempty range is simple(-k)'s window.
     cokernel_matches = [r for r in morphism.cokernel_ranges() if r] == [simple(-args.k).weights]
     passed = equivariant and cokernel_matches
-
-    def as_json():
-        return {"k": args.k, "truncation": trunc}, check_result_json(
-            args.k, passed, equivariant=equivariant, cokernel_matches_simple=cokernel_matches)
-
-    return as_json, lambda: [
-        f"bgg-check k={args.k}: {'PASS' if passed else 'FAIL'} "
-        f"(equivariant={equivariant}, cokernel-matches-simple={cokernel_matches})"]
+    if not args.json:
+        return [f"bgg-check k={args.k}: {'PASS' if passed else 'FAIL'} "
+                f"(equivariant={equivariant}, cokernel-matches-simple={cokernel_matches})"]
+    return {"k": args.k, "truncation": trunc}, check_result_json(
+        args.k, passed, equivariant=equivariant, cokernel_matches_simple=cokernel_matches)
 
 
 def _cmd_kostant(args):
     passed = kostant_check(args.k)
-
-    def as_json():
-        return {"k": args.k}, check_result_json(args.k, passed, h0_weight=args.k,
-                                                h1_weight=-(args.k + 2))
-
-    return as_json, lambda: [f"kostant k={args.k}: {'PASS' if passed else 'FAIL'} "
-                             f"(one line at weight {args.k}, one at {-(args.k + 2)})"]
+    if not args.json:
+        return [f"kostant k={args.k}: {'PASS' if passed else 'FAIL'} "
+                f"(one line at weight {args.k}, one at {-(args.k + 2)})"]
+    return {"k": args.k}, check_result_json(args.k, passed, h0_weight=args.k,
+                                            h1_weight=-(args.k + 2))
 
 
 def _cmd_ext_bound(args):
@@ -369,50 +222,181 @@ def _cmd_ext_bound(args):
     relations = _relations_from_args(args.relation)
     trunc = _resolve_trunc(args, max(abs(args.k), abs(args.ell)))
     case = classify_ext(args.k, args.ell, psi, phi, relations, trunc)
-
-    def as_json():
-        config = {"k": args.k, "ell": args.ell,
-                  "psi": smooth_character_json(psi), "phi": smooth_character_json(phi),
-                  "declared_relations": sorted(args.relation or []),
-                  "truncation": trunc, "p": args.p}
-        return config, ext_case_json(case, args.p)
-
-    return as_json, lambda: ext_case_text(case)
+    if not args.json:
+        return ext_case_text(case)
+    config = {"k": args.k, "ell": args.ell,
+              "psi": smooth_character_json(psi), "phi": smooth_character_json(phi),
+              "declared_relations": sorted(args.relation or []),
+              "truncation": trunc, "p": args.p}
+    return config, ext_case_json(case, args.p)
 
 
 def _cmd_les_check(args):
     psi = _character_from_args(args, "psi")
     trunc = _resolve_trunc(args, args.k + 2)
     passed = les_consistency_check(args.k, psi, trunc)
-
-    def as_json():
-        config = {"k": args.k, "psi": smooth_character_json(psi), "truncation": trunc}
-        return config, check_result_json(args.k, passed)
-
-    return as_json, lambda: [f"les-check k={args.k}: {'PASS' if passed else 'FAIL'}"]
+    if not args.json:
+        return [f"les-check k={args.k}: {'PASS' if passed else 'FAIL'}"]
+    config = {"k": args.k, "psi": smooth_character_json(psi), "truncation": trunc}
+    return config, check_result_json(args.k, passed)
 
 
-_HANDLERS = {
-    "jacquet": _cmd_jacquet,
-    "cohomology": _cmd_cohomology,
-    "bgg-check": _cmd_bgg_check,
-    "kostant": _cmd_kostant,
-    "ext-bound": _cmd_ext_bound,
-    "les-check": _cmd_les_check,
+# -- option table and parsing ----------------------------------------------
+
+
+def _opt(flag, kind="str", help=None, *, choices=None, required=None, default=None,
+         metavar=None):
+    """One entry of the option table: (flag, dest, kind, choices, required,
+    default, metavar, help).  kind is "int", "str", "store-true" or "append";
+    a flag without dashes is a positional."""
+    default = False if kind == "store-true" else default
+    return (flag, flag.lstrip("-").replace("-", "_"), kind, choices, required, default,
+            metavar, help)
+
+
+def _character_options(name):
+    return (
+        _opt(f"--{name}", default="trivial", metavar="LABEL",
+             help=f"label of the smooth character {name} (default: trivial)"),
+        _opt(f"--{name}-val", "int", default=0, metavar="V",
+             help=f"valuation of {name}(z), i.e. {name}(z) = p^V * unit"),
+        _opt(f"--{name}-unit", default="1", metavar="NUM/DEN",
+             help=f"unit part of {name}(z) as an exact rational"),
+        _opt(f"--{name}-w-selfdual", "store-true", help=f"declare {name}^w = {name}"),
+        _opt(f"--{name}-torus-unit", metavar="LABEL",
+             help=f"label of the restriction of {name} to the compact torus"))
+
+
+def _common_options(with_trunc=True):
+    common = (_opt("--json", "store-true", help="emit a JSON report document"),
+              _opt("--p", "int", help="substitute a concrete prime for readable eigenvalues"))
+    trunc = _opt("--trunc", "int", help="truncation window override (default abs(k)+16)")
+    return common + ((trunc,) if with_trunc else ())
+
+
+_FAMILY = _opt("--family", required=True, choices=("verma", "dualverma", "simple"))
+_K = _opt("--k", "int", required=True)
+
+# Every subcommand's help, options and handler, in help order: the one
+# definition that build_parser() and _table_args() read and _output() runs.
+# corpus has no handler: main() runs it.
+_COMMANDS = {
+    "jacquet": ("derived Jacquet module report for one family",
+                (_FAMILY, _K, *_character_options("psi"), *_common_options()), _cmd_jacquet),
+    "cohomology": ("radical cohomology of the n-finite dual ladder of one family",
+                   (_FAMILY, _K, _opt("--direction", required=True, choices=("n", "nbar")),
+                    _opt("--window-only", "store-true",
+                         help="accept a non-certified window-only answer"),
+                    *_common_options()), _cmd_cohomology),
+    "bgg-check": ("equivariance and cokernel check of the ladder embedding",
+                  (_K, *_common_options()), _cmd_bgg_check),
+    "kostant": ("two-line cohomology check for the simple module dual",
+                (_K, *_common_options(with_trunc=False)), _cmd_kostant),
+    "ext-bound": ("extension-dimension verdict for a pair of characters",
+                  (_K, _opt("--ell", "int", required=True), *_character_options("psi"),
+                   *_character_options("phi"),
+                   _opt("--relation", "append", metavar="NAME",
+                        help="declare a relation true (or false with a 'not:' prefix); "
+                             f"names: {', '.join(_RELATION_NAMES)}"),
+                   *_common_options()), _cmd_ext_bound),
+    "les-check": ("Euler-characteristic consistency across the ladder sequence",
+                  (_K, *_character_options("psi"), *_common_options()), _cmd_les_check),
+    "corpus": ("golden-file regression corpus",
+               (_opt("action", choices=("run", "write")),
+                _opt("--fixtures", help="fixture directory override"),
+                _opt("--parallel", "int", default=0, metavar="N",
+                     help="compute fixtures on N worker threads"),
+                _opt("--json", "store-true")), None),
 }
+_KIND_SETTINGS = {"int": {"type": int}, "str": {}, "store-true": {"action": "store_true"},
+                  "append": {"action": "append"}}
 
 
-def _run_handler(args):
-    """(as_json, as_text) of one subcommand run; a --k or --ell past
-    SIZE_LIMIT, or a --p that is not a prime below P_LIMIT, is refused
-    before anything is built, whichever subcommand is run."""
+def build_parser():
+    import argparse
+
+    class _SubcommandParser(argparse.ArgumentParser):
+        """Takes a negative NUM/DEN token, such as -2/5, for a value: argparse
+        reads a token that starts with '-' as an option unless it is a negative
+        int or decimal, so `--psi-unit -2/5` would lack its argument."""
+
+        def _parse_optional(self, arg_string):
+            if _NEGATIVE_FRACTION.fullmatch(arg_string):
+                return None
+            return super()._parse_optional(arg_string)
+
+    parser = argparse.ArgumentParser(
+        prog="djem",
+        description="Exact derived Jacquet modules for SL2(Qp) "
+                    "principal-series-type representations.")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
+    for command, (help_text, options, _) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for flag, _, kind, *settings in options:
+            named = zip(("choices", "required", "default", "metavar", "help"), settings)
+            sp.add_argument(flag, **_KIND_SETTINGS[kind],
+                            **{key: value for key, value in named if value is not None})
+    return parser
+
+
+def _table_args(argv):
+    """What build_parser().parse_args(argv) gives, or None to decline.  It
+    takes argv[0] naming a subcommand without positionals, then exact long
+    options, each value one argparse takes for a value ('-'-led only as a
+    negative number) that int and the choices accept, all required present;
+    a repeated option keeps its last value, --relation appends."""
+    options = _COMMANDS[argv[0]][1] if argv and argv[0] in _COMMANDS else ()
+    if not options or any(not opt[0].startswith("--") for opt in options):
+        return None
+    by_flag = {opt[0]: opt for opt in options}
+    values = {opt[1]: opt[5] for opt in options}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in by_flag:
+            return None
+        _, dest, kind, choices, *_ = by_flag[token]
+        if kind == "store-true":
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or (value[:1] == "-" and not _NEGATIVE_NUMBER.fullmatch(value)
+                             and not _NEGATIVE_FRACTION.fullmatch(value)):
+            return None
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = [*(values[dest] or ()), value] if kind == "append" else value
+    if any(opt[4] and values[opt[1]] is None for opt in options):
+        return None
+    return SimpleNamespace(command=argv[0], **values)
+
+
+def _parse_args(argv):
+    """What build_parser().parse_args(argv) gives, or the same usage error:
+    the table reading where it takes argv, argparse itself for the rest
+    (usage errors, -h, abbreviations, --opt=value, corpus)."""
+    args = _table_args(argv)
+    return build_parser().parse_args(argv) if args is None else args
+
+
+def _output(args) -> str:
+    """What `djem <argv>` writes to stdout for a parsed call other than
+    corpus.  A --k or --ell past SIZE_LIMIT, or a --p that is not a prime
+    below P_LIMIT, is refused before anything is built."""
     for flag in ("k", "ell"):
         value = getattr(args, flag, None)
         if value is not None and abs(value) > SIZE_LIMIT:
             raise ValidationError(f"--{flag} must be at most {SIZE_LIMIT} in absolute value, "
                                   f"got {value}")
     _validate_p(args.p)
-    return _HANDLERS[args.command](args)
+    output = _COMMANDS[args.command][2](args)
+    if args.json:
+        return serialize(make_document(args.command, *output))
+    return "".join(f"{line}\n" for line in output)
 
 
 # -- regression corpus -------------------------------------------------------
@@ -423,19 +407,12 @@ def corpus_manifest():
     """Every fixture as (name, argv), sorted by name: a constant, built once
     per process and immutable, so every caller may share it.  Truncations
     are pinned explicitly so golden bytes do not depend on the environment."""
-    jobs = []
-    for k in range(-8, 9, 2):
-        jobs.append((f"jacquet-verma-k{k:+03d}",
-                     ("jacquet", "--family", "verma", "--k", str(k), "--psi", "trivial",
-                      "--trunc", str(default_truncation(k)), "--json")))
-    for k in (0, 2, 4, 6, 8):
-        jobs.append((f"jacquet-dualverma-k{k:+03d}",
-                     ("jacquet", "--family", "dualverma", "--k", str(k), "--psi", "trivial",
-                      "--trunc", str(default_truncation(k)), "--json")))
-    for k in (0, 2, 4, 6):
-        jobs.append((f"jacquet-simple-k{k:+03d}",
-                     ("jacquet", "--family", "simple", "--k", str(k), "--psi", "trivial",
-                      "--trunc", str(default_truncation(k)), "--json")))
+    jobs = [(f"jacquet-{family}-k{k:+03d}",
+             ("jacquet", "--family", family, "--k", str(k), "--psi", "trivial",
+              "--trunc", str(default_truncation(k)), "--json"))
+            for family, ks in (("verma", range(-8, 9, 2)), ("dualverma", range(0, 9, 2)),
+                               ("simple", range(0, 7, 2)))
+            for k in ks]
     for k in range(0, 13, 2):
         jobs.append((f"bgg-check-k{k:+03d}",
                      ("bgg-check", "--k", str(k), "--trunc", str(default_truncation(k)), "--json")))
@@ -448,11 +425,8 @@ def corpus_manifest():
 
 
 def fixture_document(argv) -> str:
-    """Serialized report document for one fixture argv."""
-    args = _parse_args(argv)
-    as_json, _ = _run_handler(args)
-    config, result = as_json()
-    return serialize(make_document(args.command, config, result))
+    """What `djem <argv>` writes to stdout: for a fixture argv, its report document."""
+    return _output(_parse_args(argv))
 
 
 def _default_fixtures_dir(fixtures_dir=None):
@@ -513,16 +487,13 @@ def corpus_run(fixtures_dir=None, parallel=0, json_mode=False, out=None):
     fixtures = _default_fixtures_dir(fixtures_dir)
     manifest = corpus_manifest()
     if not fixtures.is_dir():
-        print(f"corpus setup error: fixture directory not found: {fixtures}", file=sys.stderr)
-        return EXIT_CORPUS_SETUP
+        raise CorpusSetupError(f"fixture directory not found: {fixtures}")
     goldens = {}
     for name, _ in manifest:
         try:
             goldens[name] = (fixtures / f"{name}.json").read_bytes()
         except OSError:
-            print(f"corpus setup error: missing fixture file: {fixtures / (name + '.json')}",
-                  file=sys.stderr)
-            return EXIT_CORPUS_SETUP
+            raise CorpusSetupError(f"missing fixture file: {fixtures / f'{name}.json'}") from None
     docs = _compute_all(manifest, parallel)
     statuses = [(name, goldens[name] == docs[name].encode("utf-8")) for name, _ in manifest]
     first_failure = next((name for name, ok in statuses if not ok), None)
@@ -558,8 +529,7 @@ def corpus_write(fixtures_dir=None, parallel=0, out=None):
         for name, _ in manifest:
             (fixtures / f"{name}.json").write_bytes(docs[name].encode("utf-8"))
     except OSError as err:
-        print(f"corpus setup error: cannot write fixtures to {fixtures}: {err}", file=sys.stderr)
-        return EXIT_CORPUS_SETUP
+        raise CorpusSetupError(f"cannot write fixtures to {fixtures}: {err}") from None
     out.write(f"wrote {len(manifest)} fixtures to {fixtures}\n")
     return EXIT_OK
 
@@ -572,7 +542,7 @@ def _config_file_tokens(path) -> list:
     long option; its kind in _COMMANDS decides the tokens: a store-true
     option is given when its value is a true word, an append option once
     per comma-separated item, any other key with its value."""
-    kinds = {opt[0]: opt[2] for _, options in _COMMANDS.values() for opt in options}
+    kinds = {opt[0]: opt[2] for _, options, _ in _COMMANDS.values() for opt in options}
     tokens = []
     try:
         with open(path, encoding="utf-8") as f:
@@ -625,32 +595,16 @@ def _apply_config_file(argv):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config_file(argv)
-        args = _parse_args(argv)
+        args = _parse_args(_apply_config_file(argv))
         if args.command == "corpus":
             if args.action == "run":
                 return corpus_run(args.fixtures, args.parallel, args.json)
             return corpus_write(args.fixtures, args.parallel)
-        as_json, as_text = _run_handler(args)
-        if args.json:
-            config, result = as_json()
-            sys.stdout.write(serialize(make_document(args.command, config, result)))
-        else:
-            for line in as_text():
-                print(line)
+        sys.stdout.write(_output(args))
         return EXIT_OK
-    except UndecidableRelationError as err:
-        print(f"undecidable relation: {err}", file=sys.stderr)
-        return EXIT_UNDECIDABLE
-    except TruncationError as err:
-        print(f"truncation/certificate failure: {err}", file=sys.stderr)
-        return EXIT_TRUNCATION
-    except ValidationError as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
     except DjemError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+        print(f"{err.label}: {err}", file=sys.stderr)
+        return err.exit_code
 
 
 if __name__ == "__main__":

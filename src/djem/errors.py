@@ -1,13 +1,18 @@
-"""Exception hierarchy, which the CLI maps onto disjoint exit codes, and the
-one integer rule that every public entry point checks its parameters by."""
+"""Exception hierarchy, each class carrying the exit code and stderr label
+the CLI refuses with, and the one integer rule that every public entry point
+checks its parameters by."""
 
 
 class DjemError(Exception):
-    """Base class for all tool errors."""
+    """Base class for all tool errors: the CLI prints `label: message` to
+    stderr and exits with exit_code."""
+    exit_code = 2
+    label = "error"
 
 
 class ValidationError(DjemError):
     """Invalid argument or configuration; the message names the violated constraint."""
+    label = "validation error"
 
 
 class ParityError(ValidationError):
@@ -16,6 +21,8 @@ class ParityError(ValidationError):
 
 class TruncationError(DjemError):
     """A truncation window too small for the requested construction."""
+    exit_code = 3
+    label = "truncation/certificate failure"
 
 
 class CertificateError(TruncationError):
@@ -24,6 +31,14 @@ class CertificateError(TruncationError):
 
 class UndecidableRelationError(DjemError):
     """A character relation that is neither declared nor refutable from z-values."""
+    exit_code = 4
+    label = "undecidable relation"
+
+
+class CorpusSetupError(DjemError):
+    """A fixture directory or file that cannot be read or written."""
+    exit_code = 6
+    label = "corpus setup error"
 
 
 def require_int(value, name, *, minimum=None, even=False) -> int:

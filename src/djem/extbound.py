@@ -135,6 +135,8 @@ def classify_ext(k, ell, psi: SmoothCharacter, phi: SmoothCharacter,
         raise ValidationError(f"classify_ext requires k < 0, got k={k}")
     if k == ell:
         raise ValidationError("classify_ext requires k != ell")
+    if trunc is not None:
+        require_int(trunc, "trunc", minimum=0)
     source = TorusCharacter(k, psi_exp=1, delta_exp=1)
     if k != -(ell + 2):
         return ExtCase(k, ell, psi, phi, VERDICT_TRIVIAL, (), source, (), (), None, {})

@@ -52,6 +52,8 @@ class OrlikStrauchSpec(Value):
 
 
 def build_module(spec: OrlikStrauchSpec, trunc=None) -> WeightModule:
+    if trunc is not None:
+        require_int(trunc, "trunc", minimum=0)
     if spec.family == "verma":
         return verma(-spec.k, trunc)
     if spec.family == "dualverma":

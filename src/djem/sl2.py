@@ -380,7 +380,7 @@ def bgg_morphism(k, trunc=None) -> ModuleMap:
     seam uses that the Y coefficient on verma(-k) vanishes at index k+1.
     """
     k = require_int(k, "k", minimum=0, even=True)
-    trunc = default_truncation(k) if trunc is None else require_int(trunc, "trunc")
+    trunc = default_truncation(k) if trunc is None else require_int(trunc, "trunc", minimum=0)
     if trunc < k + 2:
         raise TruncationError(
             f"truncation {trunc} too small for the embedding; need at least {k + 2}")

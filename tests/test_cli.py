@@ -14,6 +14,8 @@ from djem.cli import (EXIT_CORPUS_DIFF, EXIT_CORPUS_SETUP, EXIT_TRUNCATION,
                       EXIT_UNDECIDABLE, EXIT_VALIDATION, P_LIMIT, SIZE_LIMIT,
                       _default_fixtures_dir, _is_prime, corpus_manifest, fixture_document,
                       main)
+from djem.errors import (CertificateError, CorpusSetupError, DjemError, ParityError,
+                         TruncationError, UndecidableRelationError)
 from djem.reporting import VALUE_DIGIT_CAP, frac_str
 
 
@@ -96,6 +98,34 @@ def test_undecidable_exit_code(capsys):
                        "--psi", "a", "--psi-val", "1", "--phi", "b", "--phi-val", "1")
     assert code == EXIT_UNDECIDABLE
     assert "declare the relation" in err
+
+
+@pytest.mark.parametrize("argv, error, code, label", [
+    pytest.param(("jacquet", "--family", "verma", "--k", "3"),
+                 ParityError, 2, "validation error", id="odd-k"),
+    pytest.param(("cohomology", "--family", "verma", "--k", "4", "--direction", "nbar",
+                  "--trunc", "2"), CertificateError, 3, "truncation/certificate failure",
+                 id="uncertified"),
+    pytest.param(("bgg-check", "--k", "4", "--trunc", "5"),
+                 TruncationError, 3, "truncation/certificate failure", id="short-window"),
+    pytest.param(("ext-bound", "--k", "-4", "--ell", "2", "--psi", "u1", "--psi-val", "1",
+                  "--phi", "u2", "--phi-val", "1"),
+                 UndecidableRelationError, 4, "undecidable relation", id="undeclared"),
+    pytest.param(("corpus", "run", "--fixtures", None),
+                 CorpusSetupError, 6, "corpus setup error", id="missing-fixtures"),
+])
+def test_each_refusal_prints_its_label_and_exits_with_its_code(tmp_path, capsys, argv, error,
+                                                               code, label):
+    # The input raises exactly this class, and main prints the class's label
+    # on one stderr line and returns the class's exit code.
+    argv = [str(tmp_path / "missing") if token is None else token for token in argv]
+    args = cli._parse_args(argv)
+    with pytest.raises(DjemError) as raised:
+        cli.corpus_run(args.fixtures) if args.command == "corpus" else cli._output(args)
+    assert type(raised.value) is error and (error.exit_code, error.label) == (code, label)
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(f"{label}: ") and err.count("\n") == 1
 
 
 def test_window_only_mode(capsys):

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from djem.cli import _parse_args, _run_handler, corpus_manifest
-from djem.reporting import make_document, serialize
+from djem.cli import corpus_manifest, fixture_document
+from djem.reporting import serialize
 
 SEED = 20261018
 DOCUMENTS = 2000
@@ -35,10 +35,8 @@ def _dumps(doc):
 
 def test_serialize_matches_json_on_every_corpus_document():
     for name, argv in corpus_manifest():
-        args = _parse_args(argv)
-        config, result = _run_handler(args)[0]()
-        doc = make_document(args.command, config, result)
-        assert serialize(doc) == _dumps(doc), name
+        text = fixture_document(argv)
+        assert text == _dumps(json.loads(text)), name
 
 
 def _string(rng):

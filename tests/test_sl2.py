@@ -11,7 +11,7 @@ from djem.characters import SmoothCharacter, TorusCharacter
 from djem.cohomology import kostant_check
 from djem.errors import ParityError, TruncationError, ValidationError
 from djem.extbound import classify_ext
-from djem.jacquet import OrlikStrauchSpec, assemble_les, les_consistency_check
+from djem.jacquet import OrlikStrauchSpec, assemble_les, build_module, les_consistency_check
 from djem.sl2 import (IndexPoly, ModuleMap, WeightModule, bgg_morphism,
                       check_bracket_relations, default_truncation, dual_verma, n_finite_dual,
                       simple, verma)
@@ -625,9 +625,8 @@ def _bgg_ends():
     return morphism.source, morphism.target
 
 
-# Every integer parameter of the public API but TorusCharacter's three
-# exponents, as (its name, a call that passes the value under test there and
-# valid values everywhere else).
+# Every integer parameter of the public API, as (its name, a call that passes
+# the value under test there and valid values everywhere else).
 _INTEGER_PARAMETERS = {
     "default_truncation-lam": ("lam", default_truncation),
     "verma-lam": ("lam", lambda v: verma(v, 3)),
@@ -649,13 +648,20 @@ _INTEGER_PARAMETERS = {
     "les_consistency_check-trunc": ("trunc", lambda v: les_consistency_check(2, trunc=v)),
     # The simple family builds no truncated ladder, so only assemble_les can refuse.
     "assemble_les-trunc": ("trunc", lambda v: assemble_les(OrlikStrauchSpec("simple", 2), v)),
+    "build_module-trunc": ("trunc", lambda v: build_module(OrlikStrauchSpec("simple", 2), v)),
     "classify_ext-k": ("k", lambda v: classify_ext(v, 2, SmoothCharacter("a", 1),
                                                    SmoothCharacter("b", 0))),
     "classify_ext-ell": ("ell", lambda v: classify_ext(-4, v, SmoothCharacter("a", 1),
                                                        SmoothCharacter("b", 0))),
     "classify_ext-trunc": ("trunc", lambda v: classify_ext(-4, 2, SmoothCharacter("a", 1),
                                                            SmoothCharacter("b", 0), trunc=v)),
+    # k != -(ell+2) is answered "trivial" without a report, so trunc is read at entry.
+    "classify_ext-trunc-trivial": ("trunc", lambda v: classify_ext(
+        -4, 6, SmoothCharacter("a", 1), SmoothCharacter("b", 0), trunc=v)),
     "TorusCharacter-weight": ("weight", TorusCharacter),
+    "TorusCharacter-psi_exp": ("psi_exp", lambda v: TorusCharacter(2, v)),
+    "TorusCharacter-psiw_exp": ("psiw_exp", lambda v: TorusCharacter(2, 0, v)),
+    "TorusCharacter-delta_exp": ("delta_exp", lambda v: TorusCharacter(2, 0, 0, v)),
     "SmoothCharacter-z_valuation": ("z_valuation", lambda v: SmoothCharacter("a", v)),
 }
 
@@ -670,3 +676,14 @@ def test_integer_parameters_are_refused_not_truncated(parameter, value):
     refusal = rf"^{name} must be an int, got {re.escape(repr(value))}$"
     with pytest.raises(ValidationError, match=refusal):
         call(value)
+
+
+def test_negative_trunc_is_a_validation_error():
+    # A negative trunc breaks the rule "a truncation is a non-negative
+    # integer" (exit 2), not a window too small for the construction (exit 3).
+    for call in (lambda: bgg_morphism(4, -1), lambda: verma(-4, -1),
+                 lambda: build_module(OrlikStrauchSpec("simple", 2), -1),
+                 lambda: classify_ext(-4, 6, SmoothCharacter("a", 1), SmoothCharacter("b", 0),
+                                      trunc=-1)):
+        with pytest.raises(ValidationError, match=r"^trunc must satisfy trunc >= 0, got -1$"):
+            call()

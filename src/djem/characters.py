@@ -24,13 +24,28 @@ DELTA_P_Z_EXPONENT = -2
 _ONE = Fraction(1)
 
 
-def as_rational(value) -> Fraction:
-    """Coerce ints and "num/den" strings to Fraction; floats are rejected."""
+def is_rational_text(text: str) -> bool:
+    """Whether text is NUM or NUM/DEN in ASCII digits, NUM optionally '-'-led."""
+    num, slash, den = text.removeprefix("-").partition("/")
+    return all(part.isascii() and part.isdigit() for part in ((num, den) if slash else (num,)))
+
+
+def as_rational(value, name="value") -> Fraction:
+    """value as a Fraction: a Fraction or int as it is, a str of is_rational_text's shape
+    with a nonzero DEN; any other str is a ValidationError naming name."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    if not isinstance(value, str):
+        raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    if is_rational_text(value):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):  # a zero DEN, or past int's digit limit
+            pass
+    raise ValidationError(f"{name} must be an exact rational NUM or NUM/DEN with a nonzero "
+                          f"DEN, got {value!r}")
 
 
 class SmoothCharacter(Value):
@@ -49,18 +64,11 @@ class SmoothCharacter(Value):
                  w_selfdual: bool = False, torus_unit_label: str = ""):
         self.label = label
         self.z_valuation = require_int(z_valuation, "z_valuation")
-        self.z_unit = as_rational(z_unit)
+        self.z_unit = as_rational(z_unit, "z_unit")
         if self.z_unit == 0:
             raise ValidationError(f"smooth character {label!r} must be nonzero at z")
         self.w_selfdual = w_selfdual
         self.torus_unit_label = torus_unit_label or label
-
-    def z_value(self) -> tuple[int, Fraction]:
-        return (self.z_valuation, self.z_unit)
-
-    def w_conjugate_z_value(self) -> tuple[int, Fraction]:
-        """psi^w(z) = psi(z)^{-1}: negated valuation, inverted unit."""
-        return (-self.z_valuation, 1 / self.z_unit)
 
 
 TRIVIAL_PSI = SmoothCharacter("trivial", 0, Fraction(1), w_selfdual=True)

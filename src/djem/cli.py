@@ -26,14 +26,13 @@ import functools
 import os
 import re
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
-from djem.characters import TRIVIAL_PSI, SmoothCharacter, as_rational
+from djem.characters import TRIVIAL_PSI, SmoothCharacter, as_rational, is_rational_text
 from djem.cohomology import cohomology, kostant_check
 from djem.errors import (CorpusSetupError, DjemError, TruncationError,
                          UndecidableRelationError, ValidationError, require_int)
-from djem.jacquet import OrlikStrauchSpec, assemble_les, build_module, les_consistency_check
+from djem.jacquet import FAMILIES, OrlikStrauchSpec, assemble_les, build_module, les_consistency_check
 from djem.reporting import (check_result_json, cohomology_result_json, cohomology_text,
                             ext_case_json, ext_case_text, jacquet_result_json, jacquet_text,
                             make_document, serialize, smooth_character_json)
@@ -56,24 +55,15 @@ SIZE_LIMIT = 50_000
 
 _RELATION_NAMES = ("psi-eq-phi", "psi-delta-eq-phi-w", "phi-delta-eq-phi-w")
 _TRUE_WORDS = {"1", "true", "yes", "on"}
-_NEGATIVE_FRACTION = re.compile(r"-[0-9]+/[0-9]+")
 # argparse takes a '-'-led token for a value when it looks like a negative
 # number: its pattern up to 3.11; later ones take more tokens, not fewer.
 _NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
-def _rational_arg(text, flag) -> Fraction:
-    try:
-        return as_rational(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"--{flag} must be an exact rational NUM or NUM/DEN with a "
-                              f"nonzero DEN, got {text!r}") from None
-
-
 def _character_from_args(args, name) -> SmoothCharacter:
     label = getattr(args, name)
     val = getattr(args, f"{name}_val")
-    unit = _rational_arg(getattr(args, f"{name}_unit"), f"{name}-unit")
+    unit = as_rational(getattr(args, f"{name}_unit"), f"--{name}-unit")
     selfdual = getattr(args, f"{name}_w_selfdual")
     torus = getattr(args, f"{name}_torus_unit") or ""
     if label == "trivial":
@@ -274,7 +264,7 @@ def _common_options(with_trunc=True):
     return common + ((trunc,) if with_trunc else ())
 
 
-_FAMILY = _opt("--family", required=True, choices=("verma", "dualverma", "simple"))
+_FAMILY = _opt("--family", required=True, choices=FAMILIES)
 _K = _opt("--k", "int", required=True)
 
 # Every subcommand's help, options and handler, in help order: the one
@@ -321,7 +311,7 @@ def build_parser():
         int or decimal, so `--psi-unit -2/5` would lack its argument."""
 
         def _parse_optional(self, arg_string):
-            if _NEGATIVE_FRACTION.fullmatch(arg_string):
+            if is_rational_text(arg_string):
                 return None
             return super()._parse_optional(arg_string)
 
@@ -360,7 +350,7 @@ def _table_args(argv):
             continue
         value = next(tokens, None)
         if value is None or (value[:1] == "-" and not _NEGATIVE_NUMBER.fullmatch(value)
-                             and not _NEGATIVE_FRACTION.fullmatch(value)):
+                             and not is_rational_text(value)):
             return None
         if kind == "int":
             try:

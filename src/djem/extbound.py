@@ -16,7 +16,7 @@ else raises rather than silently guessing.
 
 from __future__ import annotations
 
-from djem.characters import SmoothCharacter, TorusCharacter, DELTA_P_Z_EXPONENT
+from djem.characters import SmoothCharacter, TorusCharacter
 from djem.errors import UndecidableRelationError, ValidationError, require_int
 from djem.jacquet import JacquetReport, OrlikStrauchSpec, assemble_les
 from djem.value import Value
@@ -76,23 +76,24 @@ def _decide(name, declared, lhs_z, rhs_z, identical_declarations=False):
         f"differ on the compact torus; declare the relation explicitly")
 
 
-def _delta_twisted(z_value):
-    v, u = z_value
-    return (v + DELTA_P_Z_EXPONENT, u)
+# Over a base chi, the z-eigenvalues of these are chi(z), (chi delta_P)(z) and chi^w(z).
+_BASE = TorusCharacter(0, psi_exp=1)
+_BASE_DELTA = TorusCharacter(0, psi_exp=1, delta_exp=1)
+_BASE_W = TorusCharacter(0, psiw_exp=1)
 
 
 def resolve_relations(psi: SmoothCharacter, phi: SmoothCharacter,
                       declared: RelationDeclarations) -> dict:
     """Decide the three predicates or raise UndecidableRelationError."""
-    same_declaration = (psi.label == phi.label
-                        and psi.z_value() == phi.z_value()
+    psi_z, phi_z = _BASE.z_eigenvalue(psi), _BASE.z_eigenvalue(phi)
+    phi_w_z = _BASE_W.z_eigenvalue(phi)
+    same_declaration = (psi.label == phi.label and psi_z == phi_z
                         and psi.torus_unit_label == phi.torus_unit_label)
-    psi_eq_phi = _decide("psi-eq-phi", declared.psi_eq_phi,
-                         psi.z_value(), phi.z_value(), same_declaration)
+    psi_eq_phi = _decide("psi-eq-phi", declared.psi_eq_phi, psi_z, phi_z, same_declaration)
     psi_delta_eq_phi_w = _decide("psi-delta-eq-phi-w", declared.psi_delta_eq_phi_w,
-                                 _delta_twisted(psi.z_value()), phi.w_conjugate_z_value())
+                                 _BASE_DELTA.z_eigenvalue(psi), phi_w_z)
     phi_delta_eq_phi_w = _decide("phi-delta-eq-phi-w", declared.phi_delta_eq_phi_w,
-                                 _delta_twisted(phi.z_value()), phi.w_conjugate_z_value())
+                                 _BASE_DELTA.z_eigenvalue(phi), phi_w_z)
     return {"psi-eq-phi": psi_eq_phi,
             "psi-delta-eq-phi-w": psi_delta_eq_phi_w,
             "phi-delta-eq-phi-w": phi_delta_eq_phi_w}

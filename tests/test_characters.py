@@ -16,7 +16,7 @@ def w_twist(chi):
 
 def test_w_conjugate_inverts_z_value():
     psi = SmoothCharacter("a", 3, Fraction(2, 5))
-    assert psi.w_conjugate_z_value() == (-3, Fraction(5, 2))
+    assert TorusCharacter(0, psiw_exp=1).z_eigenvalue(psi) == (-3, Fraction(5, 2))
 
 
 def test_smooth_character_needs_nonzero_unit():

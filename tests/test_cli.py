@@ -14,8 +14,9 @@ from djem.cli import (EXIT_CORPUS_DIFF, EXIT_CORPUS_SETUP, EXIT_TRUNCATION,
                       EXIT_UNDECIDABLE, EXIT_VALIDATION, P_LIMIT, SIZE_LIMIT,
                       _default_fixtures_dir, _is_prime, corpus_manifest, fixture_document,
                       main)
+from djem.characters import SmoothCharacter
 from djem.errors import (CertificateError, CorpusSetupError, DjemError, ParityError,
-                         TruncationError, UndecidableRelationError)
+                         TruncationError, UndecidableRelationError, ValidationError)
 from djem.reporting import VALUE_DIGIT_CAP, frac_str
 
 
@@ -427,6 +428,50 @@ def test_bad_rational_in_config_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "jacquet", "--config", str(cfg))
     assert code == EXIT_VALIDATION
     assert "--psi-unit" in err and "Traceback" not in err
+
+
+# Spellings Fraction(str) reads but the unit grammar (NUM or NUM/DEN in ASCII
+# digits, NUM optionally '-'-led) does not; the last two once cost a
+# traceback and an unbounded power of ten.
+NON_GRAMMAR_UNITS = ("1.5", "1e3", "1_000", " 7", "+3", "\u0663", "1e-5000")
+
+
+def _unit_refusal(flag, value):
+    return (f"validation error: {flag} must be an exact rational NUM or NUM/DEN with a "
+            f"nonzero DEN, got {value!r}\n")
+
+
+@pytest.mark.parametrize("value", NON_GRAMMAR_UNITS)
+@pytest.mark.parametrize("argv, flag", [
+    (("jacquet", "--family", "verma", "--k", "4", "--psi", "a", "--psi-unit"), "--psi-unit"),
+    (("ext-bound", "--k", "-4", "--ell", "2", "--psi", "a", "--phi", "b", "--phi-unit"),
+     "--phi-unit"),
+], ids=("psi-unit", "phi-unit"))
+def test_unit_outside_the_grammar_exits_2(capsys, argv, flag, value):
+    assert run(capsys, *argv, value) == (EXIT_VALIDATION, "", _unit_refusal(flag, value))
+
+
+# The config grammar strips the blanks around a value, so " 7" reads as 7 there.
+@pytest.mark.parametrize("value", [v for v in NON_GRAMMAR_UNITS if v != " 7"])
+def test_unit_outside_the_grammar_in_config_file_exits_2(tmp_path, capsys, value):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"family = verma\nk = 4\npsi = a\npsi-unit = {value}\n", encoding="utf-8")
+    assert run(capsys, "jacquet", "--config", str(cfg)) == (
+        EXIT_VALIDATION, "", _unit_refusal("--psi-unit", value))
+
+
+@pytest.mark.parametrize("value", ["1e999999999", "1e-5000"])
+def test_unit_with_a_huge_exponent_is_refused_promptly(value):
+    out = _run_limited(("jacquet", "--family", "verma", "--k", "4", "--psi", "a",
+                        "--psi-unit", value))
+    assert (out.returncode, out.stdout, out.stderr) == (
+        EXIT_VALIDATION, "", _unit_refusal("--psi-unit", value))
+
+
+@pytest.mark.parametrize("value", NON_GRAMMAR_UNITS)
+def test_smooth_character_refuses_a_unit_outside_the_grammar(value):
+    with pytest.raises(ValidationError, match="^z_unit must be an exact rational"):
+        SmoothCharacter("a", 0, value)
 
 
 NEGATIVE_UNIT_RUNS = [

@@ -190,3 +190,25 @@ def test_every_fuzzed_argv_ends_in_a_documented_way(tmp_path, capsys, monkeypatc
     # The draw reaches answers, JSON documents among them, and refusals alike.
     assert codes.get(0, 0) >= 20 and codes.get(2, 0) >= 20 and codes.get("usage", 0) >= 5, codes
     assert documents >= 10, documents
+
+
+def test_no_fuzzed_argv_with_a_bad_unit_is_answered(tmp_path, capsys, monkeypatch):
+    # A unit outside NUM or NUM/DEN is refused, even one Fraction(str) reads
+    # (1.5, 1e3, " 7"), whatever else the argv holds.
+    monkeypatch.delenv(TRUNC_ENV_VAR, raising=False)
+    checked = 0
+    for seed in (SEED, 1, 2, 3, 4):
+        folder = tmp_path / str(seed)
+        folder.mkdir()
+        for argv in _cases(folder, seed):
+            if not any(flag in ("--psi-unit", "--phi-unit") and value in BAD_RATIONALS
+                       for flag, value in zip(argv, argv[1:])):
+                continue
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            capsys.readouterr()
+            assert code != 0, argv
+            checked += 1
+    assert checked >= 50, checked

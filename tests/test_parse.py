@@ -48,6 +48,8 @@ EDGE_CASES = [
     ["kostant", "--k", "-08"],
     ["jacquet", "--family", "verma", "--k", "2", "--psi", "a", "--psi-unit", "-.5"],
     ["jacquet", "--family", "verma", "--k", "2", "--psi", "a", "--psi-unit", "-1e5"],
+    ["jacquet", "--family", "verma", "--k", "2", "--psi", "a", "--psi-unit", "-2/0"],
+    ["jacquet", "--family", "verma", "--k", "2", "--psi", "a", "--psi-unit", "-1_0/3"],
     ["jacquet", "--family", "verma", "--k", "2", "--psi", "-2/5"],
     ["kostant", "--k", "-2/5"],
     ["kostant", "--k", "-8\n"],

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from djem.errors import ValidationError, require_int
+from djem.errors import ValidationError, require_flag, require_int
 from djem.value import Value
 
 # z N_0 z^{-1} has index p^2 in N_0.
@@ -32,10 +32,11 @@ def is_rational_text(text: str) -> bool:
 
 def as_rational(value, name="value") -> Fraction:
     """value as a Fraction: a Fraction or int as it is, a str of is_rational_text's shape
-    with a nonzero DEN; any other str is a ValidationError naming name."""
+    with a nonzero DEN; any other str is a ValidationError naming name, any other
+    type (a bool too) a TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if not isinstance(value, str):
         raise TypeError(f"expected an exact rational, got {type(value).__name__}")
@@ -67,7 +68,7 @@ class SmoothCharacter(Value):
         self.z_unit = as_rational(z_unit, "z_unit")
         if self.z_unit == 0:
             raise ValidationError(f"smooth character {label!r} must be nonzero at z")
-        self.w_selfdual = w_selfdual
+        self.w_selfdual = require_flag(w_selfdual, "w_selfdual")
         self.torus_unit_label = torus_unit_label or label
 
 

@@ -11,25 +11,24 @@ The truncation default is abs(k) + 16 and can be overridden per run with
 may supply any option; explicit flags win.
 
 Options and handlers are declared once, in _COMMANDS, and _output() runs a
-call.  build_parser() builds argparse's tree from the table, for help and
-usage errors; _table_args() reads a plain argv (a subcommand other than
-corpus, then exact long options with their values) from it without
-argparse, 0.23 ms for the 36 corpus argvs against 1.3-2.0 ms, and hands any
-other argv to build_parser().parse_args.  So `import djem.cli` and a call
-load neither argparse (gettext, locale), json nor pathlib; ext-bound loads
-djem.extbound, corpus pathlib and corpus --parallel concurrent.futures.
+call.  build_parser() builds argparse's tree from the table, for help and usage
+errors; _table_args() reads a plain argv (a subcommand other than corpus, then
+exact long options with their values, a '-'-led value only as -NUM or
+-NUM/DEN) from it without argparse and hands any other argv to
+build_parser().parse_args.  So `import djem.cli` and a call load neither
+argparse (gettext, locale), json nor pathlib; ext-bound loads djem.extbound,
+corpus pathlib and corpus --parallel concurrent.futures.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import re
 import sys
 from types import SimpleNamespace
 
 from djem.characters import TRIVIAL_PSI, SmoothCharacter, as_rational, is_rational_text
-from djem.cohomology import cohomology, kostant_check
+from djem.cohomology import DIRECTIONS, cohomology, kostant_check
 from djem.errors import (CorpusSetupError, DjemError, TruncationError,
                          UndecidableRelationError, ValidationError, require_int)
 from djem.jacquet import FAMILIES, OrlikStrauchSpec, assemble_les, build_module, les_consistency_check
@@ -55,9 +54,6 @@ SIZE_LIMIT = 50_000
 
 _RELATION_NAMES = ("psi-eq-phi", "psi-delta-eq-phi-w", "phi-delta-eq-phi-w")
 _TRUE_WORDS = {"1", "true", "yes", "on"}
-# argparse takes a '-'-led token for a value when it looks like a negative
-# number: its pattern up to 3.11; later ones take more tokens, not fewer.
-_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
 def _character_from_args(args, name) -> SmoothCharacter:
@@ -274,7 +270,7 @@ _COMMANDS = {
     "jacquet": ("derived Jacquet module report for one family",
                 (_FAMILY, _K, *_character_options("psi"), *_common_options()), _cmd_jacquet),
     "cohomology": ("radical cohomology of the n-finite dual ladder of one family",
-                   (_FAMILY, _K, _opt("--direction", required=True, choices=("n", "nbar")),
+                   (_FAMILY, _K, _opt("--direction", required=True, choices=tuple(DIRECTIONS)),
                     _opt("--window-only", "store-true",
                          help="accept a non-certified window-only answer"),
                     *_common_options()), _cmd_cohomology),
@@ -332,8 +328,8 @@ def build_parser():
 def _table_args(argv):
     """What build_parser().parse_args(argv) gives, or None to decline.  It
     takes argv[0] naming a subcommand without positionals, then exact long
-    options, each value one argparse takes for a value ('-'-led only as a
-    negative number) that int and the choices accept, all required present;
+    options, each value one that int and the choices accept, '-'-led only as
+    -NUM or -NUM/DEN (any other is argparse's to read); all required present;
     a repeated option keeps its last value, --relation appends."""
     options = _COMMANDS[argv[0]][1] if argv and argv[0] in _COMMANDS else ()
     if not options or any(not opt[0].startswith("--") for opt in options):
@@ -349,8 +345,7 @@ def _table_args(argv):
             values[dest] = True
             continue
         value = next(tokens, None)
-        if value is None or (value[:1] == "-" and not _NEGATIVE_NUMBER.fullmatch(value)
-                             and not is_rational_text(value)):
+        if value is None or (value[:1] == "-" and not is_rational_text(value)):
             return None
         if kind == "int":
             try:

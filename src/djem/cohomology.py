@@ -23,7 +23,7 @@ from djem.value import Value
 
 # direction -> (operator, weight shift of the operator); degree 1 is reported
 # shifted by minus the operator's shift
-_DIRECTIONS = {"n": ("x", 2), "nbar": ("y", -2)}
+DIRECTIONS = {"n": ("x", 2), "nbar": ("y", -2)}
 
 
 # On a ladder every weight space is a line, so the operator between two
@@ -95,9 +95,9 @@ def stabilization_certificate(m: WeightModule, direction: str) -> StabilizationC
     nonzero polynomial of degree at most 2 whose integer roots are listed
     in closed form.
     """
-    if direction not in _DIRECTIONS:
-        raise ValidationError(f"direction must be one of {sorted(_DIRECTIONS)}, got {direction!r}")
-    op = _DIRECTIONS[direction][0].upper()
+    if direction not in DIRECTIONS:
+        raise ValidationError(f"direction must be one of {sorted(DIRECTIONS)}, got {direction!r}")
+    op = DIRECTIONS[direction][0].upper()
     if m.is_finite:
         return StabilizationCertificate(op, None, (), 0, True)
     coeff = m.coeff_x if op == "X" else m.coeff_y
@@ -137,7 +137,7 @@ def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False)
     certificate = stabilization_certificate(m, direction)  # refuses an unknown direction
     if not check_bracket_relations(m):
         raise ValidationError("module fails the bracket identity [X, Y] = H")
-    op, shift = _DIRECTIONS[direction]
+    op, shift = DIRECTIONS[direction]
     certified = certificate.finite or m.truncation >= certificate.bound
     if not certified and not allow_uncertified:
         raise CertificateError(

@@ -1,6 +1,6 @@
 """Exception hierarchy, each class carrying the exit code and stderr label
-the CLI refuses with, and the one integer rule that every public entry point
-checks its parameters by."""
+the CLI refuses with, and the integer and flag rules that every public entry
+point checks its parameters by."""
 
 
 class DjemError(Exception):
@@ -54,3 +54,11 @@ def require_int(value, name, *, minimum=None, even=False) -> int:
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must satisfy {name} >= {minimum}, got {value}")
     return value
+
+
+def require_flag(value, name, *, optional=False):
+    """value itself if it is True or False (or None, when optional), else a ValidationError."""
+    if value is True or value is False or (optional and value is None):
+        return value
+    allowed = "True, False or None" if optional else "True or False"
+    raise ValidationError(f"{name} must be {allowed}, got {value!r}")

@@ -17,7 +17,7 @@ else raises rather than silently guessing.
 from __future__ import annotations
 
 from djem.characters import SmoothCharacter, TorusCharacter
-from djem.errors import UndecidableRelationError, ValidationError, require_int
+from djem.errors import UndecidableRelationError, ValidationError, require_flag, require_int
 from djem.jacquet import JacquetReport, OrlikStrauchSpec, assemble_les
 from djem.value import Value
 
@@ -31,15 +31,15 @@ _BULLET_VERDICTS = {1: VERDICT_ONE, 2: VERDICT_AT_MOST_ONE,
 
 
 class RelationDeclarations(Value):
-    """Explicit truth declarations; None means undeclared."""
+    """Explicit truth declarations, each True, False or None (undeclared)."""
 
     __slots__ = ("psi_eq_phi", "psi_delta_eq_phi_w", "phi_delta_eq_phi_w")
 
     def __init__(self, psi_eq_phi: bool | None = None, psi_delta_eq_phi_w: bool | None = None,
                  phi_delta_eq_phi_w: bool | None = None):
-        self.psi_eq_phi = psi_eq_phi
-        self.psi_delta_eq_phi_w = psi_delta_eq_phi_w
-        self.phi_delta_eq_phi_w = phi_delta_eq_phi_w
+        declared = (psi_eq_phi, psi_delta_eq_phi_w, phi_delta_eq_phi_w)
+        for name, value in zip(self.__slots__, declared):
+            setattr(self, name, require_flag(value, name, optional=True))
 
 
 class ExtCase(Value):
@@ -66,7 +66,7 @@ class ExtCase(Value):
 
 def _decide(name, declared, lhs_z, rhs_z, identical_declarations=False):
     if declared is not None:
-        return bool(declared)
+        return declared
     if lhs_z != rhs_z:
         return False
     if identical_declarations:

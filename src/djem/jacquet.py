@@ -27,7 +27,7 @@ from collections import Counter
 from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI
 from djem.cohomology import cohomology
 from djem.errors import ValidationError, require_int
-from djem.sl2 import WeightModule, default_truncation, dual_verma, n_finite_dual, simple, verma
+from djem.sl2 import WeightModule, dual_verma, n_finite_dual, simple, verma
 from djem.value import Value
 
 FAMILIES = ("verma", "dualverma", "simple")
@@ -52,12 +52,12 @@ class OrlikStrauchSpec(Value):
 
 
 def build_module(spec: OrlikStrauchSpec, trunc=None) -> WeightModule:
-    if trunc is not None:
-        require_int(trunc, "trunc", minimum=0)
     if spec.family == "verma":
         return verma(-spec.k, trunc)
     if spec.family == "dualverma":
         return dual_verma(-spec.k, trunc)
+    if trunc is not None:  # simple has no window to check it
+        require_int(trunc, "trunc", minimum=0)
     return simple(-spec.k)
 
 
@@ -94,14 +94,12 @@ class JacquetReport(Value):
     """The spliced report: degree i is section[i] followed by stalk[i].
     eigenvalues maps each distinct character of the section and stalk lists
     to its z-eigenvalue, taken once, for the Hecke lists and the renderers
-    alike."""
+    alike.  A certified report is the same in every window, so it records none."""
 
-    __slots__ = ("spec", "truncation", "section", "stalk", "eigenvalues")
+    __slots__ = ("spec", "section", "stalk", "eigenvalues")
 
-    def __init__(self, spec: OrlikStrauchSpec, truncation: int | None, section: dict,
-                 stalk: dict, eigenvalues: dict):
+    def __init__(self, spec: OrlikStrauchSpec, section: dict, stalk: dict, eigenvalues: dict):
         self.spec = spec
-        self.truncation = truncation
         self.section = section
         self.stalk = stalk
         self.eigenvalues = eigenvalues
@@ -137,7 +135,6 @@ def assemble_les(spec: OrlikStrauchSpec, trunc=None) -> JacquetReport:
     Every T0 line has weight k and every S1 line weight -(k+2), and these
     never meet for even k.
     """
-    trunc = default_truncation(spec.k) if trunc is None else require_int(trunc, "trunc", minimum=0)
     dual = n_finite_dual(build_module(spec, trunc))
     section = section_cohomology_characters(dual)
     stalk = stalk_cohomology_characters(dual)
@@ -149,7 +146,7 @@ def assemble_les(spec: OrlikStrauchSpec, trunc=None) -> JacquetReport:
         for c in chars:
             if c not in eigenvalues:
                 eigenvalues[c] = hecke_eigenvalue(c, psi)
-    return JacquetReport(spec, trunc, section, stalk, eigenvalues)
+    return JacquetReport(spec, section, stalk, eigenvalues)
 
 
 def les_consistency_check(k, psi: SmoothCharacter = TRIVIAL_PSI, trunc=None) -> bool:
@@ -164,8 +161,6 @@ def les_consistency_check(k, psi: SmoothCharacter = TRIVIAL_PSI, trunc=None) -> 
     H0(sub) <= H0(mid) and H1(quot) <= H1(mid).
     """
     k = require_int(k, "k", minimum=0, even=True)
-    if trunc is None:
-        trunc = default_truncation(k + 2)
     sub = assemble_les(OrlikStrauchSpec("simple", k, psi), trunc)
     mid = assemble_les(OrlikStrauchSpec("verma", k, psi), trunc)
     quot = assemble_les(OrlikStrauchSpec("verma", -(k + 2), psi), trunc)

@@ -24,6 +24,20 @@ def test_smooth_character_needs_nonzero_unit():
         SmoothCharacter("zero", 0, 0)
 
 
+def test_a_bool_is_not_a_unit():
+    # A bool is an int to isinstance, but no integer parameter takes one.
+    with pytest.raises(TypeError, match="expected an exact rational, got bool"):
+        SmoothCharacter("a", 0, True)
+    with pytest.raises(TypeError, match="expected an exact rational, got bool"):
+        SmoothCharacter("a", 0, False)
+
+
+@pytest.mark.parametrize("flag", ["no", 1, 0])
+def test_w_selfdual_is_an_exact_bool(flag):
+    with pytest.raises(ValidationError, match=f"w_selfdual must be True or False, got {flag!r}"):
+        SmoothCharacter("a", 1, 2, w_selfdual=flag)
+
+
 def test_torus_unit_label_defaults_to_label():
     psi = SmoothCharacter("a", 1, 2)
     assert psi.torus_unit_label == "a"

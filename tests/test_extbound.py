@@ -95,6 +95,18 @@ def test_relation_resolution_rules():
     assert rel["psi-eq-phi"] is False
 
 
+@pytest.mark.parametrize("flag", ["no", 1, 0])
+def test_a_declaration_is_an_exact_bool_or_none(flag):
+    # Read through bool(), "no" would declare psi = phi and 0 would deny it.
+    for field in ("psi_eq_phi", "psi_delta_eq_phi_w", "phi_delta_eq_phi_w"):
+        with pytest.raises(ValidationError,
+                           match=f"{field} must be True, False or None, got {flag!r}"):
+            RelationDeclarations(**{field: flag})
+    with pytest.raises(ValidationError):
+        classify_ext(-4, 2, SmoothCharacter("a", 1, 1), SmoothCharacter("b", 0, 1),
+                     RelationDeclarations(flag, False, False))
+
+
 def test_verdict_independent_of_declaration_bundling():
     phi = SmoothCharacter("c", 1, 1)
     declared_together = RelationDeclarations(phi_delta_eq_phi_w=True, psi_delta_eq_phi_w=False)

@@ -5,13 +5,13 @@ import pytest
 
 from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI
 from djem.cli import corpus_manifest, fixture_document
-from djem.cohomology import cohomology
+from djem.cohomology import DIRECTIONS, cohomology, stabilization_certificate
 from djem.errors import ParityError, ValidationError
 from djem.jacquet import (JacquetReport, OrlikStrauchSpec, assemble_les, build_module,
-                          default_truncation, hecke_eigenvalue, les_consistency_check, section_cohomology_characters,
+                          hecke_eigenvalue, les_consistency_check, section_cohomology_characters,
                           stalk_cohomology_characters)
 from djem.reporting import eigenvalue_json, jacquet_result_json
-from djem.sl2 import dual_verma, n_finite_dual
+from djem.sl2 import default_truncation, dual_verma, n_finite_dual
 
 
 def sec(w):
@@ -292,8 +292,7 @@ def _with(report, part, degree, chars):
     """The report with its part ("section" or "stalk") in degree replaced by chars."""
     parts = {"section": dict(report.section), "stalk": dict(report.stalk)}
     parts[part][degree] = chars
-    return JacquetReport(report.spec, report.truncation, parts["section"], parts["stalk"],
-                         report.eigenvalues)
+    return JacquetReport(report.spec, parts["section"], parts["stalk"], report.eigenvalues)
 
 
 def test_les_check_requires_exactness_at_both_ends(monkeypatch):
@@ -350,6 +349,31 @@ def test_reports_invariant_under_truncation_doubling():
         assert a.section == b.section
         assert a.stalk == b.stalk
         assert [degree(a, i) for i in (0, 1)] == [degree(b, i) for i in (0, 1)]
+
+
+def test_a_certified_report_does_not_depend_on_its_window():
+    # H^*J_P is a functor of the representation, not of the window it is
+    # computed in: at every certified window t, from the least one (the larger
+    # of the n and nbar certificate bounds) up, the report and both cohomology
+    # results are equal records to those at the default window.
+    declared = SmoothCharacter("a", 1, Fraction(3, 2))
+    specs = [OrlikStrauchSpec(family, k, psi)
+             for family in ("verma", "dualverma", "simple")
+             for k in range(-40 if family == "verma" else 0, 41, 2)
+             for psi in (TRIVIAL_PSI, declared)]
+    compared = 0
+    for spec in specs:
+        default_dual = n_finite_dual(build_module(spec))
+        least = max(stabilization_certificate(default_dual, d).bound for d in DIRECTIONS)
+        report = assemble_les(spec)
+        results = [cohomology(default_dual, d) for d in DIRECTIONS]
+        default = default_truncation(spec.k)
+        for t in (least, default, default + 1, 2 * default):
+            assert assemble_les(spec, t) == report, (spec, t)
+            dual = n_finite_dual(build_module(spec, t))
+            assert [cohomology(dual, d) for d in DIRECTIONS] == results, (spec, t)
+            compared += 1
+    assert compared == 664
 
 
 def test_degree_reports_are_values():

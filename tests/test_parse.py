@@ -54,6 +54,10 @@ EDGE_CASES = [
     ["kostant", "--k", "-2/5"],
     ["kostant", "--k", "-8\n"],
     ["jacquet", "--family", "verma", "--k", "2", "--psi", "- a"],
+    # '-'-led values the table declines and argparse reads as negative numbers.
+    ["jacquet", "--family", "verma", "--k", "2", "--psi", "-1.5"],
+    ["kostant", "--k", "-1.5"],
+    ["jacquet", "--family", "verma", "--k", "2", "--psi", "a", "--psi-unit", "-\u0663"],
     # Option spellings argparse alone reads.
     ["kostant", "--k=4"],
     ["kostant", "--k=-4", "--json"],
@@ -84,6 +88,14 @@ EDGE_CASES = [
     ["kostant", "--k", "2", "--json", "x"],
     ["corpus", "run", "--json"],
 ]
+
+
+def test_the_table_takes_a_dash_led_value_only_as_a_rational():
+    argv = ["jacquet", "--family", "verma", "--k", "2", "--psi", "a", "--psi-unit"]
+    for value in ("-1.5", "-.5", "-1e5", "-\u0663"):
+        assert _table_args(argv + [value]) is None, value
+    for value in ("-8", "-2/5"):
+        assert _table_args(argv + [value]).psi_unit == value
 
 
 def _outcome(parse, argv, capsys):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from djem.errors import ValidationError, require_flag, require_int
+from djem.errors import ValidationError, require_flag, require_int, require_type
 from djem.value import Value
 
 # z N_0 z^{-1} has index p^2 in N_0.
@@ -63,13 +63,13 @@ class SmoothCharacter(Value):
 
     def __init__(self, label: str, z_valuation: int = 0, z_unit=Fraction(1),
                  w_selfdual: bool = False, torus_unit_label: str = ""):
-        self.label = label
+        self.label = require_type(label, "label", str)
         self.z_valuation = require_int(z_valuation, "z_valuation")
         self.z_unit = as_rational(z_unit, "z_unit")
         if self.z_unit == 0:
             raise ValidationError(f"smooth character {label!r} must be nonzero at z")
         self.w_selfdual = require_flag(w_selfdual, "w_selfdual")
-        self.torus_unit_label = torus_unit_label or label
+        self.torus_unit_label = require_type(torus_unit_label, "torus_unit_label", str) or label
 
 
 TRIVIAL_PSI = SmoothCharacter("trivial", 0, Fraction(1), w_selfdual=True)

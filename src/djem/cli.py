@@ -32,9 +32,9 @@ from djem.cohomology import DIRECTIONS, cohomology, kostant_check
 from djem.errors import (CorpusSetupError, DjemError, TruncationError,
                          UndecidableRelationError, ValidationError, require_int)
 from djem.jacquet import FAMILIES, OrlikStrauchSpec, assemble_les, build_module, les_consistency_check
-from djem.reporting import (check_result_json, cohomology_result_json, cohomology_text,
+from djem.reporting import (P_LIMIT, check_result_json, cohomology_result_json, cohomology_text,
                             ext_case_json, ext_case_text, jacquet_result_json, jacquet_text,
-                            make_document, serialize, smooth_character_json)
+                            make_document, serialize, smooth_character_json, validate_p)
 from djem.sl2 import bgg_morphism, default_truncation, n_finite_dual, simple
 
 EXIT_OK = 0
@@ -87,9 +87,7 @@ def _relations_from_args(tokens):
             raise ValidationError(f"unknown relation {token!r}; expected one of "
                                   f"{', '.join(_RELATION_NAMES)} (optionally 'not:' prefixed)")
         declared[name] = value
-    return RelationDeclarations(psi_eq_phi=declared["psi-eq-phi"],
-                                psi_delta_eq_phi_w=declared["psi-delta-eq-phi-w"],
-                                phi_delta_eq_phi_w=declared["phi-delta-eq-phi-w"])
+    return RelationDeclarations(*declared.values())  # _RELATION_NAMES is in slot order
 
 
 def _resolve_trunc(args, k) -> int:
@@ -101,7 +99,7 @@ def _resolve_trunc(args, k) -> int:
             return default_truncation(k)
         source = TRUNC_ENV_VAR
         try:
-            trunc = int(env)
+            trunc = _int(env)
         except ValueError:
             raise ValidationError(f"{TRUNC_ENV_VAR} must be an integer, got {env!r}")
     require_int(trunc, source, minimum=0)
@@ -110,42 +108,14 @@ def _resolve_trunc(args, k) -> int:
     return trunc
 
 
-# Miller-Rabin with the prime bases 2..37 is exact below this bound.
-P_LIMIT = 3317044064679887385961981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+def _int(text) -> int:
+    """text as an int, read only as is_rational_text's NUM: ASCII digits, an optional leading '-'."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise ValueError(f"invalid literal for int(): {text!r}")
 
 
-def _is_prime(n) -> bool:
-    """Deterministic Miller-Rabin; exact for 0 <= n < P_LIMIT."""
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _validate_p(p):
-    if p is None:
-        return
-    if p >= P_LIMIT:
-        raise ValidationError(f"--p must be below {P_LIMIT}, got a {len(str(p))}-digit value")
-    if not _is_prime(p):
-        raise ValidationError(f"--p must be prime, got {p}")
+_int.__name__ = "int"  # argparse's usage error names a type by it: "invalid int value"
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -294,7 +264,7 @@ _COMMANDS = {
                      help="compute fixtures on N worker threads"),
                 _opt("--json", "store-true")), None),
 }
-_KIND_SETTINGS = {"int": {"type": int}, "str": {}, "store-true": {"action": "store_true"},
+_KIND_SETTINGS = {"int": {"type": _int}, "str": {}, "store-true": {"action": "store_true"},
                   "append": {"action": "append"}}
 
 
@@ -328,7 +298,7 @@ def build_parser():
 def _table_args(argv):
     """What build_parser().parse_args(argv) gives, or None to decline.  It
     takes argv[0] naming a subcommand without positionals, then exact long
-    options, each value one that int and the choices accept, '-'-led only as
+    options, each value one that _int and the choices accept, '-'-led only as
     -NUM or -NUM/DEN (any other is argparse's to read); all required present;
     a repeated option keeps its last value, --relation appends."""
     options = _COMMANDS[argv[0]][1] if argv and argv[0] in _COMMANDS else ()
@@ -349,7 +319,7 @@ def _table_args(argv):
             return None
         if kind == "int":
             try:
-                value = int(value)
+                value = _int(value)
             except ValueError:
                 return None
         if choices is not None and value not in choices:
@@ -377,7 +347,8 @@ def _output(args) -> str:
         if value is not None and abs(value) > SIZE_LIMIT:
             raise ValidationError(f"--{flag} must be at most {SIZE_LIMIT} in absolute value, "
                                   f"got {value}")
-    _validate_p(args.p)
+    if args.p is not None:
+        validate_p(args.p, "--p")
     output = _COMMANDS[args.command][2](args)
     if args.json:
         return serialize(make_document(args.command, *output))

@@ -18,7 +18,7 @@ into a window-only answer that is flagged as non-certified.
 from __future__ import annotations
 
 from djem.errors import CertificateError, ValidationError, require_int
-from djem.sl2 import IndexPoly, WeightModule, check_bracket_relations, n_finite_dual, simple
+from djem.sl2 import WeightModule, check_bracket_relations, n_finite_dual, simple
 from djem.value import Value
 
 # direction -> (operator, weight shift of the operator); degree 1 is reported
@@ -50,23 +50,11 @@ class StabilizationCertificate(Value):
 
     __slots__ = ("operator", "coefficient", "roots", "bound", "finite")
 
-    def __init__(self, operator: str, coefficient: IndexPoly | None, roots: tuple[int, ...],
-                 bound: int, finite: bool):
-        self.operator = operator
-        self.coefficient = coefficient
-        self.roots = roots
-        self.bound = bound
-        self.finite = finite
-
 
 class WeightLines(Value):
     """A computed line at one weight, named by its basis label."""
 
     __slots__ = ("weight", "labels")
-
-    def __init__(self, weight: int, labels: tuple[str, ...]):
-        self.weight = weight
-        self.labels = labels
 
     @property
     def dim(self):
@@ -75,16 +63,6 @@ class WeightLines(Value):
 
 class CohomologyResult(Value):
     __slots__ = ("direction", "h0", "h1", "weight_shift_applied", "certificate", "certified")
-
-    def __init__(self, direction: str, h0: tuple[WeightLines, ...], h1: tuple[WeightLines, ...],
-                 weight_shift_applied: int, certificate: StabilizationCertificate,
-                 certified: bool = True):
-        self.direction = direction
-        self.h0 = h0
-        self.h1 = h1
-        self.weight_shift_applied = weight_shift_applied
-        self.certificate = certificate
-        self.certified = certified
 
 
 def stabilization_certificate(m: WeightModule, direction: str) -> StabilizationCertificate:

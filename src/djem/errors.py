@@ -56,6 +56,13 @@ def require_int(value, name, *, minimum=None, even=False) -> int:
     return value
 
 
+def require_type(value, name, kind):
+    """value itself if its type is exactly kind (no subclass), else a ValidationError naming name."""
+    if type(value) is not kind:
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def require_flag(value, name, *, optional=False):
     """value itself if it is True or False (or None, when optional), else a ValidationError."""
     if value is True or value is False or (optional and value is None):

@@ -17,7 +17,8 @@ else raises rather than silently guessing.
 from __future__ import annotations
 
 from djem.characters import SmoothCharacter, TorusCharacter
-from djem.errors import UndecidableRelationError, ValidationError, require_flag, require_int
+from djem.errors import (UndecidableRelationError, ValidationError, require_flag, require_int,
+                         require_type)
 from djem.jacquet import JacquetReport, OrlikStrauchSpec, assemble_les
 from djem.value import Value
 
@@ -45,23 +46,6 @@ class RelationDeclarations(Value):
 class ExtCase(Value):
     __slots__ = ("k", "ell", "psi", "phi", "verdict", "fired_bullets", "source_character",
                  "h1_factors", "matched_factors", "hom_bound", "relations")
-
-    def __init__(self, k: int, ell: int, psi: SmoothCharacter, phi: SmoothCharacter,
-                 verdict: str, fired_bullets: tuple[int, ...],
-                 source_character: TorusCharacter, h1_factors: tuple[TorusCharacter, ...],
-                 matched_factors: tuple[TorusCharacter, ...],
-                 hom_bound: tuple[int, int] | None, relations: dict):
-        self.k = k
-        self.ell = ell
-        self.psi = psi
-        self.phi = phi
-        self.verdict = verdict
-        self.fired_bullets = fired_bullets
-        self.source_character = source_character
-        self.h1_factors = h1_factors
-        self.matched_factors = matched_factors
-        self.hom_bound = hom_bound
-        self.relations = relations
 
 
 def _decide(name, declared, lhs_z, rhs_z, identical_declarations=False):
@@ -138,6 +122,8 @@ def classify_ext(k, ell, psi: SmoothCharacter, phi: SmoothCharacter,
         raise ValidationError("classify_ext requires k != ell")
     if trunc is not None:
         require_int(trunc, "trunc", minimum=0)
+    require_type(psi, "psi", SmoothCharacter)
+    require_type(phi, "phi", SmoothCharacter)
     source = TorusCharacter(k, psi_exp=1, delta_exp=1)
     if k != -(ell + 2):
         return ExtCase(k, ell, psi, phi, VERDICT_TRIVIAL, (), source, (), (), None, {})
@@ -162,13 +148,12 @@ def classify_ext(k, ell, psi: SmoothCharacter, phi: SmoothCharacter,
         elif c.psiw_exp == 1 and rel["psi-delta-eq-phi-w"]:
             matched.append(c)
 
-    # Hom bound against H^1 when the source can be written over phi.
+    # Hom bound against H^1 when the source can be written over phi: psi = phi
+    # leaves it as it is, psi delta_P = phi^w makes it chi_k phi^w.
+    bound = None
     if rel["psi-eq-phi"]:
-        source_over_phi = TorusCharacter(k, psi_exp=1, delta_exp=1)
+        bound = hom_dimension_bound(source, report, 1)
     elif rel["psi-delta-eq-phi-w"]:
-        source_over_phi = TorusCharacter(k, psiw_exp=1)
-    else:
-        source_over_phi = None
-    bound = None if source_over_phi is None else hom_dimension_bound(source_over_phi, report, 1)
+        bound = hom_dimension_bound(TorusCharacter(k, psiw_exp=1), report, 1)
 
     return ExtCase(k, ell, psi, phi, verdict, fired, source, h1, tuple(matched), bound, rel)

@@ -26,7 +26,7 @@ from collections import Counter
 
 from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI
 from djem.cohomology import cohomology
-from djem.errors import ValidationError, require_int
+from djem.errors import ValidationError, require_int, require_type
 from djem.sl2 import WeightModule, dual_verma, n_finite_dual, simple, verma
 from djem.value import Value
 
@@ -48,7 +48,7 @@ class OrlikStrauchSpec(Value):
             raise ValidationError(f"family must be one of {FAMILIES}, got {family!r}")
         self.family = family
         self.k = require_int(k, "k", minimum=None if family == "verma" else 0, even=True)
-        self.psi = psi
+        self.psi = require_type(psi, "psi", SmoothCharacter)
 
 
 def build_module(spec: OrlikStrauchSpec, trunc=None) -> WeightModule:
@@ -97,12 +97,6 @@ class JacquetReport(Value):
     alike.  A certified report is the same in every window, so it records none."""
 
     __slots__ = ("spec", "section", "stalk", "eigenvalues")
-
-    def __init__(self, spec: OrlikStrauchSpec, section: dict, stalk: dict, eigenvalues: dict):
-        self.spec = spec
-        self.section = section
-        self.stalk = stalk
-        self.eigenvalues = eigenvalues
 
     def jh_factors(self, i) -> tuple[TorusCharacter, ...]:
         """Jordan-Hoelder factors of degree i: the section part, then the stalk part."""

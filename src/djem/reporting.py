@@ -19,7 +19,7 @@ except ImportError:
     from json.encoder import py_encode_basestring_ascii as _quote
 
 from djem import __version__
-from djem.errors import ValidationError
+from djem.errors import ValidationError, require_int
 
 # A concrete eigenvalue p^e * unit is rendered only while |e| * log10(p),
 # plus the digits of the unit, stays within this many digits: past it the
@@ -28,13 +28,52 @@ from djem.errors import ValidationError
 VALUE_DIGIT_CAP = 4000
 
 
+# Miller-Rabin with the prime bases 2..37 is exact below this bound.
+P_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n) -> bool:
+    """Deterministic Miller-Rabin; exact for 0 <= n < P_LIMIT."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def validate_p(p, name="p"):
+    """A ValidationError naming name unless p is an int prime below P_LIMIT."""
+    require_int(p, name)
+    if p >= P_LIMIT:
+        raise ValidationError(f"{name} must be below {P_LIMIT}, got a {len(str(p))}-digit value")
+    if not _is_prime(p):
+        raise ValidationError(f"{name} must be prime, got {p}")
+
+
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
 def concrete_value(exponent, unit, p) -> str:
-    """p^exponent * unit as "num/den"; refused past VALUE_DIGIT_CAP digits,
-    which is decided from |exponent| * log10(p) before the power is taken."""
+    """p^exponent * unit as "num/den" at a p that validate_p accepts; refused past
+    VALUE_DIGIT_CAP digits, decided from |exponent| * log10(p) before the power is taken."""
+    validate_p(p)
     unit_digits = math.log10(max(abs(unit.numerator), unit.denominator))
     if abs(exponent) * math.log10(p) + unit_digits > VALUE_DIGIT_CAP:
         raise ValidationError(f"the eigenvalue p^{exponent} * unit at p = {p} has more than "

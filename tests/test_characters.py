@@ -38,6 +38,21 @@ def test_w_selfdual_is_an_exact_bool(flag):
         SmoothCharacter("a", 1, 2, w_selfdual=flag)
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"label": 5}, "label"), ({"label": None}, "label"), ({"label": b"a"}, "label"),
+    ({"label": "a", "torus_unit_label": 5}, "torus_unit_label"),
+    ({"label": "a", "torus_unit_label": None}, "torus_unit_label"),
+])
+def test_labels_are_exact_strs(kwargs, field):
+    with pytest.raises(ValidationError, match=f"{field} must be a str, got "):
+        SmoothCharacter(z_valuation=1, z_unit=2, **kwargs)
+
+
+def test_an_empty_label_is_a_label():
+    psi = SmoothCharacter("", 1, 2)
+    assert psi.label == psi.torus_unit_label == ""
+
+
 def test_torus_unit_label_defaults_to_label():
     psi = SmoothCharacter("a", 1, 2)
     assert psi.torus_unit_label == "a"

@@ -12,12 +12,11 @@ import pytest
 from djem import cli
 from djem.cli import (EXIT_CORPUS_DIFF, EXIT_CORPUS_SETUP, EXIT_TRUNCATION,
                       EXIT_UNDECIDABLE, EXIT_VALIDATION, P_LIMIT, SIZE_LIMIT,
-                      _default_fixtures_dir, _is_prime, corpus_manifest, fixture_document,
-                      main)
+                      _default_fixtures_dir, corpus_manifest, fixture_document, main)
 from djem.characters import SmoothCharacter
 from djem.errors import (CertificateError, CorpusSetupError, DjemError, ParityError,
                          TruncationError, UndecidableRelationError, ValidationError)
-from djem.reporting import VALUE_DIGIT_CAP, frac_str
+from djem.reporting import VALUE_DIGIT_CAP, _is_prime, frac_str
 
 
 def run(capsys, *argv):
@@ -152,6 +151,31 @@ def test_env_truncation_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "jacquet", "--family", "verma", "--k", "0", "--json")
     assert code == 0
     assert json.loads(out)["config"]["truncation"] == 24
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("kostant", "--k", "\u0664"), "\u0664"),
+    (("kostant", "--k", "+4"), "+4"),
+    (("kostant", "--k", " 4"), " 4"),
+    (("kostant", "--k=1_0"), "1_0"),
+    (("jacquet", "--family", "verma", "--k", "2", "--psi", "a", "--psi-val", "\u0661"), "\u0661"),
+    (("jacquet", "--family", "verma", "--k", "-4", "--p", "\u0665"), "\u0665"),
+    (("corpus", "run", "--parallel", "+2"), "+2"),
+])
+def test_an_int_option_takes_only_ascii_digits(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith(f"usage: djem {argv[0]}") and f"invalid int value: {value!r}" in err
+
+
+@pytest.mark.parametrize("value", ["2_4", "+24", " 24", "\u0662\u0664"])
+def test_env_truncation_takes_only_ascii_digits(capsys, monkeypatch, value):
+    monkeypatch.setenv("JACQUET_TRUNC_DEFAULT", value)
+    code, out, err = run(capsys, "jacquet", "--family", "verma", "--k", "4")
+    assert code == EXIT_VALIDATION and out == ""
+    assert err == f"validation error: JACQUET_TRUNC_DEFAULT must be an integer, got {value!r}\n"
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

@@ -146,3 +146,16 @@ def test_hom_bound_max_is_multiset_multiplicity():
                 assert lo <= hi
                 assert hi == sum(1 for d in r.jh_factors(deg)
                                  if d.normalized(TRIVIAL_PSI) == c.normalized(TRIVIAL_PSI))
+
+
+@pytest.mark.parametrize("ell", [2, 6])  # k = -(ell + 2), and the early trivial return
+@pytest.mark.parametrize("field", ["psi", "phi"])
+def test_psi_and_phi_are_refused_unless_smooth_characters(field, ell):
+    chars = {"psi": TRIVIAL_PSI, "phi": TRIVIAL_PSI, field: "a"}
+    with pytest.raises(ValidationError, match=f"{field} must be a SmoothCharacter, got 'a'"):
+        classify_ext(-4, ell, chars["psi"], chars["phi"])
+
+
+def test_a_spec_refuses_a_psi_that_is_not_a_smooth_character():
+    with pytest.raises(ValidationError, match="psi must be a SmoothCharacter, got 'a'"):
+        OrlikStrauchSpec("verma", 2, "a")

@@ -10,7 +10,8 @@ from djem.errors import ParityError, ValidationError
 from djem.jacquet import (JacquetReport, OrlikStrauchSpec, assemble_les, build_module,
                           hecke_eigenvalue, les_consistency_check, section_cohomology_characters,
                           stalk_cohomology_characters)
-from djem.reporting import eigenvalue_json, jacquet_result_json
+from djem.extbound import classify_ext
+from djem.reporting import eigenvalue_json, ext_case_json, jacquet_result_json, jacquet_text
 from djem.sl2 import default_truncation, dual_verma, n_finite_dual
 
 
@@ -486,3 +487,19 @@ def test_rendered_hecke_lists_are_the_degree_eigenvalues():
                         eigenvalue_json(report.eigenvalues[c], p) for c in jh]
                     for c, rendered in zip(jh, out["degrees"][str(i)]["jh_factors"]):
                         assert rendered["eigenvalue"] == eigenvalue_json(c.z_eigenvalue(psi), p)
+
+
+@pytest.mark.parametrize("p, fragment", [
+    (0, "p must be prime, got 0"), (-5, "p must be prime, got -5"), (4, "p must be prime, got 4"),
+    (2.5, "p must be an int, got 2.5"), (True, "p must be an int, got True"),
+])
+def test_the_renderers_refuse_a_p_that_is_not_a_prime_int(p, fragment):
+    report = assemble_les(OrlikStrauchSpec("verma", -4))
+    case = classify_ext(-4, 2, TRIVIAL_PSI, TRIVIAL_PSI)
+    for render, result in ((jacquet_result_json, report), (jacquet_text, report),
+                           (ext_case_json, case)):
+        with pytest.raises(ValidationError, match=fragment):
+            render(result, p)
+    with pytest.raises(ValidationError, match=fragment):
+        eigenvalue_json((0, Fraction(1)), p)
+    assert jacquet_result_json(report, 5) == jacquet_result_json(report, 5)

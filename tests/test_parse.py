@@ -75,6 +75,9 @@ EDGE_CASES = [
     ["kostant", "--k", "4_0"],
     ["kostant", "--k", "\u0664"],
     ["kostant", "--k", "+4"],
+    ["kostant", "--k=1_0"],
+    ["jacquet", "--family", "verma", "--k", "2", "--psi", "a", "--psi-val", "\u0661"],
+    ["jacquet", "--family", "verma", "--k", "-4", "--p", "\u0665"],
     ["jacquet", "--family", "verma", "--k", "2", "--psi", ""],
     # Value and option errors.
     ["jacquet", "--family", "VERMA", "--k", "2"],

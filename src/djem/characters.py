@@ -86,12 +86,6 @@ class TorusCharacter(Value):
         self.psiw_exp = require_int(psiw_exp, "psiw_exp")
         self.delta_exp = require_int(delta_exp, "delta_exp")
 
-    def normalized(self, psi: SmoothCharacter) -> "TorusCharacter":
-        """Fold psi^w into psi when the base character declares psi^w = psi."""
-        if psi.w_selfdual and self.psiw_exp:
-            return TorusCharacter(self.weight, self.psi_exp + self.psiw_exp, 0, self.delta_exp)
-        return self
-
     def z_eigenvalue(self, psi: SmoothCharacter) -> tuple[int, Fraction]:
         """Eigenvalue of z = diag(p, p^{-1}) as (p-exponent, unit)."""
         # psi^w(z) = psi(z)^{-1}, so psi and psi^w combine into one power of psi(z).

@@ -19,7 +19,7 @@ from __future__ import annotations
 from djem.characters import SmoothCharacter, TorusCharacter
 from djem.errors import (UndecidableRelationError, ValidationError, require_flag, require_int,
                          require_type)
-from djem.jacquet import JacquetReport, OrlikStrauchSpec, assemble_les
+from djem.jacquet import OrlikStrauchSpec, assemble_les
 from djem.value import Value
 
 VERDICT_TRIVIAL = "trivial"
@@ -83,22 +83,6 @@ def resolve_relations(psi: SmoothCharacter, phi: SmoothCharacter,
             "phi-delta-eq-phi-w": phi_delta_eq_phi_w}
 
 
-def hom_dimension_bound(source: TorusCharacter, report: JacquetReport, degree: int):
-    """(min, max) for the multiplicity of source among the degree's factors.
-
-    max is the plain multiset multiplicity of source in the Jordan-Hoelder
-    list.  min only credits factors of a direct-sum-determined degree; layers
-    of an unresolved extension contribute nothing to min (conservative: the
-    class could absorb them).  Characters are compared componentwise after
-    normalizing against the report's base character.
-    """
-    psi = report.spec.psi
-    want = source.normalized(psi)
-    count = sum(1 for c in report.jh_factors(degree) if c.normalized(psi) == want)
-    low = count if report.extension_kind(degree) == "direct-sum-determined" else 0
-    return (low, count)
-
-
 def classify_ext(k, ell, psi: SmoothCharacter, phi: SmoothCharacter,
                  relations: RelationDeclarations = RelationDeclarations(),
                  trunc=None) -> ExtCase:
@@ -140,20 +124,14 @@ def classify_ext(k, ell, psi: SmoothCharacter, phi: SmoothCharacter,
     fired = tuple(i for i, b in ((1, b1), (2, b2), (3, b3), (4, b4)) if b)
     verdict = _BULLET_VERDICTS[fired[0]] if fired else VERDICT_TRIVIAL
 
-    # Which degree-1 factors the source can pair with under the fired relations.
-    matched = []
-    for c in h1:
-        if c.delta_exp == 1 and rel["psi-eq-phi"]:
-            matched.append(c)
-        elif c.psiw_exp == 1 and rel["psi-delta-eq-phi-w"]:
-            matched.append(c)
-
-    # Hom bound against H^1 when the source can be written over phi: psi = phi
-    # leaves it as it is, psi delta_P = phi^w makes it chi_k phi^w.
+    # The degree-1 factors equal to the source chi_k psi delta_P under the
+    # decided relations: psi = phi matches a section factor chi_k phi delta_P,
+    # psi delta_P = phi^w a stalk factor chi_k phi^w.  The hom bound counts
+    # them, and credits min only where degree 1 is a direct sum.
+    matched = tuple(c for c in h1 if rel["psi-eq-phi"] and c.delta_exp == 1
+                    or rel["psi-delta-eq-phi-w"] and c.psiw_exp == 1)
     bound = None
-    if rel["psi-eq-phi"]:
-        bound = hom_dimension_bound(source, report, 1)
-    elif rel["psi-delta-eq-phi-w"]:
-        bound = hom_dimension_bound(TorusCharacter(k, psiw_exp=1), report, 1)
-
-    return ExtCase(k, ell, psi, phi, verdict, fired, source, h1, tuple(matched), bound, rel)
+    if rel["psi-eq-phi"] or rel["psi-delta-eq-phi-w"]:
+        n = len(matched)
+        bound = (n if report.extension_kind(1) == "direct-sum-determined" else 0, n)
+    return ExtCase(k, ell, psi, phi, verdict, fired, source, h1, matched, bound, rel)

@@ -223,8 +223,8 @@ def cohomology_text(res: CohomologyResult):
 
 
 def ext_case_json(case: ExtCase, p=None):
-    phi_chars = _rendered({c: c.z_eigenvalue(case.phi)
-                           for c in case.h1_factors + case.matched_factors}, p)
+    # matched_factors is a sub-tuple of h1_factors, so this renders both.
+    phi_chars = _rendered({c: c.z_eigenvalue(case.phi) for c in case.h1_factors}, p)
     source = case.source_character
 
     def of(chars):

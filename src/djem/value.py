@@ -4,22 +4,25 @@ from operator import attrgetter
 
 
 class Value:
-    """A record whose fields are its __slots__, set once in __init__ and never
-    changed afterwards: a record made from input checks each in the __init__ it
-    defines, and a class whose MRO defines none gets __init__(self, <its slots in
-    order>), which stores each as given.  Equality, hashing and repr read the
-    fields in slot order, so two records of a class are equal exactly when their
-    fields are, and a record hashes only if all its fields do."""
+    """A record whose fields are the __slots__ of its MRO, a base's first, set
+    once in __init__ and never changed afterwards: a record made from input
+    checks each in the __init__ it defines, and one whose MRO defines none by hand
+    gets __init__(self, <its fields in order>), which stores each as given.
+    Equality, hashing and repr read the fields in order, so two records of a class
+    are equal exactly when their fields are, and hash only if all fields do."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._key = attrgetter(*cls.__slots__)
-        if not any("__init__" in vars(base) for base in cls.__mro__[:-1]):
-            body = "".join(f"\n    self.{name} = {name}" for name in cls.__slots__)
+        fields = cls._fields = tuple(name for base in reversed(cls.__mro__)
+                                     for name in vars(base).get("__slots__", ()))
+        cls._key = attrgetter(*fields) if fields else staticmethod(lambda record: ())
+        init = cls.__init__  # a built one is compiled from a string
+        if init is object.__init__ or init.__code__.co_filename == "<string>":
+            body = "".join(f"\n    self.{name} = {name}" for name in fields) or "\n    pass"
             namespace = {}
-            exec(f"def __init__(self, {', '.join(cls.__slots__)}):{body}", namespace)
+            exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
             cls.__init__ = namespace["__init__"]
             cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
@@ -32,5 +35,5 @@ class Value:
         return hash(self._key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"

@@ -133,12 +133,6 @@ def test_w_twist_swaps_and_negates():
         assert_twist_inverts_z_eigenvalue(chi, psi)
 
 
-def test_normalization_merges_twist_only_for_selfdual_base():
-    chi = TorusCharacter(2, psiw_exp=1)
-    assert chi.normalized(TRIVIAL_PSI) == TorusCharacter(2, psi_exp=1)
-    assert chi.normalized(SmoothCharacter("b", 1, 2)) == chi
-
-
 def test_text_rendering():
     assert TorusCharacter(-4, psi_exp=1, delta_exp=1).text() == "chi_{-4} psi delta_P"
     assert TorusCharacter(2, psiw_exp=1).text() == "chi_{2} psi^w"
@@ -200,12 +194,3 @@ def test_smooth_characters_are_values():
                   SmoothCharacter("a", 1, 2, torus_unit_label="u")):
         assert psi != other
     assert psi == SmoothCharacter("a", 1, "2/1")
-
-
-def test_normalized_folds_into_a_new_character():
-    chi = TorusCharacter(4, psi_exp=1, psiw_exp=2, delta_exp=-1)
-    folded = chi.normalized(TRIVIAL_PSI)
-    assert folded == TorusCharacter(4, psi_exp=3, delta_exp=-1)
-    assert chi == TorusCharacter(4, psi_exp=1, psiw_exp=2, delta_exp=-1)
-    assert folded.normalized(TRIVIAL_PSI) is folded
-    assert chi.normalized(SmoothCharacter("b", 1, 2)) is chi

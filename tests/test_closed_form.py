@@ -1,4 +1,4 @@
-"""Reports against the closed form in k of perfbench/oracle.py.
+"""Reports and ext verdicts against the closed form in k of perfbench/oracle.py.
 
 The oracle states every jacquet report as a table in k and imports nothing
 from djem, so it is an independent computation.  It is loaded by path and
@@ -17,6 +17,7 @@ from djem.characters import SmoothCharacter, TRIVIAL_PSI
 from djem.cli import SIZE_LIMIT, TRUNC_ENV_VAR, main
 from djem.cohomology import kostant_check, stabilization_certificate
 from djem.errors import CertificateError
+from djem.extbound import RelationDeclarations, classify_ext
 from djem.jacquet import OrlikStrauchSpec, assemble_les, build_module, les_consistency_check
 from djem.reporting import jacquet_result_json
 from djem.sl2 import n_finite_dual
@@ -139,3 +140,42 @@ def test_les_consistency_up_to_k_max():
     for k in range(2 * start, K_MAX + 1, 4):
         for _, character in _psis():
             assert les_consistency_check(k, character), (k, character)
+
+
+# (psi-eq-phi, psi-delta-eq-phi-w, phi-delta-eq-phi-w) -> psi and phi as
+# (label, p-valuation, unit) at z, with z-values that agree with the
+# assignment.  These five are the only consistent ones, since any two of the
+# three relations give the third.
+EXT_ASSIGNMENTS = {
+    (True, True, True): (("a", 1, 1), ("b", 1, 1)),
+    (True, False, False): (("a", 0, 1), ("b", 0, 1)),
+    (False, True, False): (("a", 2, 1), ("b", 0, 1)),
+    (False, False, True): (("a", 0, 1), ("b", 1, 1)),
+    (False, False, False): (("a", 0, 1), ("b", 0, Fraction(3, 2))),
+}
+
+
+def test_ext_verdicts_match_the_closed_form():
+    names = ("psi-eq-phi", "psi-delta-eq-phi-w", "phi-delta-eq-phi-w")
+    checked = 0
+    for assignment, (psi, phi) in EXT_ASSIGNMENTS.items():
+        (_, va, ua), (_, vb, ub) = psi, phi
+        # At z: delta_P shifts the p-exponent by -2, and phi^w(z) = phi(z)^-1.
+        by_z = ((va, ua) == (vb, ub), (va - 2, ua) == (-vb, 1 / Fraction(ub)),
+                (vb - 2, ub) == (-vb, 1 / Fraction(ub)))
+        assert by_z == assignment, assignment
+        relations = dict(zip(names, assignment))
+        psi, phi = (SmoothCharacter(label, val, unit) for label, val, unit in (psi, phi))
+        eq, twist, _ = assignment
+        for ell in range(-8, 13, 2):
+            for k in range(-14, 0, 2):
+                if k == ell:
+                    continue
+                case = classify_ext(k, ell, psi, phi, RelationDeclarations(*assignment))
+                verdict, fired = oracle.ext_verdict(k, ell, relations)
+                assert (case.verdict, list(case.fired_bullets)) == (verdict, fired), (k, ell)
+                assert all(c in case.h1_factors for c in case.matched_factors), (k, ell)
+                bounded = k == -(ell + 2) and (eq or twist)
+                assert case.hom_bound == ((0, eq + twist) if bounded else None), (k, ell)
+                checked += 1
+    assert checked == 5 * (11 * 7 - 4)

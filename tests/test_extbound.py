@@ -3,9 +3,8 @@ import pytest
 from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI
 from djem.errors import ParityError, UndecidableRelationError, ValidationError
 from djem.extbound import (RelationDeclarations, VERDICT_AT_MOST_ONE, VERDICT_ONE,
-                           VERDICT_ONE_OR_TWO, VERDICT_TRIVIAL, classify_ext,
-                           hom_dimension_bound, resolve_relations)
-from djem.jacquet import OrlikStrauchSpec, assemble_les
+                           VERDICT_ONE_OR_TWO, VERDICT_TRIVIAL, classify_ext, resolve_relations)
+from djem.jacquet import OrlikStrauchSpec
 
 
 def test_trivial_whenever_weights_mismatch():
@@ -114,38 +113,6 @@ def test_verdict_independent_of_declaration_bundling():
     a = classify_ext(-4, 2, phi, phi, declared_together)
     b = classify_ext(-4, 2, phi, phi, declared_again)
     assert a.verdict == b.verdict and a.fired_bullets == b.fired_bullets
-
-
-# -- hom multiplicity bounds -----------------------------------------------------
-
-
-def test_hom_bound_absent_source():
-    r = assemble_les(OrlikStrauchSpec("dualverma", 4))
-    assert hom_dimension_bound(TorusCharacter(2, psi_exp=1), r, 1) == (0, 0)
-
-
-def test_hom_bound_undetermined_two_layer():
-    k = 4
-    r = assemble_les(OrlikStrauchSpec("dualverma", k))
-    sub_layer = TorusCharacter(-(k + 2), psi_exp=1, delta_exp=1)
-    assert hom_dimension_bound(sub_layer, r, 1) == (0, 1)
-
-
-def test_hom_bound_direct_sum_factor():
-    k = 4
-    r = assemble_les(OrlikStrauchSpec("dualverma", k))
-    assert hom_dimension_bound(TorusCharacter(k, psi_exp=1, delta_exp=1), r, 0) == (1, 1)
-
-
-def test_hom_bound_max_is_multiset_multiplicity():
-    for fam, k in (("verma", 4), ("verma", -6), ("simple", 2)):
-        r = assemble_les(OrlikStrauchSpec(fam, k))
-        for deg in (0, 1):
-            for c in r.jh_factors(deg):
-                lo, hi = hom_dimension_bound(c, r, deg)
-                assert lo <= hi
-                assert hi == sum(1 for d in r.jh_factors(deg)
-                                 if d.normalized(TRIVIAL_PSI) == c.normalized(TRIVIAL_PSI))
 
 
 @pytest.mark.parametrize("ell", [2, 6])  # k = -(ell + 2), and the early trivial return

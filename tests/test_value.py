@@ -75,3 +75,25 @@ def test_a_constructor_is_built_only_where_the_mro_defines_none():
     # A subclass inherits the constructor its parent defines and gets none of its own.
     assert "__init__" not in vars(Child) and Child.__init__ is Checked.__init__
     assert Child("4").a == 4
+
+
+def test_a_subclass_of_a_record_reads_every_field_of_its_mro():
+    class Pair(Value):
+        __slots__ = ("a", "b")
+
+    class Same(Pair):
+        __slots__ = ()
+
+    class Triple(Pair):
+        __slots__ = ("c",)
+
+    class Empty(Value):
+        __slots__ = ()
+
+    assert Same(1, b=2) == Same(1, 2) != Same(1, 3) and Same(1, 2) != Pair(1, 2)
+    assert repr(Same(1, 2)) == "Same(a=1, b=2)"
+    assert tuple(inspect.signature(Triple).parameters) == ("a", "b", "c")
+    assert Triple(1, 2, 3) != Triple(0, 2, 3) and Triple(1, 2, 3) != Triple(1, 2, 4)
+    assert len({Triple(1, 2, 3), Triple(1, 2, 3), Triple(0, 2, 3)}) == 2
+    assert repr(Triple(1, 2, 3)) == "Triple(a=1, b=2, c=3)"
+    assert Empty() == Empty() and hash(Empty()) == hash(Empty()) and repr(Empty()) == "Empty()"

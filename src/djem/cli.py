@@ -76,17 +76,13 @@ def _character_from_args(args, name) -> SmoothCharacter:
 def _relations_from_args(tokens):
     from djem.extbound import RelationDeclarations
 
-    declared = {name: None for name in _RELATION_NAMES}
+    declared = dict.fromkeys(_RELATION_NAMES)
     for token in tokens or ():
-        value = True
-        name = token
-        if token.startswith("not:"):
-            value = False
-            name = token[4:]
+        name = token.removeprefix("not:")
         if name not in declared:
             raise ValidationError(f"unknown relation {token!r}; expected one of "
                                   f"{', '.join(_RELATION_NAMES)} (optionally 'not:' prefixed)")
-        declared[name] = value
+        declared[name] = name == token
     return RelationDeclarations(*declared.values())  # _RELATION_NAMES is in slot order
 
 

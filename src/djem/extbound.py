@@ -8,10 +8,11 @@ pure character-matching case analysis driven by three relation predicates
     psi = phi,   psi delta_P = phi^w,   phi delta_P = phi^w,
 
 evaluated against the degree-1 Jacquet report of the (ell, phi) module.
-Smooth characters agreeing at z may still differ on the compact torus, so a
-predicate is only decided by an explicit declaration, by identical
-declarations on both sides, or by refutation from distinct z-values; anything
-else raises rather than silently guessing.
+Smooth characters agreeing at z may still differ on the compact torus, so each
+predicate is decided by the first of these that applies: its declaration;
+distinct z-values of its two sides refute it; for psi = phi only, identical
+declarations (same label and torus-unit label) make it true.  Anything else
+raises rather than silently guessing.
 """
 
 from __future__ import annotations
@@ -48,39 +49,37 @@ class ExtCase(Value):
                  "h1_factors", "matched_factors", "hom_bound", "relations")
 
 
-def _decide(name, declared, lhs_z, rhs_z, identical_declarations=False):
-    if declared is not None:
-        return declared
-    if lhs_z != rhs_z:
-        return False
-    if identical_declarations:
-        return True
-    raise UndecidableRelationError(
-        f"relation {name} is undecidable: z-values agree but the characters may "
-        f"differ on the compact torus; declare the relation explicitly")
-
-
-# Over a base chi, the z-eigenvalues of these are chi(z), (chi delta_P)(z) and chi^w(z).
-_BASE = TorusCharacter(0, psi_exp=1)
-_BASE_DELTA = TorusCharacter(0, psi_exp=1, delta_exp=1)
-_BASE_W = TorusCharacter(0, psiw_exp=1)
+# Each relation's CLI name and its two sides, in RelationDeclarations' slot order.  A side
+# (base, chi) has the z-eigenvalue chi(z), (chi delta_P)(z) or chi^w(z) over the base chi.
+_RELATIONS = (
+    ("psi-eq-phi", ("psi", TorusCharacter(0, psi_exp=1)), ("phi", TorusCharacter(0, psi_exp=1))),
+    ("psi-delta-eq-phi-w", ("psi", TorusCharacter(0, psi_exp=1, delta_exp=1)),
+     ("phi", TorusCharacter(0, psiw_exp=1))),
+    ("phi-delta-eq-phi-w", ("phi", TorusCharacter(0, psi_exp=1, delta_exp=1)),
+     ("phi", TorusCharacter(0, psiw_exp=1))),
+)
 
 
 def resolve_relations(psi: SmoothCharacter, phi: SmoothCharacter,
                       declared: RelationDeclarations) -> dict:
-    """Decide the three predicates or raise UndecidableRelationError."""
-    psi_z, phi_z = _BASE.z_eigenvalue(psi), _BASE.z_eigenvalue(phi)
-    phi_w_z = _BASE_W.z_eigenvalue(phi)
-    same_declaration = (psi.label == phi.label and psi_z == phi_z
-                        and psi.torus_unit_label == phi.torus_unit_label)
-    psi_eq_phi = _decide("psi-eq-phi", declared.psi_eq_phi, psi_z, phi_z, same_declaration)
-    psi_delta_eq_phi_w = _decide("psi-delta-eq-phi-w", declared.psi_delta_eq_phi_w,
-                                 _BASE_DELTA.z_eigenvalue(psi), phi_w_z)
-    phi_delta_eq_phi_w = _decide("phi-delta-eq-phi-w", declared.phi_delta_eq_phi_w,
-                                 _BASE_DELTA.z_eigenvalue(phi), phi_w_z)
-    return {"psi-eq-phi": psi_eq_phi,
-            "psi-delta-eq-phi-w": psi_delta_eq_phi_w,
-            "phi-delta-eq-phi-w": phi_delta_eq_phi_w}
+    """Decide the three predicates, in the order of the module docstring, or raise
+    UndecidableRelationError."""
+    bases = {"psi": psi, "phi": phi}
+    rel = {}
+    for (name, (lhs, lhs_chi), (rhs, rhs_chi)), slot in zip(_RELATIONS, declared.__slots__):
+        value = getattr(declared, slot)
+        if value is None:
+            if lhs_chi.z_eigenvalue(bases[lhs]) != rhs_chi.z_eigenvalue(bases[rhs]):
+                value = False
+            elif (lhs_chi == rhs_chi and psi.label == phi.label  # one character over psi and phi
+                  and psi.torus_unit_label == phi.torus_unit_label):
+                value = True
+            else:
+                raise UndecidableRelationError(
+                    f"relation {name} is undecidable: z-values agree but the characters may "
+                    f"differ on the compact torus; declare the relation explicitly")
+        rel[name] = value
+    return rel
 
 
 def classify_ext(k, ell, psi: SmoothCharacter, phi: SmoothCharacter,
@@ -113,25 +112,18 @@ def classify_ext(k, ell, psi: SmoothCharacter, phi: SmoothCharacter,
         return ExtCase(k, ell, psi, phi, VERDICT_TRIVIAL, (), source, (), (), None, {})
 
     rel = resolve_relations(psi, phi, relations)
-    target_spec = OrlikStrauchSpec("simple" if ell >= 0 else "verma", ell, phi)
-    report = assemble_les(target_spec, trunc)
+    e, t, s = rel.values()  # psi = phi, psi delta_P = phi^w, phi delta_P = phi^w
+    report = assemble_les(OrlikStrauchSpec("simple", ell, phi), trunc)  # ell >= 0 as k < 0
     h1 = report.jh_factors(1)
 
-    b1 = (not rel["phi-delta-eq-phi-w"]) and rel["psi-eq-phi"]
-    b2 = (not rel["phi-delta-eq-phi-w"]) and rel["psi-delta-eq-phi-w"]
-    b3 = rel["phi-delta-eq-phi-w"] and rel["psi-eq-phi"]
-    b4 = rel["psi-delta-eq-phi-w"]
-    fired = tuple(i for i, b in ((1, b1), (2, b2), (3, b3), (4, b4)) if b)
+    fired = tuple(i for i, b in enumerate((not s and e, not s and t, s and e, t), 1) if b)
     verdict = _BULLET_VERDICTS[fired[0]] if fired else VERDICT_TRIVIAL
 
     # The degree-1 factors equal to the source chi_k psi delta_P under the
     # decided relations: psi = phi matches a section factor chi_k phi delta_P,
     # psi delta_P = phi^w a stalk factor chi_k phi^w.  The hom bound counts
     # them, and credits min only where degree 1 is a direct sum.
-    matched = tuple(c for c in h1 if rel["psi-eq-phi"] and c.delta_exp == 1
-                    or rel["psi-delta-eq-phi-w"] and c.psiw_exp == 1)
-    bound = None
-    if rel["psi-eq-phi"] or rel["psi-delta-eq-phi-w"]:
-        n = len(matched)
-        bound = (n if report.extension_kind(1) == "direct-sum-determined" else 0, n)
+    matched = tuple(c for c in h1 if e and c.delta_exp == 1 or t and c.psiw_exp == 1)
+    n = len(matched)
+    bound = (n if report.extension_kind(1) == "direct-sum-determined" else 0, n) if e or t else None
     return ExtCase(k, ell, psi, phi, verdict, fired, source, h1, matched, bound, rel)

@@ -235,7 +235,7 @@ def ext_case_json(case: ExtCase, p=None):
         "ell": case.ell,
         "verdict": case.verdict,
         "fired_bullets": list(case.fired_bullets),
-        "relations": dict(sorted(case.relations.items())),
+        "relations": case.relations,
         "source_character": character_json(
             source, eigenvalue_json(source.z_eigenvalue(case.psi), p)),
         "h1_factors": of(case.h1_factors),

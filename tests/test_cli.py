@@ -692,6 +692,25 @@ def test_relation_flag_round_trip(capsys):
     assert code == EXIT_VALIDATION
 
 
+
+def test_relation_names_match_the_extbound_table(capsys):
+    # cli keeps its own copy of the names so that importing it does not load
+    # djem.extbound; the copy, the table and the declaration slots must agree.
+    from djem.extbound import _RELATIONS, RelationDeclarations
+
+    names = tuple(name for name, _, _ in _RELATIONS)
+    assert cli._RELATION_NAMES == names
+    assert RelationDeclarations.__slots__ == tuple(n.replace("-", "_") for n in names)
+    for token in ("not:", "not:not:psi-eq-phi", "NOT:psi-eq-phi", "bogus"):
+        code, out, err = run(capsys, "ext-bound", "--k", "-4", "--ell", "2", "--relation", token)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith(f"validation error: unknown relation {token!r}; expected one of ")
+    # A repeated relation keeps its last value.
+    code, out, _ = run(capsys, "ext-bound", "--k", "-4", "--ell", "2", "--relation", "psi-eq-phi",
+                       "--relation", "not:psi-eq-phi", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["relations"]["psi-eq-phi"] is False
+
 # -- corpus -------------------------------------------------------------------
 
 

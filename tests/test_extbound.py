@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI
@@ -126,3 +129,58 @@ def test_psi_and_phi_are_refused_unless_smooth_characters(field, ell):
 def test_a_spec_refuses_a_psi_that_is_not_a_smooth_character():
     with pytest.raises(ValidationError, match="psi must be a SmoothCharacter, got 'a'"):
         OrlikStrauchSpec("verma", 2, "a")
+
+
+def _reference_relations(psi, phi, declared):
+    """The decision order written out from the z-values: a declaration decides;
+    otherwise distinct z-values refute; otherwise, for psi-eq-phi only, identical
+    declarations decide true; otherwise the relation is undecidable."""
+    def z(c, delta=0, w=False):
+        return (-c.z_valuation, 1 / c.z_unit) if w else (c.z_valuation - 2 * delta, c.z_unit)
+
+    identical = psi.label == phi.label and psi.torus_unit_label == phi.torus_unit_label
+    sides = {"psi-eq-phi": (z(psi), z(phi), identical),
+             "psi-delta-eq-phi-w": (z(psi, delta=1), z(phi, w=True), False),
+             "phi-delta-eq-phi-w": (z(phi, delta=1), z(phi, w=True), False)}
+    decided = {}
+    for name, (lhs, rhs, identical_decides) in sides.items():
+        value = getattr(declared, name.replace("-", "_"))
+        if value is None:
+            if lhs != rhs:
+                value = False
+            elif identical_decides:
+                value = True
+            else:
+                raise UndecidableRelationError(f"relation {name} is undecidable")
+        decided[name] = value
+    return decided
+
+
+def _decision(resolve, psi, phi, declared):
+    try:
+        return resolve(psi, phi, declared)
+    except UndecidableRelationError as err:
+        return UndecidableRelationError, str(err).split()[1]
+
+
+def test_resolve_relations_follows_the_decision_order():
+    # Identical and distinct labels and torus units, psi(z) = +-p, and sides
+    # that the z-values do and do not refute.
+    chars = [TRIVIAL_PSI, SmoothCharacter("a", 0, 1), SmoothCharacter("a", 1, 1),
+             SmoothCharacter("a", 1, 1, torus_unit_label="t"), SmoothCharacter("b", 1, 1),
+             SmoothCharacter("a", 1, -1), SmoothCharacter("b", -1, 1), SmoothCharacter("c", 2, 3),
+             SmoothCharacter("c", -2, Fraction(1, 3))]
+    outcomes = set()
+    for values in itertools.product((None, True, False), repeat=3):
+        declared = RelationDeclarations(*values)
+        for psi, phi in itertools.product(chars, repeat=2):
+            want = _decision(_reference_relations, psi, phi, declared)
+            assert _decision(resolve_relations, psi, phi, declared) == want, (psi, phi, declared)
+            outcomes.add(want[1] if isinstance(want, tuple) else "decided")
+    assert outcomes == {"decided", "psi-eq-phi", "psi-delta-eq-phi-w", "phi-delta-eq-phi-w"}
+    # Identical declarations decide psi = phi and nothing else: psi delta_P and
+    # phi^w still agree at z, so the next relation is undecidable.
+    a = SmoothCharacter("a", 1, 1)
+    assert _decision(resolve_relations, a, a, RelationDeclarations()) == (
+        UndecidableRelationError, "psi-delta-eq-phi-w")
+    assert resolve_relations(a, a, RelationDeclarations(None, False, False))["psi-eq-phi"] is True

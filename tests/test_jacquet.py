@@ -7,7 +7,7 @@ from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI
 from djem.cli import corpus_manifest, fixture_document
 from djem.cohomology import DIRECTIONS, cohomology, stabilization_certificate
 from djem.errors import ParityError, ValidationError
-from djem.jacquet import (JacquetReport, OrlikStrauchSpec, assemble_les, build_module,
+from djem.jacquet import (FAMILIES, JacquetReport, OrlikStrauchSpec, assemble_les, build_module,
                           hecke_eigenvalue, les_consistency_check, section_cohomology_characters,
                           stalk_cohomology_characters)
 from djem.extbound import classify_ext
@@ -507,6 +507,33 @@ def test_undetermined_corpus_degrees_have_distinct_eigenvalues():
                 undetermined += 1
     assert undetermined == 18
 
+
+
+def test_undetermined_degrees_are_psi_delta_over_psi_w():
+    # Every ext-class-undetermined degree is one line chi_w psi delta_P under one
+    # line chi_w psi^w, with w = k in degree 0 and w = -(k+2) in degree 1, so its
+    # two factors are one character exactly when psi delta_P = psi^w.  Their
+    # z-values p^(w-2) psi(z) and p^w / psi(z) agree exactly when psi(z) = +-p.
+    psis = [TRIVIAL_PSI] + [SmoothCharacter("a", val, unit, w_selfdual=selfdual)
+                            for val in (-3, -1, 0, 1, 2, 3)
+                            for unit in (1, -1, 2, Fraction(1, 3))
+                            for selfdual in (False, True)]
+    undetermined = agreeing = 0
+    for family in FAMILIES:
+        for k in range(-40 if family == "verma" else 0, 41, 2):  # only verma takes k < 0
+            for psi in psis:
+                r = assemble_les(OrlikStrauchSpec(family, k, psi))
+                for i, w in ((0, k), (1, -(k + 2))):
+                    if r.extension_kind(i) != "ext-class-undetermined":
+                        continue
+                    assert r.section[i] == (sec(w),), (family, k, psi, i)
+                    assert r.stalk[i] == (stk(w),), (family, k, psi, i)
+                    agree = r.eigenvalues[sec(w)] == r.eigenvalues[stk(w)]
+                    at_plus_minus_p = psi.z_valuation == 1 and abs(psi.z_unit) == 1
+                    assert agree == at_plus_minus_p, (family, k, psi, i)
+                    undetermined += 1
+                    agreeing += agree
+    assert (undetermined, agreeing) == (4116, 336)
 
 def test_rendered_hecke_lists_are_the_degree_eigenvalues():
     # The renderer reads each eigenvalue through the report's table; every

@@ -2,6 +2,8 @@
 the CLI refuses with, and the integer and flag rules that every public entry
 point checks its parameters by."""
 
+import sys
+
 
 class DjemError(Exception):
     """Base class for all tool errors: the CLI prints `label: message` to
@@ -46,9 +48,15 @@ def require_int(value, name, *, minimum=None, even=False) -> int:
     minimum when one is given; otherwise a ValidationError (a ParityError for
     an odd value) naming the parameter, the value and the rule.  Every
     integer parameter of the public API passes here, so a float, str, bool or
-    Fraction is refused, never truncated."""
+    Fraction is refused, never truncated, and so is an int with more digits
+    than Python prints (sys.get_int_max_str_digits(), where 0 is no limit)."""
     if type(value) is not int:
         raise ValidationError(f"{name} must be an int, got {value!r}")
+    # A limit is at least 640 digits, more than 1920 bits (below 8**640) hold.
+    if value.bit_length() > 1920:
+        limit = sys.get_int_max_str_digits()
+        if limit and abs(value) >= 10 ** limit:
+            raise ValidationError(f"{name} must have at most {limit} digits to be printed")
     if even and value % 2:
         raise ParityError(f"{name} must be even, got {value}")
     if minimum is not None and value < minimum:

@@ -311,16 +311,19 @@ def check_bracket_relations(m: WeightModule) -> bool:
 
 
 class ModuleMap:
-    """The ladder shift source -> target sending e_j to e_{j+offset}, and to 0
-    where the target has no such vector.  The shift must preserve weights."""
+    """The ladder shift source -> target sending e_j to e_{j+offset}, of the
+    one shape djem builds, and refused with ValidationError in any other: two
+    ladders of step 2, each exact at the bottom and cut at the top (as verma
+    and dual_verma build them), the source starting at e_offset (offset >= 0)."""
 
     __slots__ = ("source", "target", "offset")
 
     def __init__(self, source, target, offset):
-        offset = require_int(offset, "offset")
-        step = source.step
-        if (target.step != step
-                or source.lowest_label_weight != target.lowest_label_weight + step * offset):
+        offset = require_int(offset, "offset", minimum=0)
+        if not all(m.step == 2 and m.bottom_exact and not m.top_exact for m in (source, target)):
+            raise ValidationError(f"a ladder shift needs two ladders of step 2, exact at the "
+                                  f"bottom and cut at the top, got {source!r} and {target!r}")
+        if source.lowest_label_weight != target.lowest_label_weight + 2 * offset:
             raise ValidationError(f"shifting {source!r} by {offset} into {target!r} "
                                   f"does not preserve weights")
         self.source = source
@@ -328,34 +331,14 @@ class ModuleMap:
         self.offset = offset
 
     def is_equivariant(self) -> bool:
-        """Exact commutation with X and Y wherever the window makes both sides knowable.
-
-        Where source and target both hold a weight and its neighbour, X (or
-        Y) commutes with the map iff coeff_t(j + offset) = coeff_s(j), an
-        identity in j of degree at most d, the largest degree among the four
-        polynomials; the lowest d + 2 weights of the shared window decide it
-        for X and for Y.  Elsewhere a vector is missing, which happens only at
-        the source ends and just outside the target.
-        """
-        s, t = self.source, self.target
-        d = max(p.degree for p in (s.coeff_x, s.coeff_y, t.coeff_x, t.coeff_y))
-        shared = range(max(s.min_weight, t.min_weight), min(s.max_weight, t.max_weight) + 1, 2)
-        probes = {s.min_weight, s.max_weight, t.min_weight - 2, t.max_weight + 2, *shared[:d + 2]}
-        return all(self._commutes_at(mu) for mu in probes if s.dim_at(mu))
-
-    def _commutes_at(self, mu) -> bool:
-        """X and Y commute with the map on the mu weight space of the source.
-        A side whose vector is missing is zero; a source coefficient pointing
-        past a truncation cut is unknowable and skipped."""
-        s, t = self.source, self.target
-        for op, nu in (("x", mu + 2), ("y", mu - 2)):
-            rhs = s.line_coefficient(op, mu)
-            if rhs is None or not t.dim_at(nu):
-                continue
-            lhs = t.line_coefficient(op, mu) if t.dim_at(mu) else 0
-            if lhs != rhs:
-                return False
-        return True
+        """Commutation with X and Y on the two modules, at every index: both
+        run on past their top cut, so X (at every j >= 0) and Y (at every j >= 1)
+        commute iff coeff_s(j) = coeff_t(j + offset) at infinitely many j, so as
+        polynomials.  The source's exact bottom has Y e_0 = 0, which the target
+        matches at offset 0 and otherwise iff the source's coeff_y(0) = 0."""
+        s, t, o = self.source, self.target, self.offset
+        return (s.coeff_x == t.coeff_x.shifted(o) and s.coeff_y == t.coeff_y.shifted(o)
+                and (o == 0 or s.coeff_y(0) == 0))
 
     def cokernel_ranges(self):
         """The cokernel as the target weights below and above the source

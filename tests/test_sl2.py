@@ -1,6 +1,7 @@
 import functools
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -12,6 +13,7 @@ from djem.cohomology import kostant_check
 from djem.errors import ParityError, TruncationError, ValidationError
 from djem.extbound import classify_ext
 from djem.jacquet import OrlikStrauchSpec, assemble_les, build_module, les_consistency_check
+from djem.reporting import validate_p
 from djem.sl2 import (IndexPoly, ModuleMap, WeightModule, bgg_morphism,
                       check_bracket_relations, default_truncation, dual_verma, n_finite_dual,
                       simple, verma)
@@ -103,12 +105,13 @@ def test_simple_rejects_positive_argument():
         simple(2)
 
 
-def test_quotient_map_onto_simple_is_equivariant():
-    k = 4
-    big = verma(-k, 12)
-    small = simple(-k)
-    qmap = ModuleMap(big, small, 0)
-    assert qmap.is_equivariant()
+def test_simple_has_the_coefficients_of_the_verma_it_quotients():
+    # simple(-k) is verma(-k) divided by the span of e_{k+1}, e_{k+2}, ...: the
+    # same two polynomials, and that span is a submodule because Y e_{k+1} = 0.
+    for k in range(0, 41, 2):
+        small, big = simple(-k), verma(-k)
+        assert (small.coeff_x, small.coeff_y) == (big.coeff_x, big.coeff_y)
+        assert big.coeff_y(k + 1) == 0
 
 
 # -- duals --------------------------------------------------------------------
@@ -402,20 +405,13 @@ def test_embedding_cokernel_equals_simple():
             assert cok.get(mu, 0) == expected.dim_at(mu)
 
 
-def _block_product(a, b):
-    (da, ca), (db, cb) = a, b
-    return [[sum(da[r][j] * db[j][c] for j in range(ca)) for c in range(cb)]
-            for r in range(len(da))], cb
-
-
 def _zero(rows, cols):
     return [[0] * cols for _ in range(rows)], cols
 
 
-def _per_weight_map(qmap):
-    """(is_equivariant, cokernel_dims) of a ladder shift from its per-weight
-    blocks: the 1x1 identity wherever source and target share a weight,
-    multiplied with the operator blocks at every source weight."""
+def _per_weight_cokernel(qmap):
+    """cokernel_dims of a ladder shift from its per-weight blocks: the 1x1
+    identity wherever source and target share a weight, zero elsewhere."""
     s, t = qmap.source, qmap.target
 
     def map_block(mu):
@@ -423,65 +419,75 @@ def _per_weight_map(qmap):
             return [[1]], 1
         return _zero(t.dim_at(mu), s.dim_at(mu))
 
-    def commutes(mu, op, delta):
-        s_op = block(s, mu, op)
-        t_op = block(t, mu, op) if t.dim_at(mu) else _zero(t.dim_at(mu + delta), 0)
-        if s_op is None or t_op is None:
-            return True
-        return _block_product(t_op, map_block(mu)) == _block_product(map_block(mu + delta), s_op)
-
-    equivariant = all(commutes(mu, op, delta) for mu in s.weights
-                      for op, delta in (("x", 2), ("y", -2)))
     cokernel = {mu: t.dim_at(mu) - oracle.rank(*map_block(mu)) for mu in t.weights}
-    return equivariant, {mu: dim for mu, dim in cokernel.items() if dim}
+    return {mu: dim for mu, dim in cokernel.items() if dim}
 
 
-def _shifted_ladders(rng):
-    """A random ladder shift: the target's polynomials are the source's moved
-    by the offset, or are perturbed; windows and edges are random.  Every
-    leading coefficient is at least 2 in size, and shifting keeps it, so
-    moving one of the three lowest coefficients by one leaves a nonzero
-    polynomial of degree at most 2."""
-    step, offset = rng.choice((2, -2)), rng.randint(-6, 6)
-    poly = lambda: IndexPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 2))]
-                             + [rng.choice((-3, -2, 2, 3))])
-    cx, cy = poly(), poly()
-    source = WeightModule("generic", step, cx, cy, 2 * rng.randint(-10, 10),
-                          rng.randint(1, 12), rng.random() < 0.5, rng.random() < 0.5)
-    tx, ty = cx.shifted(-offset), cy.shifted(-offset)
+def _module_oracle(qmap):
+    """Equivariance of the shift on the two modules, index by index: each is
+    spanned by e_0, e_1, ... (the index set [0, oo)), X e_j = cx(j) e_{j+1},
+    Y e_j = cy(j) e_{j-1} for j >= 1 and Y e_0 = 0, and e_j goes to
+    e_{j+offset}.  The walk runs 20 indices past both windows; polynomials of
+    degree at most 2 that agree at 3 indices agree at all of them."""
+    s, t, o = qmap.source, qmap.target, qmap.offset
+
+    def y(cy, j):
+        return cy(j) if j else 0
+
+    return all(s.coeff_x(j) == t.coeff_x(j + o) and y(s.coeff_y, j) == y(t.coeff_y, j + o)
+               for j in range(max(s.length, t.length) + 20))
+
+
+def _verma_type(cx, cy, lowest, length):
+    return WeightModule("generic", 2, cx, cy, lowest, length, True, False)
+
+
+def _verma_type_shift(rng):
+    """A random ladder shift of the one accepted shape, offset 0..6: the
+    target's polynomials are the source's moved by the offset, or one of them
+    with one of its three lowest coefficients moved by one.  Half of the
+    source Y polynomials have a zero constant term, so the seam can hold.
+    Every leading coefficient is at least 2 in size, and shifting keeps it,
+    so the moved polynomial is nonzero of degree at most 2."""
+    offset = rng.randint(0, 6)
+
+    def poly(low):
+        return IndexPoly(low + [rng.randint(-3, 3) for _ in range(rng.randint(0, 2 - len(low)))]
+                         + [rng.choice((-3, -2, 2, 3))])
+
+    cx, cy = poly([]), poly([0] if rng.random() < 0.5 else [])
+    source = _verma_type(cx, cy, 2 * rng.randint(-10, 10), rng.randint(1, 12))
+    moved = [cx.shifted(-offset), cy.shifted(-offset)]
     if rng.random() < 0.3:
-        coeffs = (list((tx if rng.random() < 0.5 else ty).coeffs) + [0, 0])[:3]
+        which = rng.randrange(2)
+        coeffs = (list(moved[which].coeffs) + [0, 0])[:3]
         coeffs[rng.randrange(3)] += rng.choice((1, -1))
-        tx, ty = (IndexPoly(coeffs), ty) if rng.random() < 0.5 else (tx, IndexPoly(coeffs))
-    target = WeightModule("generic", step, tx, ty,
-                          source.lowest_label_weight - step * offset, rng.randint(1, 12),
-                          rng.random() < 0.5, rng.random() < 0.5)
+        moved[which] = IndexPoly(coeffs)
+    target = _verma_type(*moved, source.lowest_label_weight - 2 * offset, rng.randint(1, 12))
     return ModuleMap(source, target, offset)
 
 
-def test_ladder_shift_agrees_with_per_weight_blocks():
+def test_ladder_shift_agrees_with_the_module_oracle():
     rng = random.Random(20261019)
     maps = [bgg_morphism(k, trunc) for k in range(0, 41, 2)
             for trunc in {k + 2, k + 3, 2 * k + 5, default_truncation(k), k + 40}]
-    maps += [ModuleMap(verma(-k, trunc), simple(-k), 0) for k in range(0, 41, 2)
-             for trunc in (0, k // 2, k, k + 1, k + 7)]
-    maps += [_shifted_ladders(rng) for _ in range(1500)]
+    maps += [_verma_type_shift(rng) for _ in range(3000)]
     verdicts = {}
     for qmap in maps:
-        equivariant, cokernel = _per_weight_map(qmap)
+        equivariant = _module_oracle(qmap)
         assert qmap.is_equivariant() == equivariant, (qmap.source, qmap.target, qmap.offset)
-        assert qmap.cokernel_dims() == cokernel
+        assert qmap.cokernel_dims() == _per_weight_cokernel(qmap)
         verdicts[equivariant] = verdicts.get(equivariant, 0) + 1
     assert verdicts.get(True, 0) >= 200 and verdicts.get(False, 0) >= 200, verdicts
 
 
 def test_cokernel_ranges_are_the_missed_target_weights():
     rng = random.Random(20261022)
-    maps = [_shifted_ladders(rng) for _ in range(500)]
+    maps = [_verma_type_shift(rng) for _ in range(500)]
     maps += [bgg_morphism(k, trunc) for k in range(0, 41, 2) for trunc in (k + 2, 3 * k + 7)]
     for qmap in maps:
         below, above = qmap.cokernel_ranges()
-        assert [*below, *above] == sorted(_per_weight_map(qmap)[1])
+        assert [*below, *above] == sorted(_per_weight_cokernel(qmap))
         s = qmap.source
         assert all(mu < s.min_weight for mu in below) and all(mu > s.max_weight for mu in above)
     # The embedding misses exactly the window of simple(-k), below its source.
@@ -493,50 +499,54 @@ def test_cokernel_ranges_are_the_missed_target_weights():
     assert (tuple(below), tuple(above)) == ((-2, 0, 2), (10, 12, 14, 16, 18))
 
 
-def _generic(cx, cy, lowest, length, bottom_exact, top_exact):
-    return WeightModule("generic", 2, cx, cy, lowest, length, bottom_exact, top_exact)
-
-
 def test_shift_differing_past_the_lowest_shared_weights():
-    # The source (indices j = 0..9, weights 0..18) sits inside the target
-    # (offset 2, weights -4..22) with both its edges cut, so its two ends
-    # check only the X identity at j = 0 and the Y identity at j = 9.  The
-    # moved target X polynomial differs from the source's by 3 j (j - 1),
-    # zero at the two lowest shared indices; d = 2.
+    # The source (weights 0..18) starts at e_2 of the target (weights -4..22).
+    # The moved target X polynomial differs from the source's by 3 j (j - 1),
+    # zero at the two lowest source indices, so only the polynomials (or the
+    # walk past j = 1) see it; both Y polynomials vanish where the seam needs.
     cx, cy = IndexPoly([1]), IndexPoly([0, 1, -1])
-    source = _generic(cx, cy, 0, 10, False, False)
+    source = _verma_type(cx, cy, 0, 10)
     tx = IndexPoly([1, -3, 3]).shifted(-2)  # 1 + 3 j (j - 1) at j = index - 2
-    target = _generic(tx, cy.shifted(-2), -4, 14, True, True)
-    qmap = ModuleMap(source, target, 2)
-    assert all(qmap._commutes_at(mu) for mu in (0, 2, 18))
-    assert not qmap._commutes_at(4)
+    qmap = ModuleMap(source, _verma_type(tx, cy.shifted(-2), -4, 14), 2)
+    assert [tx(j + 2) - cx(j) for j in range(3)] == [0, 0, 6]
     assert not qmap.is_equivariant()
-    assert _per_weight_map(qmap)[0] is False
+    assert _module_oracle(qmap) is False
 
 
 def test_shift_whose_y_differs_past_the_lowest_shared_weights():
-    # The source (j = 0..15, weights 0..30) runs past the target (offset 1,
-    # weights -2..18) by more than one weight, and its Y polynomial j - 10
-    # vanishes at weight 20, so the seam just above the target commutes.  The
-    # moved target Y polynomial j^2 - 2j - 8 differs from the source's by
-    # (j - 1)(j - 2), zero at the second and third shared weights.  Y is an
-    # identity only where the weight below is shared, so with d = 2 the
-    # fourth shared weight decides.
-    cx, cy = IndexPoly([1]), IndexPoly([-10, 1])
-    source = _generic(cx, cy, 0, 16, False, False)
-    target = _generic(cx, IndexPoly([-8, -2, 1]).shifted(-1), -2, 11, True, True)
-    qmap = ModuleMap(source, target, 1)
-    assert all(qmap._commutes_at(mu) for mu in (0, 2, 4, 20, 30))
-    assert not qmap._commutes_at(6)
+    # The source (weights 0..30) starts at e_1 of the target (weights -2..18),
+    # whose Y kills e_1, so the seam holds.  The moved target Y polynomial
+    # j (j - 2) differs from the source's j - 2 by (j - 1)(j - 2), zero at
+    # j = 1 and 2, the two lowest indices where Y is compared.
+    cx, cy = IndexPoly([1]), IndexPoly([-2, 1])
+    ty = IndexPoly([3, -4, 1])  # (i - 1)(i - 3), so j (j - 2) at j = i - 1
+    qmap = ModuleMap(_verma_type(cx, cy, 0, 16), _verma_type(cx, ty, -2, 11), 1)
+    assert ty(1) == 0 and [ty(j + 1) - cy(j) for j in range(1, 4)] == [0, 0, 2]
     assert not qmap.is_equivariant()
-    assert _per_weight_map(qmap)[0] is False
+    assert _module_oracle(qmap) is False
 
 
 def test_ladder_shift_must_preserve_weights():
     with pytest.raises(ValidationError, match="preserve weights"):
         ModuleMap(verma(2, 4), verma(0, 4), 0)
     with pytest.raises(ValidationError, match="preserve weights"):
-        ModuleMap(n_finite_dual(verma(0, 4)), verma(0, 4), 0)
+        ModuleMap(dual_verma(0, 4), dual_verma(0, 4), 1)
+
+
+def test_ladder_shift_refuses_other_shapes():
+    # The one shape: two ladders of step 2, exact at the bottom and cut at the
+    # top, with offset >= 0.  Each pair below preserves weights.
+    v = verma(0, 4)
+    cut_bottom = _variant(v, edges=(False, False))
+    for source, target in ((n_finite_dual(v), n_finite_dual(v)), (v, simple(0)),
+                           (cut_bottom, v), (v, cut_bottom)):
+        with pytest.raises(ValidationError, match="exact at the bottom and cut at the top"):
+            ModuleMap(source, target, 0)
+    with pytest.raises(ValidationError, match=r"^offset must satisfy offset >= 0, got -1$"):
+        ModuleMap(verma(-2, 4), v, -1)
+    assert ModuleMap(dual_verma(0, 4), dual_verma(0, 6), 0).is_equivariant()
+    # Both polynomials match, but the seam does not: Y e_1 = e_0 in the target.
+    assert not ModuleMap(dual_verma(2, 4), dual_verma(0, 6), 1).is_equivariant()
 
 
 def test_embedding_truncation_too_small():
@@ -676,6 +686,39 @@ def test_integer_parameters_are_refused_not_truncated(parameter, value):
     refusal = rf"^{name} must be an int, got {re.escape(repr(value))}$"
     with pytest.raises(ValidationError, match=refusal):
         call(value)
+
+
+@pytest.fixture
+def print_limit():
+    """Python's default limit on the digits of a printed int, for the test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("value", [10**5000, -10**5000], ids=("10**5000", "-10**5000"))
+@pytest.mark.parametrize("parameter", sorted(_INTEGER_PARAMETERS))
+def test_integer_parameters_past_the_print_limit_are_refused(parameter, value, print_limit):
+    # An int Python would refuse to print is refused with ValidationError
+    # (exit 2) naming the parameter, never a bare ValueError when a label or
+    # a repr prints it later.
+    name, call = _INTEGER_PARAMETERS[parameter]
+    with pytest.raises(ValidationError, match=rf"^{name} must have at most {print_limit} digits"):
+        call(value)
+
+
+def test_ints_below_the_print_limit_compute(print_limit):
+    k = 2 * 10**3999  # 4000 digits
+    assert kostant_check(k) and bgg_morphism(k).is_equivariant()
+    assert les_consistency_check(k)
+    report = assemble_les(OrlikStrauchSpec("verma", k))
+    assert str(k) in repr(report.section)
+    with pytest.raises(ValidationError, match=r"^p must have at most 4300 digits"):
+        validate_p(10**5000)
+    # A limit of 0 means no limit.
+    sys.set_int_max_str_digits(0)
+    assert bgg_morphism(10**5000).is_equivariant()
 
 
 def test_negative_trunc_is_a_validation_error():

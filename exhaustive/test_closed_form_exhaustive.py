@@ -1,13 +1,14 @@
-"""Every jacquet report the command line accepts, against the closed form.
+"""Every jacquet report up to |k| = K_MAX, against the closed form.
 
-For every even k with |k| <= SIZE_LIMIT, every family defined at k, both
+For every even k with |k| <= K_MAX, every family defined at k, both
 declared characters psi and the two characters psi(z) = +-p^(k+2), the
 report at the default truncation must equal the table in k of
 perfbench/oracle.py, which imports nothing from djem.  At psi(z) = +-p^(k+2)
 a stalk H^0 line and a section H^1 line of simple share a z-eigenvalue; the
 connecting map between them is still zero, since their weights differ.
-tests/test_closed_form.py samples the same comparison; this run leaves no k
-out.  It takes minutes, so it lives outside the tier-1 test paths; run it
+tests/test_closed_form.py samples the same comparison, and
+tests/test_every_k.py proves it for every k; this brute-force run leaves no k
+up to K_MAX out.  It takes minutes, so it lives outside the tier-1 test paths; run it
 with
 
     python -m pytest exhaustive -q
@@ -21,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from djem.characters import SmoothCharacter, TRIVIAL_PSI
-from djem.cli import SIZE_LIMIT
 from djem.jacquet import OrlikStrauchSpec, assemble_les
 from djem.reporting import jacquet_result_json
 
@@ -35,6 +35,8 @@ def _load_oracle():
 
 
 oracle = _load_oracle()
+
+K_MAX = 50_000  # sets this run's reach and its time, about 110 s on 2 vCPU
 
 DECLARED_PSI = ("chi", 1, "3/2")
 PSIS = ((oracle.TRIVIAL, TRIVIAL_PSI),
@@ -51,7 +53,7 @@ def _psis(k):
 
 @pytest.mark.parametrize("family", ["verma", "dualverma", "simple"])
 def test_every_report_matches_the_closed_form(family):
-    ks = range(-SIZE_LIMIT if family == "verma" else 0, SIZE_LIMIT + 1, 2)
+    ks = range(-K_MAX if family == "verma" else 0, K_MAX + 1, 2)
     checked = 0
     for k in ks:
         for psi, character in _psis(k):
@@ -59,4 +61,4 @@ def test_every_report_matches_the_closed_form(family):
             got = json.loads(json.dumps(jacquet_result_json(report)))
             assert got == oracle.jacquet_result(family, k, psi), (family, k, psi)
             checked += 1
-    assert checked == 4 * (SIZE_LIMIT + 1 if family == "verma" else SIZE_LIMIT // 2 + 1)
+    assert checked == 4 * (K_MAX + 1 if family == "verma" else K_MAX // 2 + 1)

@@ -6,7 +6,8 @@ corpus.  JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 
 The truncation default is abs(k) + 16 and can be overridden per run with
 --trunc or globally with the JACQUET_TRUNC_DEFAULT environment variable.
-|k|, |ell| and an explicit truncation are capped at SIZE_LIMIT.  A flat
+An int option is read below Python's print limit (_int); a report reads only
+the window ends and coefficient roots, so it costs the same at any k.  A flat
 "key = value" config file, given once as --config PATH or --config=PATH,
 may supply any option; explicit flags win.
 
@@ -45,12 +46,6 @@ EXIT_CORPUS_DIFF = 5
 EXIT_CORPUS_SETUP = CorpusSetupError.exit_code
 
 TRUNC_ENV_VAR = "JACQUET_TRUNC_DEFAULT"
-
-# Largest |k|, |ell| and explicit truncation accepted: input validation.  A
-# module stores only the two ends of its window and a report reads only the
-# ends and the coefficient roots, so a report at this cap costs what one at
-# k = 2 does.
-SIZE_LIMIT = 50_000
 
 _RELATION_NAMES = ("psi-eq-phi", "psi-delta-eq-phi-w", "phi-delta-eq-phi-w")
 _TRUE_WORDS = {"1", "true", "yes", "on"}
@@ -96,19 +91,22 @@ def _resolve_trunc(args, k) -> int:
         source = TRUNC_ENV_VAR
         try:
             trunc = _int(env)
-        except ValueError:
-            raise ValidationError(f"{TRUNC_ENV_VAR} must be an integer, got {env!r}")
-    require_int(trunc, source, minimum=0)
-    if trunc > SIZE_LIMIT:
-        raise ValidationError(f"{source} must be at most {SIZE_LIMIT}, got {trunc}")
-    return trunc
+        except ValueError as err:
+            raise ValidationError(f"{TRUNC_ENV_VAR} {err}") from None
+    return require_int(trunc, source, minimum=0)
 
 
 def _int(text) -> int:
-    """text as an int, read only as is_rational_text's NUM: ASCII digits, an optional leading '-'."""
-    if text.isascii() and text.removeprefix("-").isdigit():
-        return int(text)
-    raise ValueError(f"invalid literal for int(): {text!r}")
+    """text as an int, read only as is_rational_text's NUM: ASCII digits, an optional
+    leading '-', fewer of them than sys.get_int_max_str_digits() (0 is no limit),
+    so that k plus the few units a report adds to it stays printable."""
+    digits = text.removeprefix("-")
+    if not (text.isascii() and digits.isdigit()):
+        raise ValueError(f"must be an integer, got {text!r}")
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) >= limit:
+        raise ValueError(f"must have fewer than {limit} digits, got {len(digits)}")
+    return int(text)
 
 
 _int.__name__ = "int"  # argparse's usage error names a type by it: "invalid int value"
@@ -336,13 +334,8 @@ def _parse_args(argv):
 
 def _output(args) -> str:
     """What `djem <argv>` writes to stdout for a parsed call other than
-    corpus.  A --k or --ell past SIZE_LIMIT, or a --p that is not a prime
-    below P_LIMIT, is refused before anything is built."""
-    for flag in ("k", "ell"):
-        value = getattr(args, flag, None)
-        if value is not None and abs(value) > SIZE_LIMIT:
-            raise ValidationError(f"--{flag} must be at most {SIZE_LIMIT} in absolute value, "
-                                  f"got {value}")
+    corpus.  A --p that is not a prime below P_LIMIT is refused before
+    anything is built."""
     if args.p is not None:
         validate_p(args.p, "--p")
     output = _COMMANDS[args.command][2](args)

@@ -81,7 +81,8 @@ def stabilization_certificate(m: WeightModule, direction: str) -> StabilizationC
     coeff = m.coeff_x if op == "X" else m.coeff_y
     roots = coeff.integer_roots()
     bound = max(roots) + 1 if roots else 0
-    return StabilizationCertificate(op, coeff, roots, max(bound, 0), False)
+    # The bound is printed with the answer, so require_int refuses an unprintable one.
+    return StabilizationCertificate(op, coeff, roots, require_int(max(bound, 0), "bound"), False)
 
 
 def _candidate_weights(m: WeightModule, certificate, shift: int):
@@ -135,7 +136,7 @@ def cohomology(m: WeightModule, direction: str, allow_uncertified: bool = False)
             if c is None:
                 c = past_cut
             if c is not None and present(c):
-                lines.append(WeightLines(nu - s, m.labels_at(nu)))
+                lines.append(WeightLines(require_int(nu - s, "weight"), m.labels_at(nu)))
         degrees.append(tuple(lines))
     h0, h1 = degrees
     return CohomologyResult(direction, h0, h1, -shift, certificate, certified)

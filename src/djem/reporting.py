@@ -72,10 +72,10 @@ def frac_str(x: Fraction) -> str:
 
 def concrete_value(exponent, unit, p) -> str:
     """p^exponent * unit as "num/den" at a p that validate_p accepts; refused past
-    VALUE_DIGIT_CAP digits, decided from |exponent| * log10(p) before the power is taken."""
+    VALUE_DIGIT_CAP digits, decided before the power is taken, with no float of the exponent."""
     validate_p(p)
     unit_digits = math.log10(max(abs(unit.numerator), unit.denominator))
-    if abs(exponent) * math.log10(p) + unit_digits > VALUE_DIGIT_CAP:
+    if abs(exponent) > (VALUE_DIGIT_CAP - unit_digits) / math.log10(p):
         raise ValidationError(f"the eigenvalue p^{exponent} * unit at p = {p} has more than "
                               f"{VALUE_DIGIT_CAP} digits; omit --p for the symbolic form")
     return frac_str(Fraction(p) ** exponent * unit)

@@ -11,12 +11,16 @@ import pytest
 
 from djem import cli
 from djem.cli import (EXIT_CORPUS_DIFF, EXIT_CORPUS_SETUP, EXIT_TRUNCATION,
-                      EXIT_UNDECIDABLE, EXIT_VALIDATION, P_LIMIT, SIZE_LIMIT,
-                      _default_fixtures_dir, corpus_manifest, fixture_document, main)
-from djem.characters import SmoothCharacter
+                      EXIT_UNDECIDABLE, EXIT_VALIDATION, P_LIMIT, _default_fixtures_dir,
+                      corpus_manifest, fixture_document, main)
+from djem.characters import TRIVIAL_PSI, SmoothCharacter
 from djem.errors import (CertificateError, CorpusSetupError, DjemError, ParityError,
                          TruncationError, UndecidableRelationError, ValidationError)
-from djem.reporting import VALUE_DIGIT_CAP, _is_prime, frac_str
+from djem.extbound import classify_ext
+from djem.jacquet import OrlikStrauchSpec, assemble_les
+from djem.reporting import (VALUE_DIGIT_CAP, _is_prime, ext_case_json, frac_str,
+                            jacquet_result_json, jacquet_text)
+from test_sl2 import print_limit  # noqa: F401 (a fixture)
 
 
 def run(capsys, *argv):
@@ -278,6 +282,19 @@ def test_concrete_value_past_digit_cap_exits_2(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("digits", [310, 4000])
+def test_concrete_value_past_the_float_range_is_refused_not_overflowed(digits):
+    # |exponent| * log10(p) as a float overflows past 10**308, so the cap is
+    # decided without that product: the refusal is the documented one.
+    k = 10 ** (digits - 1)
+    report = assemble_les(OrlikStrauchSpec("verma", k))
+    case = classify_ext(-k, 2, TRIVIAL_PSI, TRIVIAL_PSI)
+    for render in (lambda: jacquet_result_json(report, 3), lambda: jacquet_text(report, 3),
+                   lambda: ext_case_json(case, 3)):
+        with pytest.raises(ValidationError, match=f"more than {VALUE_DIGIT_CAP} digits"):
+            render()
+
+
 def test_ext_bound_text_mode_ignores_digit_cap(capsys):
     # The text report prints no eigenvalue, so a value past the cap is never rendered.
     argv = ("ext-bound", "--k", "-4", "--ell", "2", "--psi", "a", "--psi-val", "10000",
@@ -328,33 +345,111 @@ def _run_limited(argv, env=None):
                           env={**os.environ, "PYTHONPATH": str(src), **(env or {})})
 
 
-@pytest.mark.parametrize("argv, env, flag", [
-    (("jacquet", "--family", "verma", "--k", "100000000", "--json"), None, "--k"),
+@pytest.mark.parametrize("argv, env", [
+    (("jacquet", "--family", "verma", "--k", "100000000", "--json"), None),
     (("cohomology", "--family", "verma", "--k", "4", "--direction", "n", "--trunc",
-      "100000000"), None, "--trunc"),
+      "100000000"), None),
     (("cohomology", "--family", "verma", "--k", "4", "--direction", "n"),
-     {"JACQUET_TRUNC_DEFAULT": "100000000"}, "JACQUET_TRUNC_DEFAULT"),
-    (("ext-bound", "--k", "-4", "--ell", "-100000000"), None, "--ell"),
-    (("kostant", "--k", "100000000"), None, "--k"),
+     {"JACQUET_TRUNC_DEFAULT": "100000000"}),
+    (("ext-bound", "--k", "-4", "--ell", "-100000000"), None),
+    (("kostant", "--k", "100000000"), None),
+])
+def test_large_sizes_are_answered_in_bounded_memory(argv, env):
+    # A module stores only the two ends of its window, so a size of 10**8 is
+    # answered under the address-space limit as a small one is.
+    out = _run_limited(argv, env)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == "" and out.stdout
+
+
+# 4300 digits: Python prints an int this long, and the command line reads none.
+_PAST_PRINT = "1" + "0" * 4299
+
+
+@pytest.mark.parametrize("argv, env, flag", [
+    (("jacquet", "--family", "verma", "--k", _PAST_PRINT, "--json"), None, "--k"),
+    (("cohomology", "--family", "verma", "--k", "4", "--direction", "n", "--trunc",
+      _PAST_PRINT), None, "--trunc"),
+    (("cohomology", "--family", "verma", "--k", "4", "--direction", "n"),
+     {"JACQUET_TRUNC_DEFAULT": _PAST_PRINT}, "JACQUET_TRUNC_DEFAULT"),
+    (("ext-bound", "--k", "-4", "--ell", "-" + _PAST_PRINT), None, "--ell"),
+    (("kostant", "--k", _PAST_PRINT), None, "--k"),
 ])
 def test_sizes_past_the_limit_exit_2_before_building(argv, env, flag):
-    out = _run_limited(argv, env)
+    # The limit is Python's print limit: an int option of that many digits is
+    # a usage error, an environment value a validation error, so that k plus
+    # the few units a report adds to it stays printable.
+    out = _run_limited(argv, {"PYTHONINTMAXSTRDIGITS": "4300", **(env or {})})
     assert out.returncode == EXIT_VALIDATION, out.stderr
-    assert f"{flag} must be at most {SIZE_LIMIT}" in out.stderr
+    usage = f"error: argument {flag}: invalid int value: "
+    refusal = f"validation error: {flag} must have fewer than 4300 digits, got 4300\n"
+    assert usage in out.stderr or out.stderr == refusal, out.stderr[:300]
     assert "Traceback" not in out.stderr and out.stdout == ""
 
 
-def test_sizes_at_the_limit_are_accepted(capsys):
-    # k != -(ell + 2) is decided without building a module, so the bounds
-    # themselves are cheap to probe.
-    code, _, err = run(capsys, "ext-bound", "--k", str(-SIZE_LIMIT), "--ell", "2",
-                       "--trunc", str(SIZE_LIMIT))
-    assert code == 0, err
-    for flags in (("--k", str(-SIZE_LIMIT - 2), "--ell", "2"),
-                  ("--k", "-4", "--ell", str(SIZE_LIMIT + 2)),
-                  ("--k", "-4", "--ell", "6", "--trunc", str(SIZE_LIMIT + 1))):
-        code, _, err = run(capsys, "ext-bound", *flags)
-        assert code == EXIT_VALIDATION and f"must be at most {SIZE_LIMIT}" in err
+def test_sizes_at_the_limit_are_accepted(capsys, print_limit):
+    k = 10 ** (print_limit - 1) - 2  # print_limit - 1 digits, the most an int option has
+    code, out, err = run(capsys, "kostant", "--k", str(k))
+    assert (code, err) == (0, "")
+    assert out == f"kostant k={k}: PASS (one line at weight {k}, one at {-(k + 2)})\n"
+    code, _, err = run(capsys, "ext-bound", "--k", str(-k), "--ell", "2", "--trunc", str(k))
+    assert (code, err) == (0, "")
+    for flags in (("--k", str(-k - 2), "--ell", "2"), ("--k", "-4", "--ell", str(k + 2)),
+                  ("--k", "-4", "--ell", "6", "--trunc", str(k + 2))):
+        with pytest.raises(SystemExit) as exc:
+            main(["ext-bound", *flags])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "invalid int value" in capsys.readouterr().err
+
+
+def _sweep_argvs():
+    """Every subcommand at |k| of 13, 101, print limit - 1 and print limit
+    digits, also as --trunc, in text and --json, with and without --p 3."""
+    near = 10**4299
+    for v in (2 * 10**12, 2 * 10**100, near - 2, near):
+        for k in (v, -v):
+            yield ["kostant", "--k", str(k)]
+            yield ["bgg-check", "--k", str(k)]
+            yield ["les-check", "--k", str(k)]
+            yield ["ext-bound", "--k", str(k), "--ell", str(-(k + 2))]
+            for family in ("verma", "dualverma", "simple"):
+                yield ["jacquet", "--family", family, "--k", str(k)]
+                for direction in ("n", "nbar"):
+                    yield ["cohomology", "--family", family, "--k", str(k),
+                           "--direction", direction]
+                yield ["cohomology", "--family", family, "--k", str(k), "--direction", "n",
+                       "--window-only", "--trunc", "3"]
+        yield ["jacquet", "--family", "verma", "--k", "2", "--trunc", str(v)]
+        yield ["cohomology", "--family", "dualverma", "--k", "2", "--direction", "n",
+               "--trunc", str(v)]
+        yield ["bgg-check", "--k", "2", "--trunc", str(v)]
+        yield ["les-check", "--k", "2", "--trunc", str(v)]
+        yield ["ext-bound", "--k", "-4", "--ell", "2", "--trunc", str(v)]
+
+
+def test_no_argv_near_the_print_limit_ends_in_a_traceback(capsys, monkeypatch, print_limit):
+    # Each ends in an answer, a usage error or one labelled stderr line.
+    monkeypatch.delenv("JACQUET_TRUNC_DEFAULT", raising=False)
+    labels = tuple(f"{cls.label}: " for cls in (ValidationError, TruncationError))
+    checked = 0
+    for base in _sweep_argvs():
+        for argv in (base, base + ["--json"], base + ["--p", "3"], base + ["--json", "--p", "3"]):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # any other escape is the failure
+                raise AssertionError(f"{argv[:3]} raised {exc!r}"[:300]) from exc
+            err = capsys.readouterr().err
+            if code == 0:
+                assert err == "", argv[:3]
+            elif err.startswith("usage: djem"):
+                assert code == 2 and "error: argument " in err.splitlines()[-1], argv[:3]
+            else:
+                assert code in (2, 3) and err.startswith(labels) and err.count("\n") == 1, (
+                    argv[:3], err[:200])
+            checked += 1
+    assert checked == 4 * 4 * (2 * 16 + 5)
 
 
 _HEAVY = ("dataclasses", "inspect", "concurrent.futures", "logging", "djem.extbound",

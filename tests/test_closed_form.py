@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from djem.characters import SmoothCharacter, TRIVIAL_PSI
-from djem.cli import SIZE_LIMIT, TRUNC_ENV_VAR, main
+from djem.cli import TRUNC_ENV_VAR, main
 from djem.cohomology import kostant_check, stabilization_certificate
 from djem.errors import CertificateError
 from djem.extbound import RelationDeclarations, classify_ext
@@ -66,10 +66,10 @@ def test_jacquet_reports_match_the_closed_form():
     assert checked == 2 * (len(ks) + 2 * sum(1 for k in ks if k >= 0))
 
 
-def test_jacquet_reports_match_the_closed_form_at_the_size_limit():
-    # A report reads only the window ends and the coefficient roots, so the
-    # largest k the command line accepts costs what a small one does.
-    for family, k in (("verma", -SIZE_LIMIT), ("verma", SIZE_LIMIT), ("dualverma", SIZE_LIMIT)):
+def test_jacquet_reports_match_the_closed_form_at_a_far_k():
+    # A report reads only the window ends and the coefficient roots, so a k
+    # of 13 digits costs what a small one does.
+    for family, k in (("verma", -10**12), ("verma", 10**12), ("dualverma", 10**12)):
         for psi, character in _psis():
             report = assemble_les(OrlikStrauchSpec(family, k, character))
             got = json.loads(json.dumps(jacquet_result_json(report)))

@@ -9,7 +9,7 @@ import pytest
 
 import rref_oracle as oracle
 from djem.characters import SmoothCharacter, TorusCharacter
-from djem.cohomology import kostant_check
+from djem.cohomology import cohomology, kostant_check
 from djem.errors import ParityError, TruncationError, ValidationError
 from djem.extbound import classify_ext
 from djem.jacquet import OrlikStrauchSpec, assemble_les, build_module, les_consistency_check
@@ -719,6 +719,18 @@ def test_ints_below_the_print_limit_compute(print_limit):
     # A limit of 0 means no limit.
     sys.set_int_max_str_digits(0)
     assert bgg_morphism(10**5000).is_equivariant()
+
+
+@pytest.mark.parametrize("ladder, direction, name", [(dual_verma, "n", "bound"),
+                                                     (verma, "nbar", "weight")])
+def test_a_window_only_answer_past_the_print_limit_is_refused(ladder, direction, name,
+                                                             print_limit):
+    # k has print_limit digits, so the certificate bound k + 2 of dual_verma's
+    # n, or the degree-1 line at k + 2 of verma's nbar, has one digit more: it
+    # is refused, not left to fail when the answer is printed.
+    k = 10**print_limit - 2
+    with pytest.raises(ValidationError, match=rf"^{name} must have at most {print_limit} digits"):
+        cohomology(n_finite_dual(ladder(-k, 3)), direction, allow_uncertified=True)
 
 
 def test_negative_trunc_is_a_validation_error():

@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from djem.cli import SIZE_LIMIT, TRUNC_ENV_VAR, _cmd_bgg_check
+from djem.cli import TRUNC_ENV_VAR, _cmd_bgg_check
 from djem.sl2 import WeightModule, dual_verma, n_finite_dual, simple, verma
 from ladder_blocks import SHIFT, block
 from test_cohomology import _family_grid, _hand_made_ladder
@@ -127,24 +127,26 @@ def test_weights_are_the_ladder_weights():
         assert (m.min_weight, m.max_weight, len(m.weights)) == (ladder[0], ladder[-1], m.length)
 
 
-def test_window_at_the_size_limit_is_constant_size():
+FAR_K = 10**12
+
+
+def test_window_at_a_far_k_is_constant_size():
     tracemalloc.start()
     try:
-        m = n_finite_dual(verma(-SIZE_LIMIT, SIZE_LIMIT))
+        m = n_finite_dual(verma(-FAR_K, FAR_K))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
-    assert (m.min_weight, m.max_weight, len(m.weights)) == (-SIZE_LIMIT, SIZE_LIMIT,
-                                                            SIZE_LIMIT + 1)
-    assert m.line_coefficient("x", SIZE_LIMIT) == 0 and m.line_coefficient("y", -SIZE_LIMIT) is None
+    assert (m.min_weight, m.max_weight, len(m.weights)) == (-FAR_K, FAR_K, FAR_K + 1)
+    assert m.line_coefficient("x", FAR_K) == 0 and m.line_coefficient("y", -FAR_K) is None
 
 
-def test_bgg_check_at_the_size_limit_builds_no_weight_table(monkeypatch):
+def test_bgg_check_at_a_far_k_builds_no_weight_table(monkeypatch):
     # The cokernel of the embedding is two ranges, compared with simple(-k)'s
     # window by range equality, so the decision costs what it does at k = 0.
     monkeypatch.delenv(TRUNC_ENV_VAR, raising=False)
-    args = argparse.Namespace(command="bgg-check", k=SIZE_LIMIT, trunc=None, p=None, json=True)
+    args = argparse.Namespace(command="bgg-check", k=FAR_K, trunc=None, p=None, json=True)
     tracemalloc.start()
     try:
         output = _cmd_bgg_check(args)
@@ -152,6 +154,6 @@ def test_bgg_check_at_the_size_limit_builds_no_weight_table(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
-    assert output == ({"k": SIZE_LIMIT, "truncation": SIZE_LIMIT + 16},
-                      {"k": SIZE_LIMIT, "passed": True, "equivariant": True,
+    assert output == ({"k": FAR_K, "truncation": FAR_K + 16},
+                      {"k": FAR_K, "passed": True, "equivariant": True,
                        "cokernel_matches_simple": True})

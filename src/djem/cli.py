@@ -249,7 +249,7 @@ _COMMANDS = {
                         help="declare a relation true (or false with a 'not:' prefix); "
                              f"names: {', '.join(_RELATION_NAMES)}"),
                    *_common_options()), _cmd_ext_bound),
-    "les-check": ("Euler-characteristic consistency across the ladder sequence",
+    "les-check": ("exactness of the ladder sequence's long exact cohomology sequence",
                   (_K, *_character_options("psi"), *_common_options()), _cmd_les_check),
     "corpus": ("golden-file regression corpus",
                (_opt("action", choices=("run", "write")),

@@ -4,12 +4,12 @@ from operator import attrgetter
 
 
 class Value:
-    """A record whose fields are the __slots__ of its MRO, a base's first, set
-    once in __init__ and never changed afterwards: a record made from input
-    checks each in the __init__ it defines, and one whose MRO defines none by hand
-    gets __init__(self, <its fields in order>), which stores each as given.
-    Equality, hashing and repr read the fields in order, so two records of a class
-    are equal exactly when their fields are, and hash only if all fields do."""
+    """A record whose fields are the __slots__ of its MRO, a base's first, set once in
+    __init__ and never changed afterwards: a record made from input checks each in the
+    __init__ it defines (a subclass may add no field under an inherited one), and one whose
+    MRO defines none by hand gets __init__(self, <its fields in order>), which stores each
+    as given.  Equality, hashing and repr read the fields in order, so two records of a
+    class are equal exactly when their fields are, and hash only if all fields do."""
 
     __slots__ = ()
 
@@ -25,6 +25,9 @@ class Value:
             exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
             cls.__init__ = namespace["__init__"]
             cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        elif "__init__" not in vars(cls) and vars(cls).get("__slots__"):
+            raise TypeError(f"{cls.__name__} adds fields under an inherited hand-written "
+                            "__init__, which would leave them unset; give it its own __init__")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -689,6 +689,16 @@ def test_config_given_another_way_exits_2(tmp_path, capsys, spelling):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("case", ["no-path", "no-subcommand"])
+def test_config_without_a_path_or_a_subcommand_exits_2(tmp_path, capsys, case):
+    argv, message = {
+        "no-path": (("jacquet", "--family", "verma", "--k", "2", "--config"),
+                    "--config requires a file path"),
+        "no-subcommand": (("--config", str(_psi_config(tmp_path))),
+                          "--config cannot supply the subcommand itself")}[case]
+    assert run(capsys, *argv) == (EXIT_VALIDATION, "", f"validation error: {message}\n")
+
+
 def test_check_commands(capsys):
     for argv in (("kostant", "--k", "2"), ("bgg-check", "--k", "2"), ("les-check", "--k", "2")):
         code, out, _ = run(capsys, *argv)

@@ -5,14 +5,15 @@ import pytest
 
 from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI
 from djem.cli import corpus_manifest, fixture_document
-from djem.cohomology import DIRECTIONS, cohomology, stabilization_certificate
-from djem.errors import ParityError, ValidationError
-from djem.jacquet import (FAMILIES, JacquetReport, OrlikStrauchSpec, assemble_les, build_module,
-                          hecke_eigenvalue, les_consistency_check, section_cohomology_characters,
-                          stalk_cohomology_characters)
+from djem.cohomology import (DIRECTIONS, CohomologyResult, WeightLines, cohomology,
+                             stabilization_certificate)
+from djem.errors import CertificateError, ParityError, ValidationError
+from djem.jacquet import (FAMILIES, OrlikStrauchSpec, _characters, _les_is_exact, assemble_les,
+                          build_module, hecke_eigenvalue, les_consistency_check,
+                          section_cohomology_characters, stalk_cohomology_characters)
 from djem.extbound import classify_ext
 from djem.reporting import eigenvalue_json, ext_case_json, jacquet_result_json, jacquet_text
-from djem.sl2 import default_truncation, dual_verma, n_finite_dual
+from djem.sl2 import WeightModule, default_truncation, dual_verma, n_finite_dual, simple
 
 
 def sec(w):
@@ -276,7 +277,9 @@ def test_dual_sequence_is_exact_degree_by_degree():
     # of dual_verma(k+2), B of dualverma at k and C of simple at k then give
     # 0 -> A0 -> B0 -> C0 -> A1 -> B1 -> C1 -> 0.  The spec refuses dualverma
     # at k < 0, so A is read off the n-finite dual directly.  Characters are
-    # formal in psi, so one psi stands for all.
+    # formal in psi, so one psi stands for all.  _les_is_exact also checks the
+    # ladder sequence's own long exact sequence on its maps; the multiplicity
+    # rule stays as an independent check.
     def parts(section, stalk):
         return {"section": section, "stalk": stalk,
                 "all": {i: section[i] + stalk[i] for i in (0, 1)}}
@@ -294,6 +297,8 @@ def test_dual_sequence_is_exact_degree_by_degree():
             for part in ("section", "stalk"):
                 assert (jh(a, 0, part) + jh(c, 0, part) + jh(b, 1, part)
                         == jh(b, 0, part) + jh(a, 1, part) + jh(c, 1, part)), (k, trunc, part)
+            ladders = (simple(-k), dual_verma(-k, trunc), dual_verma(k + 2, trunc))
+            assert _les_is_exact(*ladders), (k, trunc)
             cases += 1
     assert cases == 42
 
@@ -310,39 +315,67 @@ def test_euler_consistency_detects_dropped_factor():
     assert norm(lhs[1:]) != norm(rhs)
 
 
-def _with(report, part, degree, chars):
-    """The report with its part ("section" or "stalk") in degree replaced by chars."""
-    parts = {"section": dict(report.section), "stalk": dict(report.stalk)}
-    parts[part][degree] = chars
-    return JacquetReport(report.spec, parts["section"], parts["stalk"], report.eigenvalues)
+def _les_ladders(k):
+    """The n-finite duals of sub = simple(-k), mid = verma(-k) and quot =
+    verma(k + 2) at the default window, in the order les-check builds them."""
+    return [dual(fam, kk) for fam, kk in (("simple", k), ("verma", k), ("verma", -(k + 2)))]
+
+
+def _replay_les_check(monkeypatch, k, ladders, results):
+    """les_consistency_check(k) with its three ladders and its six cohomology
+    results (sub, mid and quot, each in direction n and then nbar) replayed."""
+    duals, calls = iter(ladders), iter(results)
+
+    def patched(module, direction):
+        res = next(calls)
+        assert res.direction == direction
+        return res
+
+    monkeypatch.setattr("djem.jacquet.n_finite_dual", lambda module: next(duals))
+    monkeypatch.setattr("djem.jacquet.cohomology", patched)
+    return les_consistency_check(k)
+
+
+def _edited(results, i, h0, h1):
+    """results with the lines of result i replaced by h0 and h1."""
+    res = results[i]
+    edited = CohomologyResult(res.direction, h0, h1, res.weight_shift_applied,
+                              res.certificate, res.certified)
+    return results[:i] + [edited] + results[i + 1:]
+
+
+def _les_euler_factors(results):
+    """Both sides of H0(sub) + H0(quot) + H1(mid) = H0(mid) + H1(sub) + H1(quot)
+    on the section (n) and stalk (nbar) characters of the six results."""
+    chars = [_characters(res, *((1, 1, 0, 1) if res.direction == "n" else (-1, 0, 1, 0)))
+             for res in results]
+    jh = lambda *parts: Counter(c for m, i in parts for d in (0, 1) for c in chars[2 * m + d][i])
+    return jh((0, 0), (2, 0), (1, 1)), jh((1, 0), (0, 1), (2, 1))
 
 
 def test_les_check_requires_exactness_at_both_ends(monkeypatch):
-    # Each edit moves one factor within one side of the Euler sum
-    # H0(sub) + H0(quot) + H1(mid) = H0(mid) + H1(sub) + H1(quot), so the sum
-    # still holds, but leaves H^0(sub) or H^1(quot) with a factor that the
-    # same degree of mid lacks: H^0(sub) -> H^0(mid) would not be injective,
-    # or H^1(mid) -> H^1(quot) not onto.
+    # Each edit moves one line within one side of the Euler sum, so the sum
+    # still holds, but leaves H^0(sub) or H^1(quot) with a line that the same
+    # degree of mid lacks: H^0(sub) -> H^0(mid) would not be injective, or
+    # H^1(mid) -> H^1(quot) not onto.
     k = 4
-    sub, mid, quot = (assemble_les(OrlikStrauchSpec(fam, kk))
-                      for fam, kk in (("simple", k), ("verma", k), ("verma", -(k + 2))))
-    assert quot.section[0] == (sec(-(k + 2)),) and mid.stalk[1] == (stk(-(k + 2)), stk(k))
+    ladders = _les_ladders(k)
+    results = [cohomology(m, d) for m in ladders for d in DIRECTIONS]
+    sub_n, mid_nbar, quot_n, quot_nbar = results[0], results[3], results[4], results[5]
+    assert quot_n.h0 == (WeightLines(-(k + 2), ladders[2].labels_at(-(k + 2))),)
+    assert [line.weight for line in mid_nbar.h1] == [k + 2, -k] and not quot_nbar.h0
     edits = {
-        "quot's H^0 factor into sub's H^0": (
-            _with(sub, "section", 0, sub.section[0] + quot.section[0]), mid,
-            _with(quot, "section", 0, ())),
-        "mid's H^1 factor chi_k psi^w into quot's H^0": (
-            sub, _with(mid, "stalk", 1, (stk(-(k + 2)),)),
-            _with(quot, "stalk", 0, (stk(k),))),
+        "quot's H^0 line into sub's H^0": _edited(
+            _edited(results, 0, sub_n.h0 + quot_n.h0, sub_n.h1), 4, (), quot_n.h1),
+        "mid's H^1 line at -k, the factor chi_k psi^w, into quot's H^0": _edited(
+            _edited(results, 3, mid_nbar.h0, mid_nbar.h1[:1]), 5, mid_nbar.h1[1:],
+            quot_nbar.h1),
     }
-    assert les_consistency_check(k)
-    jh = lambda *parts: Counter([x for r, i in parts for x in r.jh_factors(i)])
-    for name, (a, b, c) in edits.items():
-        assert jh((a, 0), (c, 0), (b, 1)) == jh((b, 0), (a, 1), (c, 1)), name
-        reports = {("simple", k): a, ("verma", k): b, ("verma", -(k + 2)): c}
-        monkeypatch.setattr("djem.jacquet.assemble_les",
-                            lambda spec, trunc=None: reports[spec.family, spec.k])
-        assert not les_consistency_check(k), name
+    assert _replay_les_check(monkeypatch, k, ladders, results)
+    for name, edited in edits.items():
+        lhs, rhs = _les_euler_factors(edited)
+        assert lhs == rhs, name
+        assert not _replay_les_check(monkeypatch, k, ladders, edited), name
 
 
 def test_les_check_refuses_a_character_only_in_mid(monkeypatch):
@@ -350,16 +383,78 @@ def test_les_check_refuses_a_character_only_in_mid(monkeypatch):
     # hold, but B0 -> C0 must embed chi in C0, which lacks it (running ranks
     # 0, 1, -1), so the sequence cannot be exact.
     k = 4
-    sub, mid, quot = (assemble_les(OrlikStrauchSpec(fam, kk))
-                      for fam, kk in (("simple", k), ("verma", k), ("verma", -(k + 2))))
-    chi = sec(100)
-    assert all(chi not in r.jh_factors(i) for r in (sub, mid, quot) for i in (0, 1))
-    mid = _with(_with(mid, "section", 0, mid.section[0] + (chi,)),
-                "section", 1, mid.section[1] + (chi,))
-    reports = {("simple", k): sub, ("verma", k): mid, ("verma", -(k + 2)): quot}
-    monkeypatch.setattr("djem.jacquet.assemble_les",
-                        lambda spec, trunc=None: reports[spec.family, spec.k])
-    assert not les_consistency_check(k)
+    ladders = _les_ladders(k)
+    results = [cohomology(m, d) for m in ladders for d in DIRECTIONS]
+    chi = WeightLines(100, ("chi",))
+    assert all(chi.weight not in {line.weight for line in res.h0 + res.h1} for res in results)
+    mid_n = results[2]
+    edited = _edited(results, 2, mid_n.h0 + (chi,), mid_n.h1 + (chi,))
+    lhs, rhs = _les_euler_factors(edited)
+    assert lhs == rhs
+    assert _replay_les_check(monkeypatch, k, ladders, results)
+    assert not _replay_les_check(monkeypatch, k, ladders, edited)
+
+
+def test_les_check_fails_on_every_mutant_of_its_six_results(monkeypatch):
+    # Replaying les-check's six cohomology results passes; every mutant
+    # fails: one line dropped from one degree of one result; a line added to
+    # both degrees of mid at a weight no result has (then H^0(mid) ->
+    # H^0(quot) must embed it in H^0(quot), which lacks it); or mid's
+    # operator made zero at a weight where H^0(quot) and H^1(sub) both have a
+    # line, so that the connecting map between them is zero.
+    replay = lambda results: _replay_les_check(monkeypatch, k, ladders, results)
+    mutant = lambda i, h0, h1: _edited(results, i, h0, h1)
+
+    weights = lambda lines: {line.weight for line in lines}
+    coefficient = WeightModule.line_coefficient
+    dropped = added = zeroed = 0
+    for k in (0, 4, 10):
+        ladders = _les_ladders(k)
+        mid = ladders[1]
+        results = [cohomology(m, d) for m in ladders for d in DIRECTIONS]
+        assert replay(results), k
+        for i, res in enumerate(results):
+            for n in range(len(res.h0)):
+                assert not replay(mutant(i, res.h0[:n] + res.h0[n + 1:], res.h1)), (k, i, 0)
+            for n in range(len(res.h1)):
+                assert not replay(mutant(i, res.h0, res.h1[:n] + res.h1[n + 1:])), (k, i, 1)
+            dropped += len(res.h0) + len(res.h1)
+        for d in (0, 1):
+            mu = min(set(mid.weights) - set().union(*(weights(res.h0) | weights(res.h1)
+                                                      for res in results[d::2])))
+            line = WeightLines(mu, mid.labels_at(mu))
+            res = results[2 + d]
+            assert not replay(mutant(2 + d, res.h0 + (line,), res.h1 + (line,))), (k, d)
+            added += 1
+        for d, (op, _) in enumerate(DIRECTIONS.values()):
+            for mu in weights(results[4 + d].h0) & weights(results[d].h1):
+                assert mid.line_coefficient(op, mu) != 0, (k, op, mu)
+                monkeypatch.setattr(WeightModule, "line_coefficient",
+                                    lambda m, o, src, cut=(op, mu):
+                                    0 if m is mid and (o, src) == cut else coefficient(m, o, src))
+                assert not replay(results), (k, op, mu)
+                monkeypatch.setattr(WeightModule, "line_coefficient", coefficient)
+                zeroed += 1
+    assert (dropped, added, zeroed) == (30, 6, 3)
+
+
+def test_les_check_refuses_a_non_character_psi():
+    with pytest.raises(ValidationError, match="psi must be a SmoothCharacter"):
+        les_consistency_check(2, "a")
+
+
+def test_les_check_answers_from_the_least_certified_window_up():
+    # Below the largest certificate bound of the three ladders the window
+    # cannot be certified; from it up, and at the default, the answer is True.
+    for k in (0, 2, 4, 10):
+        least = max(stabilization_certificate(m, d).bound
+                    for m in _les_ladders(k) for d in DIRECTIONS)
+        assert least > 0, k
+        for t in range(least):
+            with pytest.raises(CertificateError):
+                les_consistency_check(k, trunc=t)
+        for t in (*range(least, k + 25), None):
+            assert les_consistency_check(k, trunc=t) is True, (k, t)
 
 
 def test_resolved_reports_conserve_section_and_stalk_multisets():

@@ -68,13 +68,36 @@ def test_a_constructor_is_built_only_where_the_mro_defines_none():
             self.a = int(a)
 
     class Child(Checked):
-        __slots__ = ("b",)
+        __slots__ = ()
 
     assert "__init__" in vars(Pair) and Pair(1, b=2) == Pair(a=1, b=2)
     assert Checked("3").a == 3
     # A subclass inherits the constructor its parent defines and gets none of its own.
     assert "__init__" not in vars(Child) and Child.__init__ is Checked.__init__
-    assert Child("4").a == 4
+    assert Child("4").a == 4 and Child("4") == Child(4) and repr(Child("4")) == "Child(a=4)"
+
+
+def test_a_field_added_under_an_inherited_hand_written_constructor_is_refused():
+    # Checked.__init__ would never set b, so the first ==, hash or repr of a
+    # Grown would raise AttributeError; the class itself is refused instead.
+    class Checked(Value):
+        __slots__ = ("a",)
+
+        def __init__(self, a):
+            self.a = int(a)
+
+    with pytest.raises(TypeError, match=r"^Grown adds fields under an inherited hand-written"):
+        class Grown(Checked):
+            __slots__ = ("b",)
+
+    class Own(Checked):
+        __slots__ = ("b",)
+
+        def __init__(self, a, b):
+            super().__init__(a)
+            self.b = b
+
+    assert Own("1", 2) == Own(1, 2) and repr(Own(1, 2)) == "Own(a=1, b=2)"
 
 
 def test_a_subclass_of_a_record_reads_every_field_of_its_mro():

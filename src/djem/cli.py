@@ -4,8 +4,9 @@ Subcommands: jacquet, cohomology, bgg-check, kostant, ext-bound, les-check,
 corpus.  JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 5 corpus diff, and for a refusal the exit_code its class in djem.errors holds.
 
-The truncation default is abs(k) + 16 and can be overridden per run with
---trunc or globally with the JACQUET_TRUNC_DEFAULT environment variable.
+The truncation default, abs(k) + 16 (les-check abs(k+2) + 16, ext-bound
+max(abs(k), abs(ell)) + 16, as each --trunc help says), can be overridden per
+run with --trunc or globally with the JACQUET_TRUNC_DEFAULT environment variable.
 An int option is read below Python's print limit (_int); a report reads only
 the window ends and coefficient roots, so it costs the same at any k.  A flat
 "key = value" config file, given once as --config PATH or --config=PATH,
@@ -33,9 +34,9 @@ from djem.cohomology import DIRECTIONS, cohomology, kostant_check
 from djem.errors import (CorpusSetupError, DjemError, TruncationError,
                          UndecidableRelationError, ValidationError, require_int)
 from djem.jacquet import FAMILIES, OrlikStrauchSpec, assemble_les, build_module, les_consistency_check
-from djem.reporting import (P_LIMIT, check_result_json, cohomology_result_json, cohomology_text,
-                            ext_case_json, ext_case_text, jacquet_result_json, jacquet_text,
-                            make_document, serialize, smooth_character_json, validate_p)
+from djem.reporting import (P_LIMIT, cohomology_result_json, cohomology_text, ext_case_json,
+                            ext_case_text, jacquet_result_json, jacquet_text, make_document,
+                            serialize, smooth_character_json, validate_p)
 from djem.sl2 import bgg_morphism, default_truncation, n_finite_dual, simple
 
 EXIT_OK = 0
@@ -151,8 +152,8 @@ def _cmd_bgg_check(args):
     if not args.json:
         return [f"bgg-check k={args.k}: {'PASS' if passed else 'FAIL'} "
                 f"(equivariant={equivariant}, cokernel-matches-simple={cokernel_matches})"]
-    return {"k": args.k, "truncation": trunc}, check_result_json(
-        args.k, passed, equivariant=equivariant, cokernel_matches_simple=cokernel_matches)
+    return {"k": args.k, "truncation": trunc}, {"k": args.k, "passed": passed,
+            "equivariant": equivariant, "cokernel_matches_simple": cokernel_matches}
 
 
 def _cmd_kostant(args):
@@ -160,8 +161,8 @@ def _cmd_kostant(args):
     if not args.json:
         return [f"kostant k={args.k}: {'PASS' if passed else 'FAIL'} "
                 f"(one line at weight {args.k}, one at {-(args.k + 2)})"]
-    return {"k": args.k}, check_result_json(args.k, passed, h0_weight=args.k,
-                                            h1_weight=-(args.k + 2))
+    return {"k": args.k}, {"k": args.k, "passed": passed, "h0_weight": args.k,
+                           "h1_weight": -(args.k + 2)}
 
 
 def _cmd_ext_bound(args):
@@ -188,7 +189,7 @@ def _cmd_les_check(args):
     if not args.json:
         return [f"les-check k={args.k}: {'PASS' if passed else 'FAIL'}"]
     config = {"k": args.k, "psi": smooth_character_json(psi), "truncation": trunc}
-    return config, check_result_json(args.k, passed)
+    return config, {"k": args.k, "passed": passed}
 
 
 # -- option table and parsing ----------------------------------------------
@@ -217,11 +218,11 @@ def _character_options(name):
              help=f"label of the restriction of {name} to the compact torus"))
 
 
-def _common_options(with_trunc=True):
+def _common_options(trunc_default="abs(k)+16"):
     common = (_opt("--json", "store-true", help="emit a JSON report document"),
               _opt("--p", "int", help="substitute a concrete prime for readable eigenvalues"))
-    trunc = _opt("--trunc", "int", help="truncation window override (default abs(k)+16)")
-    return common + ((trunc,) if with_trunc else ())
+    trunc = _opt("--trunc", "int", help=f"truncation window override (default {trunc_default})")
+    return common + ((trunc,) if trunc_default else ())
 
 
 _FAMILY = _opt("--family", required=True, choices=FAMILIES)
@@ -241,16 +242,17 @@ _COMMANDS = {
     "bgg-check": ("equivariance and cokernel check of the ladder embedding",
                   (_K, *_common_options()), _cmd_bgg_check),
     "kostant": ("two-line cohomology check for the simple module dual",
-                (_K, *_common_options(with_trunc=False)), _cmd_kostant),
+                (_K, *_common_options(None)), _cmd_kostant),
     "ext-bound": ("extension-dimension verdict for a pair of characters",
                   (_K, _opt("--ell", "int", required=True), *_character_options("psi"),
                    *_character_options("phi"),
                    _opt("--relation", "append", metavar="NAME",
                         help="declare a relation true (or false with a 'not:' prefix); "
                              f"names: {', '.join(_RELATION_NAMES)}"),
-                   *_common_options()), _cmd_ext_bound),
+                   *_common_options("max(abs(k), abs(ell))+16")), _cmd_ext_bound),
     "les-check": ("exactness of the ladder sequence's long exact cohomology sequence",
-                  (_K, *_character_options("psi"), *_common_options()), _cmd_les_check),
+                  (_K, *_character_options("psi"), *_common_options("abs(k+2)+16")),
+                  _cmd_les_check),
     "corpus": ("golden-file regression corpus",
                (_opt("action", choices=("run", "write")),
                 _opt("--fixtures", help="fixture directory override"),

@@ -18,7 +18,7 @@ splice through the six-term sequence
   0 -> S0 -> H^0 -> T0 -> S1 -> H^1 -> T1 -> 0,
 
 whose connecting map T0 -> S1 is zero (see assemble_les).  les_consistency_check
-checks the ladder sequence's long exact sequence on its maps (see _les_is_exact).
+checks bgg_morphism's ladder sequence's long exact sequence on its maps (_les_is_exact).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI
 from djem.cohomology import DIRECTIONS, cohomology
 from djem.errors import ValidationError, require_int, require_type
-from djem.sl2 import WeightModule, dual_verma, n_finite_dual, simple, verma
+from djem.sl2 import WeightModule, bgg_morphism, dual_verma, n_finite_dual, simple, verma
 from djem.value import Value
 
 FAMILIES = ("verma", "dualverma", "simple")
@@ -155,10 +155,9 @@ def _les_is_exact(sub: WeightModule, mid: WeightModule, quot: WeightModule) -> b
 
 
 def les_consistency_check(k, psi: SmoothCharacter = TRIVIAL_PSI, trunc=None) -> bool:
-    """Whether the cohomology sequence of 0 -> simple(-k)^ -> verma(-k)^ -> verma(k + 2)^
-    -> 0 (^: the n-finite dual, in the window trunc) is exact.  psi is checked but does not
-    enter: section and stalk are the n and nbar sequences, and a sum of exact sequences is exact."""
-    k = require_int(k, "k", minimum=0, even=True)
+    """Whether the cohomology sequence of bgg_morphism(k, trunc)'s ladder sequence, n-finite
+    dualized to 0 -> simple(-k)^ -> verma(-k)^ -> verma(k + 2)^ -> 0, is exact.  psi is checked but
+    does not enter: section and stalk are the n and nbar sequences; a sum of exact ones is exact."""
+    embedding = bgg_morphism(k, trunc)
     require_type(psi, "psi", SmoothCharacter)
-    return _les_is_exact(*(n_finite_dual(build_module(OrlikStrauchSpec(fam, kk), trunc))
-                           for fam, kk in (("simple", k), ("verma", k), ("verma", -(k + 2)))))
+    return _les_is_exact(*map(n_finite_dual, (simple(-k), embedding.target, embedding.source)))

@@ -261,12 +261,6 @@ def ext_case_text(case: ExtCase):
     return lines
 
 
-def check_result_json(k, passed, **extra):
-    out = {"k": k, "passed": passed}
-    out.update(extra)
-    return out
-
-
 def make_document(command, config, result):
     return {
         "tool": "djem",

@@ -357,14 +357,17 @@ class ModuleMap:
 
 
 def bgg_morphism(k, trunc=None) -> ModuleMap:
-    """The embedding verma(k+2) -> verma(-k) sending e'_j to e_{k+1+j}.
+    """The embedding verma(k+2) -> verma(-k) sending e'_j to e_{k+1+j}, of the
+    ladder sequence 0 -> verma(k+2) -> verma(-k) -> simple(-k) -> 0.
 
     Its cokernel is the finite-dimensional simple module; equivariance at the
     seam uses that the Y coefficient on verma(-k) vanishes at index k+1.
+    trunc >= k + 1 is exactly a window that keeps the source's bottom weight k + 2,
+    and that is enough: is_equivariant decides on polynomials, not on the window.
     """
     k = require_int(k, "k", minimum=0, even=True)
     trunc = default_truncation(k) if trunc is None else require_int(trunc, "trunc", minimum=0)
-    if trunc < k + 2:
+    if trunc < k + 1:
         raise TruncationError(
-            f"truncation {trunc} too small for the embedding; need at least {k + 2}")
+            f"truncation {trunc} too small for the embedding; need at least {k + 1}")
     return ModuleMap(verma(k + 2, trunc - (k + 1)), verma(-k, trunc), k + 1)

@@ -110,7 +110,7 @@ def test_undecidable_exit_code(capsys):
     pytest.param(("cohomology", "--family", "verma", "--k", "4", "--direction", "nbar",
                   "--trunc", "2"), CertificateError, 3, "truncation/certificate failure",
                  id="uncertified"),
-    pytest.param(("bgg-check", "--k", "4", "--trunc", "5"),
+    pytest.param(("bgg-check", "--k", "4", "--trunc", "4"),
                  TruncationError, 3, "truncation/certificate failure", id="short-window"),
     pytest.param(("ext-bound", "--k", "-4", "--ell", "2", "--psi", "u1", "--psi-val", "1",
                   "--phi", "u2", "--phi-val", "1"),
@@ -155,6 +155,33 @@ def test_env_truncation_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "jacquet", "--family", "verma", "--k", "0", "--json")
     assert code == 0
     assert json.loads(out)["config"]["truncation"] == 24
+
+
+@pytest.mark.parametrize("argv, default, truncation", [
+    (("jacquet", "--family", "verma", "--k", "-4"), "abs(k)+16", 20),
+    (("cohomology", "--family", "verma", "--k", "-4", "--direction", "n"), "abs(k)+16", 20),
+    (("bgg-check", "--k", "4"), "abs(k)+16", 20),
+    (("ext-bound", "--k", "-4", "--ell", "10"), "max(abs(k), abs(ell))+16", 26),
+    (("les-check", "--k", "4"), "abs(k+2)+16", 22),
+    (("kostant", "--k", "4"), None, None),
+], ids=lambda v: v[0] if isinstance(v, tuple) else None)
+def test_trunc_help_names_the_default_the_config_echoes(capsys, monkeypatch, argv, default,
+                                                        truncation):
+    # Each command's -h names its own default window, and at the call's k (and
+    # ell) that default is the truncation the JSON config echoes.  kostant has
+    # no window and no --trunc.
+    monkeypatch.delenv("JACQUET_TRUNC_DEFAULT", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "-h"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["config"].get("truncation") == truncation
+    if default is None:
+        assert "--trunc" not in help_text
+    else:
+        assert f"--trunc TRUNC truncation window override (default {default})" in help_text
 
 
 @pytest.mark.parametrize("argv, value", [
@@ -894,6 +921,19 @@ def test_corpus_diff_names_json_pointer_and_values(tmp_path, capsys):
     assert f"FAIL {victim.stem}\n" in out and "35 passed, 1 failed" in out
     assert victim.stem in err
     assert "/result/degrees/1/jh_factors/0/weight: golden 99, computed -4" in err
+
+
+def test_corpus_diff_of_a_golden_that_is_not_json(tmp_path, capsys):
+    dst = tmp_path / "corpus"
+    shutil.copytree(_default_fixtures_dir(), dst)
+    victim = dst / "kostant-k+04.json"
+    victim.write_bytes(b"not json\n")
+    code, out, err = run(capsys, "corpus", "run", "--fixtures", str(dst))
+    assert code == EXIT_CORPUS_DIFF
+    assert f"FAIL {victim.stem}\n" in out and "35 passed, 1 failed" in out
+    lines = err.splitlines()
+    assert len(lines) == 2 and victim.stem in lines[0]
+    assert lines[1].startswith("corpus diff: the golden file is not valid JSON (")
 
 
 def test_corpus_run_reads_each_golden_once(tmp_path, capsys, monkeypatch):

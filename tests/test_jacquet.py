@@ -7,13 +7,14 @@ from djem.characters import SmoothCharacter, TorusCharacter, TRIVIAL_PSI
 from djem.cli import corpus_manifest, fixture_document
 from djem.cohomology import (DIRECTIONS, CohomologyResult, WeightLines, cohomology,
                              stabilization_certificate)
-from djem.errors import CertificateError, ParityError, ValidationError
+from djem.errors import ParityError, TruncationError, ValidationError
 from djem.jacquet import (FAMILIES, OrlikStrauchSpec, _characters, _les_is_exact, assemble_les,
                           build_module, hecke_eigenvalue, les_consistency_check,
                           section_cohomology_characters, stalk_cohomology_characters)
 from djem.extbound import classify_ext
 from djem.reporting import eigenvalue_json, ext_case_json, jacquet_result_json, jacquet_text
-from djem.sl2 import WeightModule, default_truncation, dual_verma, n_finite_dual, simple
+from djem.sl2 import (WeightModule, bgg_morphism, default_truncation, dual_verma, n_finite_dual,
+                      simple)
 
 
 def sec(w):
@@ -317,8 +318,10 @@ def test_euler_consistency_detects_dropped_factor():
 
 def _les_ladders(k):
     """The n-finite duals of sub = simple(-k), mid = verma(-k) and quot =
-    verma(k + 2) at the default window, in the order les-check builds them."""
-    return [dual(fam, kk) for fam, kk in (("simple", k), ("verma", k), ("verma", -(k + 2)))]
+    verma(k + 2), the last two bgg_morphism(k)'s target and source at its
+    default window, in the order les-check builds them."""
+    embedding = bgg_morphism(k)
+    return [n_finite_dual(m) for m in (simple(-k), embedding.target, embedding.source)]
 
 
 def _replay_les_check(monkeypatch, k, ladders, results):
@@ -444,16 +447,19 @@ def test_les_check_refuses_a_non_character_psi():
 
 
 def test_les_check_answers_from_the_least_certified_window_up():
-    # Below the largest certificate bound of the three ladders the window
-    # cannot be certified; from it up, and at the default, the answer is True.
+    # bgg_morphism refuses a window below k + 1, which cannot hold its source;
+    # that is also the largest certificate bound of the three ladders, so the
+    # refusal is the embedding's TruncationError, never a CertificateError.
+    # From k + 1 up, and at the default, the answer is True.
     for k in (0, 2, 4, 10):
         least = max(stabilization_certificate(m, d).bound
                     for m in _les_ladders(k) for d in DIRECTIONS)
-        assert least > 0, k
-        for t in range(least):
-            with pytest.raises(CertificateError):
+        assert least == k + 1, k
+        for t in range(k + 1):
+            with pytest.raises(TruncationError, match=rf"need at least {k + 1}$") as refused:
                 les_consistency_check(k, trunc=t)
-        for t in (*range(least, k + 25), None):
+            assert type(refused.value) is TruncationError, (k, t)
+        for t in (*range(k + 1, k + 25), None):
             assert les_consistency_check(k, trunc=t) is True, (k, t)
 
 

@@ -52,6 +52,16 @@ def test_verma_coefficient_root_and_bracket_by_matrices():
     assert xy - yx == mu
 
 
+def test_index_of_weight_refuses_a_weight_off_the_ladder():
+    # verma(-4, 3) has the weights -4, -2, 0, 2: past the top, below the
+    # bottom and at an odd weight there is no ladder index.
+    m = verma(-4, 3)
+    assert [m.index_of_weight(mu) for mu in m.weights] == [0, 1, 2, 3]
+    for mu in (6, 4, -6, -3):
+        with pytest.raises(ValidationError, match=rf"^weight {mu} is not on the ladder$"):
+            m.index_of_weight(mu)
+
+
 def test_verma_rejects_odd_weight():
     with pytest.raises(ParityError):
         verma(3, 5)
@@ -470,7 +480,7 @@ def _verma_type_shift(rng):
 def test_ladder_shift_agrees_with_the_module_oracle():
     rng = random.Random(20261019)
     maps = [bgg_morphism(k, trunc) for k in range(0, 41, 2)
-            for trunc in {k + 2, k + 3, 2 * k + 5, default_truncation(k), k + 40}]
+            for trunc in {k + 1, k + 2, k + 3, 2 * k + 5, default_truncation(k), k + 40}]
     maps += [_verma_type_shift(rng) for _ in range(3000)]
     verdicts = {}
     for qmap in maps:
@@ -490,10 +500,13 @@ def test_cokernel_ranges_are_the_missed_target_weights():
         assert [*below, *above] == sorted(_per_weight_cokernel(qmap))
         s = qmap.source
         assert all(mu < s.min_weight for mu in below) and all(mu > s.max_weight for mu in above)
-    # The embedding misses exactly the window of simple(-k), below its source.
+    # The embedding is equivariant and misses exactly the window of simple(-k),
+    # below its source, down to trunc = k + 1, where the source is one line.
     for k in range(0, 41, 2):
-        for trunc in (k + 2, default_truncation(k), 3 * k + 7):
-            assert bgg_morphism(k, trunc).cokernel_ranges() == (simple(-k).weights, range(0))
+        for trunc in (k + 1, k + 2, default_truncation(k), 3 * k + 7):
+            em = bgg_morphism(k, trunc)
+            assert em.is_equivariant(), (k, trunc)
+            assert em.cokernel_ranges() == (simple(-k).weights, range(0)), (k, trunc)
     # A source inside the target leaves a cokernel on both sides.
     below, above = ModuleMap(verma(4, 2), verma(-2, 10), 3).cokernel_ranges()
     assert (tuple(below), tuple(above)) == ((-2, 0, 2), (10, 12, 14, 16, 18))
@@ -550,8 +563,12 @@ def test_ladder_shift_refuses_other_shapes():
 
 
 def test_embedding_truncation_too_small():
-    with pytest.raises(TruncationError):
-        bgg_morphism(4, 5)
+    # trunc = k leaves no source weight; the refusal is the embedding's own,
+    # not verma's ValidationError for the negative source window trunc - (k + 1).
+    for k in range(0, 41, 2):
+        with pytest.raises(TruncationError, match=rf"^truncation {k} too small for the "
+                                                  rf"embedding; need at least {k + 1}$"):
+            bgg_morphism(k, k)
 
 
 def test_default_truncation_margin():
